@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beams import BeamGrouping
-from .precoding import COND_LIMIT, Precoder, PrecodingError, EquivalentChannel, zf_precoder
+from .precoding import Precoder, equivalent_channel_strongest, zf_columns, zf_precoder
 from .rates import LinkBudget, link_gains, sum_rate
 
 
@@ -24,16 +24,6 @@ class SchemeResult:
     users: np.ndarray  # user ids matching `rates`
 
 
-def _zf_columns(h: np.ndarray) -> np.ndarray:
-    """Unit-norm ZF columns for a tall full-rank matrix (right inverse of h^H)."""
-    cond = float(np.linalg.cond(h))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise PrecodingError(f"channel condition {cond:.3e} exceeds {COND_LIMIT:.0e}",
-                             condition=cond)
-    w = h @ np.linalg.inv(h.conj().T @ h)
-    return w / np.linalg.norm(w, axis=0, keepdims=True)
-
-
 def fully_digital_zf(spatial: np.ndarray, budget: LinkBudget) -> SchemeResult:
     """ZF on the spatial channels with one RF chain per antenna and equal
     power P/K per user. Residual cross terms are kept in the SINR even though
@@ -41,7 +31,7 @@ def fully_digital_zf(spatial: np.ndarray, budget: LinkBudget) -> SchemeResult:
     n, k = spatial.shape
     if k > n:
         raise ValueError(f"fully digital ZF needs K <= N, got K={k}, N={n}")
-    w = _zf_columns(spatial)
+    w, _ = zf_columns(spatial, "channel")
     heff = spatial.conj().T @ w            # (K, K), row k = h_k^H W
     g = np.abs(heff) ** 2
     per_user = budget.total_power_mw / k
@@ -78,9 +68,7 @@ def beamspace_mimo_single_user(beamspace: np.ndarray, budget: LinkBudget) -> Sch
         beams[beam_rank[beam]] = np.array([user])
     grouping = BeamGrouping(beams=beams, reduced=beamspace[selected, :],
                             selected=selected)
-    equivalent = EquivalentChannel(matrix=grouping.reduced[:, [b[0] for b in beams]].copy(),
-                                   variant="strongest")
-    precoder = zf_precoder(equivalent)
+    precoder = zf_precoder(equivalent_channel_strongest(grouping))
     powers = np.full(k, budget.total_power_mw / k)
     report = sum_rate(grouping, precoder, powers, budget)
     return SchemeResult(scheme="beamspace_mimo", sum_rate=report.sum_rate,

@@ -63,7 +63,6 @@ class BeamGrouping:
 class OrderReport:
     """Per-beam check that equivalent gains |h_{m}^H w_n| decay with SIC rank."""
 
-    gains: list[np.ndarray]         # per-beam equivalent gain magnitudes, current order
     violations: list[int]           # beams whose gains are not non-increasing
     permutations: list[np.ndarray]  # per-beam reordering that restores the decay
 
@@ -109,15 +108,14 @@ def verify_order(grouping: BeamGrouping, precoder) -> OrderReport:
     index breaking ties) that restores the assumed decoding order; whether to
     re-sort is the caller's decision.
     """
-    gains, violations, perms = [], [], []
+    violations, perms = [], []
     for n, members in enumerate(grouping.beams):
         g = np.abs(grouping.reduced[:, members].conj().T @ precoder.matrix[:, n])
-        gains.append(g)
         perm = np.lexsort((members, -g))
         perms.append(perm)
         if np.any(np.diff(g) > 0):
             violations.append(n)
-    return OrderReport(gains=gains, violations=violations, permutations=perms)
+    return OrderReport(violations=violations, permutations=perms)
 
 
 def reorder(grouping: BeamGrouping, report: OrderReport) -> BeamGrouping:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from .power import OptimizerConfig
 from .rates import LinkBudget, PowerModel
 
 ALL_SCHEMES = ("noma", "oma", "beamspace_mimo", "fully_digital")
+ONE_USER_PER_CHAIN = ("beamspace_mimo", "fully_digital")  # schemes that need K <= N
 VARIANTS = ("strongest", "svd")
 
 
@@ -41,8 +43,22 @@ class SystemConfig:
     def __post_init__(self):
         if not self.snr_db:
             raise ValueError("SNR sweep must be non-empty")
+        bad_snr = [s for s in self.snr_db if not math.isfinite(s)]
+        if bad_snr:
+            raise ValueError(f"SNR points must be finite, got {bad_snr}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.total_power_mw <= 0:
+            raise ValueError(f"total power must be > 0 mW, got {self.total_power_mw}")
+        if any(k < 1 for k in self.users_sweep):
+            raise ValueError(f"user sweep entries must be >= 1, got {self.users_sweep}")
+        # the component constructors check antennas, users, paths, variances,
+        # power-model constants, iteration cap and minimum rate
+        self.channel_params()
+        self.power_model()
+        self.optimizer_config()
         unknown = [s for s in self.schemes if s not in ALL_SCHEMES]
         if unknown:
             raise ValueError(f"unknown schemes {unknown}; expected subset of {ALL_SCHEMES}")
@@ -50,6 +66,10 @@ class SystemConfig:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        one_per_chain = [s for s in self.schemes if s in ONE_USER_PER_CHAIN]
+        if one_per_chain and self.n_users > self.n_antennas:
+            raise ValueError(f"schemes {one_per_chain} need n_users <= n_antennas, "
+                             f"got n_users={self.n_users}, n_antennas={self.n_antennas}")
 
     def channel_params(self, n_users: int | None = None) -> ChannelParams:
         return ChannelParams(n_antennas=self.n_antennas,

@@ -6,6 +6,9 @@ blocks with closed-form optima: per-user equalizers c, positive weights
 a = 1 + sinr, and powers from the KKT stationarity condition. The power step
 is a convex problem solved by bisection on the budget multiplier plus an
 active-set ascent on the per-user minimum-rate multipliers.
+
+The blocks and the objective see the powers only through the interference-
+plus-noise vector, computed once per iteration. Solver tolerances are constants.
 """
 
 from __future__ import annotations
@@ -16,10 +19,15 @@ import numpy as np
 
 from .beams import BeamGrouping
 from .precoding import Precoder
-from .rates import LinkBudget, LinkGains, interference_vector, link_gains
+from .rates import (LinkBudget, LinkGains, RateReport, interference_vector, link_gains,
+                    rate_report, seg_excl_cumsum)
 
 RATE_SLACK = 1e-6       # achieved-rate tolerance when judging feasibility
 VIOLATION_TOL = 1e-8    # min-rate constraint slack target for the active set
+BUDGET_TOL = 1e-10      # relative power-budget residual for the bisection
+OUTER_CAP = 200         # cap on min-rate constraint-enforcement rounds per power step
+STAGNATION_TOL = 1e-12  # early stop once the objective gains less than this ...
+STAGNATION_PATIENCE = 3  # ... for this many consecutive iterations
 
 
 @dataclass
@@ -28,26 +36,19 @@ class OptimizerConfig:
 
     max_iters    : outer c/a/p iteration cap (T_max)
     min_rate     : per-user minimum rate in bps/Hz
-    budget_tol   : relative power-budget residual for the bisection
-    outer_cap    : cap on min-rate constraint-enforcement rounds per power step
-    stagnation_tol / stagnation_patience : early stop once the objective gains
-        less than the tolerance for that many consecutive iterations
+
+    The solver tolerances are the module constants BUDGET_TOL, OUTER_CAP,
+    STAGNATION_TOL and STAGNATION_PATIENCE.
     """
 
     max_iters: int = 20
     min_rate: float = 0.0
-    budget_tol: float = 1e-10
-    outer_cap: int = 200
-    stagnation_tol: float = 1e-12
-    stagnation_patience: int = 3
 
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
         if self.min_rate < 0:
             raise ValueError("min_rate must be >= 0")
-        if self.budget_tol <= 0:
-            raise ValueError("budget_tol must be > 0")
 
     @property
     def rate_threshold(self) -> float:
@@ -88,6 +89,7 @@ class PowerAllocation:
     rate_multipliers: np.ndarray
     feasible: bool
     iterations_used: int
+    report: RateReport        # SINRs and rates at the final powers
 
 
 def mmse_identity(gamma: float) -> float:
@@ -114,23 +116,11 @@ def proposition1_check(b: float, grid: np.ndarray) -> tuple[float, float]:
 # block updates
 # ---------------------------------------------------------------------------
 
-def _seg_excl_cumsum(x: np.ndarray, slices: list[slice]) -> np.ndarray:
-    # exclusive prefix sums restarting at each beam boundary
-    cum = np.cumsum(x)
-    out = cum - x
-    for s in slices:
-        if s.start > 0:
-            out[s] -= cum[s.start - 1]
-    return out
-
-
-def _equalizers(lg: LinkGains, powers: np.ndarray, noise_mw: float) -> np.ndarray:
-    xi = interference_vector(lg, powers, noise_mw)
+def _equalizers(lg: LinkGains, powers: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return np.conj(np.sqrt(powers) * lg.own) / (powers * lg.own_gain + xi)
 
 
-def _mmse(lg: LinkGains, powers: np.ndarray, noise_mw: float) -> np.ndarray:
-    xi = interference_vector(lg, powers, noise_mw)
+def _mmse(lg: LinkGains, powers: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return xi / (powers * lg.own_gain + xi)
 
 
@@ -138,21 +128,24 @@ def update_c(powers: np.ndarray, grouping: BeamGrouping, precoder: Precoder,
              noise_mw: float, lg: LinkGains | None = None) -> np.ndarray:
     """Optimal per-user MMSE equalizers at the given powers (flat order)."""
     lg = lg or link_gains(grouping, precoder)
-    return _equalizers(lg, np.asarray(powers, dtype=float), noise_mw)
+    powers = np.asarray(powers, dtype=float)
+    return _equalizers(lg, powers, interference_vector(lg, powers, noise_mw))
 
 
 def update_a(powers: np.ndarray, grouping: BeamGrouping, precoder: Precoder,
              noise_mw: float, lg: LinkGains | None = None) -> np.ndarray:
     """Optimal per-user weights a = 1/e_opt = 1 + sinr (flat order)."""
     lg = lg or link_gains(grouping, precoder)
-    return 1.0 / _mmse(lg, np.asarray(powers, dtype=float), noise_mw)
+    powers = np.asarray(powers, dtype=float)
+    return 1.0 / _mmse(lg, powers, interference_vector(lg, powers, noise_mw))
 
 
 def mmse_error(powers: np.ndarray, grouping: BeamGrouping, precoder: Precoder,
                noise_mw: float) -> np.ndarray:
     """Minimized per-user MSE values e_opt at the given powers."""
     lg = link_gains(grouping, precoder)
-    return _mmse(lg, np.asarray(powers, dtype=float), noise_mw)
+    powers = np.asarray(powers, dtype=float)
+    return _mmse(lg, powers, interference_vector(lg, powers, noise_mw))
 
 
 def _stationary_denominator(lg: LinkGains, c: np.ndarray, a: np.ndarray,
@@ -167,12 +160,12 @@ def _stationary_denominator(lg: LinkGains, c: np.ndarray, a: np.ndarray,
     weights = a * np.abs(c) ** 2
     colsum = weights @ lg.gains
     own_w = weights * lg.own_gain
-    base = colsum[lg.beam_of] - _seg_excl_cumsum(own_w, lg.beam_slices)
+    base = colsum[lg.beam_of] - seg_excl_cumsum(own_w, lg.beam_slices)
     if not np.any(mu):
         return base
     colmu = mu @ lg.gains
     own_mu = mu * lg.own_gain
-    incl = _seg_excl_cumsum(own_mu, lg.beam_slices) + own_mu
+    incl = seg_excl_cumsum(own_mu, lg.beam_slices) + own_mu
     return base + eta * (colmu[lg.beam_of] - incl) - own_mu
 
 
@@ -183,13 +176,13 @@ def _powers_at(numer: np.ndarray, denom_base: np.ndarray, lam: float) -> np.ndar
     return np.where((denom <= 0) & (numer > 0), np.inf, p)
 
 
-def _solve_budget(numer: np.ndarray, denom_base: np.ndarray, total_mw: float,
-                  rel_tol: float) -> tuple[float, np.ndarray]:
+def _solve_budget(numer: np.ndarray, denom_base: np.ndarray,
+                  total_mw: float) -> tuple[float, np.ndarray]:
     """Bisect the budget multiplier so the closed-form powers fill the budget.
 
     Returns the feasible side of the bracket, so sum(p) <= total always; the
-    remaining residual is at most rel_tol * total (or the budget is slack at
-    multiplier zero, which complementary slackness permits).
+    remaining residual is at most BUDGET_TOL * total (or the budget is slack
+    at multiplier zero, which complementary slackness permits).
     """
     p = _powers_at(numer, denom_base, 0.0)
     if p.sum() <= total_mw:
@@ -202,7 +195,7 @@ def _solve_budget(numer: np.ndarray, denom_base: np.ndarray, total_mw: float,
         hi *= 2.0
     lo = hi / 2.0 if hi > 1.0 else 0.0
     for _ in range(200):
-        if total_mw - p.sum() <= rel_tol * total_mw:
+        if total_mw - p.sum() <= BUDGET_TOL * total_mw:
             break
         mid = (lo + hi) / 2.0
         if mid == lo or mid == hi:
@@ -235,10 +228,9 @@ def update_p(aux: AuxState, grouping: BeamGrouping, precoder: Precoder,
     prev_theta = None
     best = None
     rounds = 0
-    for rounds in range(1, max(1, config.outer_cap) + 1):
+    for rounds in range(1, OUTER_CAP + 1):
         denom_base = _stationary_denominator(lg, aux.c, aux.a, mu, eta)
-        lam, p = _solve_budget(numer, denom_base, budget.total_power_mw,
-                               config.budget_tol)
+        lam, p = _solve_budget(numer, denom_base, budget.total_power_mw)
         if eta == 0.0:
             return p, DualSolution(lam, mu, rounds, 0.0)
         xi = interference_vector(lg, p, budget.noise_mw)
@@ -258,11 +250,6 @@ def update_p(aux: AuxState, grouping: BeamGrouping, precoder: Precoder,
     return p, DualSolution(lam, mu, rounds, violation)
 
 
-def _objective(lg: LinkGains, powers: np.ndarray, noise_mw: float) -> float:
-    xi = interference_vector(lg, powers, noise_mw)
-    return float(np.log2(1.0 + lg.own_gain * powers / xi).sum())
-
-
 def allocate(grouping: BeamGrouping, precoder: Precoder, budget: LinkBudget,
              config: OptimizerConfig | None = None) -> PowerAllocation:
     """Run the iterative c/a/p optimization from an equal power split.
@@ -279,28 +266,28 @@ def allocate(grouping: BeamGrouping, precoder: Precoder, budget: LinkBudget,
     trace: list[float] = []
     budget_trace: list[float] = []
     lam, mu = 0.0, np.zeros(k)
-    prev = _objective(lg, p, budget.noise_mw)
+    xi = interference_vector(lg, p, budget.noise_mw)
+    report = rate_report(lg, p, xi)
     stall = 0
     iterations = 0
     for t in range(1, config.max_iters + 1):
         iterations = t
-        c = _equalizers(lg, p, budget.noise_mw)
-        a = 1.0 / _mmse(lg, p, budget.noise_mw)
+        c = _equalizers(lg, p, xi)
+        a = 1.0 / _mmse(lg, p, xi)
         aux = AuxState(c=c, a=a, e=1.0 / a, powers=p, iteration=t)
         p, duals = update_p(aux, grouping, precoder, config, budget, lg=lg)
         lam, mu = duals.budget_multiplier, duals.rate_multipliers
-        obj = _objective(lg, p, budget.noise_mw)
-        trace.append(obj)
+        prev = report.sum_rate
+        xi = interference_vector(lg, p, budget.noise_mw)
+        report = rate_report(lg, p, xi)
+        trace.append(report.sum_rate)
         budget_trace.append(float(p.sum()))
-        stall = stall + 1 if obj - prev < config.stagnation_tol else 0
-        prev = obj
-        if stall >= config.stagnation_patience:
+        stall = stall + 1 if report.sum_rate - prev < STAGNATION_TOL else 0
+        if stall >= STAGNATION_PATIENCE:
             break
-    xi = interference_vector(lg, p, budget.noise_mw)
-    rates = np.log2(1.0 + lg.own_gain * p / xi)
-    feasible = bool(np.all(rates >= config.min_rate - RATE_SLACK)
+    feasible = bool(np.all(report.rates >= config.min_rate - RATE_SLACK)
                     and p.sum() <= budget.total_power_mw + 1e-9)
     return PowerAllocation(powers=p, users=lg.users, trace=trace,
                            budget_trace=budget_trace, budget_multiplier=lam,
                            rate_multipliers=mu, feasible=feasible,
-                           iterations_used=iterations)
+                           iterations_used=iterations, report=report)

@@ -44,9 +44,9 @@ class Precoder:
 
 def equivalent_channel_strongest(grouping: BeamGrouping) -> EquivalentChannel:
     """Represent each beam by its first (strongest) user's reduced channel."""
-    first = [members[0] for members in grouping.beams]
     if any(len(members) == 0 for members in grouping.beams):
         raise ValueError("every beam must contain at least one user")
+    first = [members[0] for members in grouping.beams]
     return EquivalentChannel(matrix=grouping.reduced[:, first].copy(), variant="strongest")
 
 
@@ -116,21 +116,23 @@ def equivalent_channel_svd(grouping: BeamGrouping) -> EquivalentChannel:
     return EquivalentChannel(matrix=np.stack(cols, axis=1), variant="svd")
 
 
-def zf_precoder(equivalent: EquivalentChannel) -> Precoder:
-    """Zero-forcing precoder W~ = H~ (H~^H H~)^{-1} with unit-norm columns.
-
-    Raises PrecodingError when the equivalent channel's condition number
-    exceeds COND_LIMIT (the trial is dropped rather than regularized).
+def zf_columns(h: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+    """Unit-norm ZF columns W = H (H^H H)^{-1} of a tall matrix and the residual
+    max |(H^H W - I)_ij| before normalization. Raises PrecodingError naming
+    `what` when cond(H) exceeds COND_LIMIT (the trial is dropped, not regularized).
     """
-    h = equivalent.matrix
     cond = float(np.linalg.cond(h))
     if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise PrecodingError(f"equivalent channel condition {cond:.3e} exceeds "
-                             f"{COND_LIMIT:.0e}", condition=cond)
-    gram = h.conj().T @ h
-    w_raw = h @ np.linalg.inv(gram)
+        raise PrecodingError(f"{what} condition {cond:.3e} exceeds {COND_LIMIT:.0e}",
+                             condition=cond)
+    w_raw = h @ np.linalg.inv(h.conj().T @ h)
     residual = float(np.max(np.abs(h.conj().T @ w_raw - np.eye(h.shape[1]))))
-    w = w_raw / np.linalg.norm(w_raw, axis=0, keepdims=True)
+    return w_raw / np.linalg.norm(w_raw, axis=0, keepdims=True), residual
+
+
+def zf_precoder(equivalent: EquivalentChannel) -> Precoder:
+    """Zero-forcing precoder W~ = H~ (H~^H H~)^{-1} with unit-norm columns."""
+    w, residual = zf_columns(equivalent.matrix, "equivalent channel")
     return Precoder(matrix=w, equivalent=equivalent, zf_residual=residual)
 
 

@@ -23,7 +23,6 @@ class LinkBudget:
 
     noise_mw: float
     total_power_mw: float
-    snr_db: float | None = None
 
     def __post_init__(self):
         if self.noise_mw <= 0:
@@ -38,7 +37,7 @@ class LinkBudget:
         if n_users < 1:
             raise ValueError(f"need at least 1 user, got {n_users}")
         return cls(noise_mw=(total_power_mw / n_users) / 10.0 ** (snr_db / 10.0),
-                   total_power_mw=total_power_mw, snr_db=snr_db)
+                   total_power_mw=total_power_mw)
 
 
 @dataclass
@@ -84,7 +83,6 @@ class LinkGains:
     gains: np.ndarray     # |heff|^2
     own: np.ndarray       # (K,) complex own-beam gain h_u^H w_{beam(u)}
     beam_of: np.ndarray   # (K,) int
-    rank_of: np.ndarray   # (K,) int SIC rank, 0 = strongest
     beam_slices: list[slice]
     users: np.ndarray     # (K,) original user ids in flat order
     n_rf: int
@@ -101,13 +99,21 @@ def link_gains(grouping: BeamGrouping, precoder: Precoder) -> LinkGains:
     gains = np.abs(heff) ** 2
     sizes = [len(m) for m in grouping.beams]
     beam_of = np.repeat(np.arange(grouping.n_rf), sizes)
-    rank_of = np.concatenate([np.arange(s) for s in sizes])
     bounds = np.concatenate(([0], np.cumsum(sizes)))
     slices = [slice(bounds[i], bounds[i + 1]) for i in range(grouping.n_rf)]
     own = heff[np.arange(len(users)), beam_of]
     return LinkGains(heff=heff, gains=gains, own=own, beam_of=beam_of,
-                     rank_of=rank_of, beam_slices=slices, users=users,
-                     n_rf=grouping.n_rf)
+                     beam_slices=slices, users=users, n_rf=grouping.n_rf)
+
+
+def seg_excl_cumsum(x: np.ndarray, slices: list[slice]) -> np.ndarray:
+    """Exclusive prefix sums of x restarting at each beam boundary."""
+    cum = np.cumsum(x)
+    out = cum - x
+    for s in slices:
+        if s.start > 0:
+            out[s] -= cum[s.start - 1]
+    return out
 
 
 def interference_vector(lg: LinkGains, powers: np.ndarray, noise_mw: float) -> np.ndarray:
@@ -115,12 +121,16 @@ def interference_vector(lg: LinkGains, powers: np.ndarray, noise_mw: float) -> n
     powers = np.asarray(powers, dtype=float)
     beam_power = np.bincount(lg.beam_of, weights=powers, minlength=lg.n_rf)
     inter = lg.gains @ beam_power - lg.own_gain * beam_power[lg.beam_of]
-    cum = np.cumsum(powers)
-    intra_cum = cum - powers
-    for s in lg.beam_slices:
-        if s.start > 0:
-            intra_cum[s] -= cum[s.start - 1]
-    return lg.own_gain * intra_cum + inter + noise_mw
+    return lg.own_gain * seg_excl_cumsum(powers, lg.beam_slices) + inter + noise_mw
+
+
+def rate_report(lg: LinkGains, powers: np.ndarray, xi: np.ndarray) -> RateReport:
+    """SINRs, rates and sum rate at the given powers from their
+    interference-plus-noise vector xi = interference_vector(lg, powers, noise)."""
+    gamma = lg.own_gain * powers / xi
+    rates = np.log2(1.0 + gamma)
+    return RateReport(users=lg.users, sinr=gamma, interference=xi, rates=rates,
+                      sum_rate=float(rates.sum()), n_rf=lg.n_rf)
 
 
 def interference_term(m: int, n: int, grouping: BeamGrouping, precoder: Precoder,
@@ -149,11 +159,7 @@ def sum_rate(grouping: BeamGrouping, precoder: Precoder, powers: np.ndarray,
     lg = link_gains(grouping, precoder)
     if powers.shape != lg.users.shape:
         raise ValueError(f"expected {lg.users.shape[0]} powers, got {powers.shape}")
-    xi = interference_vector(lg, powers, budget.noise_mw)
-    gamma = lg.own_gain * powers / xi
-    rates = np.log2(1.0 + gamma)
-    return RateReport(users=lg.users, sinr=gamma, interference=xi, rates=rates,
-                      sum_rate=float(rates.sum()), n_rf=lg.n_rf)
+    return rate_report(lg, powers, interference_vector(lg, powers, budget.noise_mw))
 
 
 def energy_efficiency(sum_rate_bpshz: float, n_rf: int, budget: LinkBudget,

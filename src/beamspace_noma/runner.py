@@ -21,7 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import baselines, beams, power, precoding, rates
-from .channel import LensMatrix, lens_transform_matrix, sample_realization, trial_rng
+from .channel import (LensMatrix, lens_transform_matrix, sample_realization, to_beamspace,
+                      trial_rng)
 from .config import SystemConfig
 
 CSV_COLUMNS = ["trial", "seed", "snr_db", "scheme", "variant", "k", "n_rf",
@@ -82,8 +83,7 @@ def run_trial(config: SystemConfig, trial_index: int) -> list[ExperimentRecord]:
     """Execute every configured scheme at every SNR point on one realization."""
     rng = trial_rng(config.seed, trial_index)
     realization = sample_realization(config.channel_params(), rng)
-    lens = _lens(config.n_antennas)
-    beamspace = lens.matrix @ realization.matrix
+    beamspace = to_beamspace(realization.matrix, _lens(config.n_antennas))
     rhash = hashlib.sha1(realization.matrix.tobytes()).hexdigest()
 
     noma_link = None
@@ -111,12 +111,11 @@ def run_trial(config: SystemConfig, trial_index: int) -> list[ExperimentRecord]:
                     grouping, precoder = noma_link
                     alloc = power.allocate(grouping, precoder, budget,
                                            config.optimizer_config())
-                    report = rates.sum_rate(grouping, precoder, alloc.powers, budget)
                     rec.n_rf = grouping.n_rf
-                    rec.sum_rate = report.sum_rate
+                    rec.sum_rate = alloc.report.sum_rate
                     rec.feasible = alloc.feasible
                     rec.trace = list(alloc.trace)
-                    rec.user_rates = [float(r) for r in report.rates_by_user]
+                    rec.user_rates = [float(r) for r in alloc.report.rates_by_user]
                 elif scheme == "oma":
                     grouping, precoder = noma_link
                     result = baselines.mimo_oma(grouping, precoder, budget)
@@ -223,18 +222,33 @@ def sweep(config: SystemConfig, mode: str = "snr") -> SweepResult:
     Modes: 'snr' sweeps the configured SNR points; 'users' additionally sweeps
     the user counts; 'convergence' records the mean per-iteration sum-rate
     trace; 'fairness' dumps per-user rates under the active minimum rate.
+    Both files are written to temp files and moved into place at the end, so
+    a failed run leaves earlier outputs at the same path intact.
     """
     if mode not in ("snr", "users", "convergence", "fairness"):
         raise ValueError(f"unknown sweep mode {mode!r}")
+    # building every cell's config first validates each swept user count
+    cells = [config.with_users(k) for k in config.users_sweep] if mode == "users" else [config]
     csv_path, json_path = _output_paths(config.out)
-    _check_writable(csv_path, json_path)
+    temps = [f"{path}.{os.getpid()}.tmp" for path in (csv_path, json_path)]
+    try:
+        # fails before the run on an unwritable destination; old outputs stay
+        _check_writable(*temps)
+        records, summary = _run_and_write(config, mode, cells, *temps)
+        os.replace(temps[0], csv_path)
+        os.replace(temps[1], json_path)
+    finally:
+        for temp in temps:
+            if os.path.exists(temp):
+                os.remove(temp)
+    return SweepResult(records=records, summary=summary,
+                       csv_path=csv_path, json_path=json_path)
 
-    if mode == "users":
-        records = []
-        for k in config.users_sweep:
-            records.extend(_run_cell(config.with_users(k)))
-    else:
-        records = _run_cell(config)
+
+def _run_and_write(config: SystemConfig, mode: str, cells: list[SystemConfig],
+                   csv_path: str, json_path: str) -> tuple[list[ExperimentRecord], list[dict]]:
+    """Run every cell, then write the sorted records and the JSON payload."""
+    records = [rec for cell in cells for rec in _run_cell(cell)]
 
     rank = {s: i for i, s in enumerate(config.schemes)}
     records.sort(key=lambda r: (r.trial, r.snr_db, r.k, rank.get(r.scheme, 99)))
@@ -264,5 +278,4 @@ def sweep(config: SystemConfig, mode: str = "snr") -> SweepResult:
     with open(json_path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    return SweepResult(records=records, summary=summary,
-                       csv_path=csv_path, json_path=json_path)
+    return records, summary

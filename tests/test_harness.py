@@ -214,3 +214,60 @@ def test_cli_fairness_defaults(tmp_path):
     assert payload["mode"] == "fairness"
     assert payload["min_rate"] == 1.0
     assert payload["summary"][0]["snr_db"] == 20.0
+
+
+def test_config_rejects_negative_antennas(tmp_path):
+    with pytest.raises(ValueError, match="antennas"):
+        _small_config(tmp_path, n_antennas=-3)
+
+
+def test_config_rejects_nan_snr(tmp_path):
+    with pytest.raises(ValueError, match="SNR points must be finite"):
+        _small_config(tmp_path, snr_db=[10.0, math.nan])
+
+
+def test_config_rejects_negative_seed(tmp_path):
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        _small_config(tmp_path, seed=-1)
+
+
+def test_config_rejects_nonpositive_power(tmp_path):
+    with pytest.raises(ValueError, match="total power"):
+        _small_config(tmp_path, total_power_mw=0.0)
+
+
+@pytest.mark.parametrize("scheme", ["beamspace_mimo", "fully_digital"])
+def test_config_rejects_more_users_than_antennas(tmp_path, scheme):
+    with pytest.raises(ValueError, match="n_users <= n_antennas"):
+        _small_config(tmp_path, n_users=20, schemes=["noma", scheme])
+    # NOMA and OMA share beams, so they take K > N
+    assert _small_config(tmp_path, n_users=20, schemes=["noma", "oma"]).n_users == 20
+
+
+def test_users_sweep_rejects_k_above_n_before_running(tmp_path):
+    config = _small_config(tmp_path, users_sweep=[4, 20], schemes=["noma", "fully_digital"])
+    with pytest.raises(ValueError, match="n_users <= n_antennas"):
+        sweep(config, "users")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_sweep_keeps_previous_outputs(tmp_path, monkeypatch):
+    from beamspace_noma import runner
+
+    config = _small_config(tmp_path, schemes=["noma"])
+    first = sweep(config, "snr")
+    before = {p: open(p, "rb").read() for p in (first.csv_path, first.json_path)}
+
+    real_run_trial = runner.run_trial
+
+    def failing_run_trial(cfg, trial_index):
+        if trial_index == 1:
+            raise RuntimeError("interrupted")
+        return real_run_trial(cfg, trial_index)
+
+    monkeypatch.setattr(runner, "run_trial", failing_run_trial)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        sweep(_small_config(tmp_path, schemes=["noma"], seed=6), "snr")
+    for path, data in before.items():
+        assert open(path, "rb").read() == data
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "run.json"]

@@ -211,3 +211,19 @@ def test_proposition1_reference_points():
     assert a3 == pytest.approx(1 / 0.37, rel=2e-3)
     with pytest.raises(ValueError):
         proposition1_check(-1.0, grid)
+
+
+@pytest.mark.parametrize("snr_db,min_rate", [(0.0, 0.0), (20.0, 0.0), (20.0, 1.0)])
+def test_allocate_report_is_sum_rate_at_final_powers(random_link, snr_db, min_rate):
+    for trial in range(5):
+        _, _, grouping, precoder = random_link(seed=61, trial=trial, n=16, k=6, min_groups=1)
+        budget = LinkBudget.from_snr(16.0, snr_db, n_users=6)
+        alloc = allocate(grouping, precoder, budget,
+                         OptimizerConfig(max_iters=15, min_rate=min_rate))
+        ref = sum_rate(grouping, precoder, alloc.powers, budget)
+        for name in ("users", "sinr", "interference", "rates"):
+            np.testing.assert_array_equal(getattr(alloc.report, name), getattr(ref, name))
+        assert alloc.report.sum_rate == ref.sum_rate
+        assert alloc.report.n_rf == ref.n_rf
+        assert alloc.iterations_used >= 1
+        assert alloc.report.sum_rate == alloc.trace[-1]

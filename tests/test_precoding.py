@@ -152,3 +152,18 @@ def test_variants_agree_on_singleton_grouping(random_link, budget):
     r1 = sum_rate(grouping, w_strong, powers, budget).sum_rate
     r2 = sum_rate(grouping, w_svd, powers, budget).sum_rate
     assert r1 == pytest.approx(r2, abs=1e-9)
+
+
+def test_every_zf_user_drops_singular_input_with_its_message():
+    from beamspace_noma import beamspace_mimo_single_user, fully_digital_zf
+
+    budget = LinkBudget(noise_mw=1.0, total_power_mw=2.0)
+    same = np.ones((4, 2), dtype=complex)
+    with pytest.raises(PrecodingError, match=r"^channel condition "):
+        fully_digital_zf(same, budget)
+    # distinct beams 0 and 1, but the 2 x 2 reduced matrix has equal rows
+    beamspace = np.array([[1, 1], [1, 1], [0, 0], [0, 0]], dtype=complex)
+    with pytest.raises(PrecodingError, match=r"^equivalent channel condition "):
+        beamspace_mimo_single_user(beamspace, budget)
+    with pytest.raises(PrecodingError, match=r"^equivalent channel condition "):
+        zf_precoder(EquivalentChannel(matrix=same[:2], variant="strongest"))
