@@ -9,6 +9,10 @@ active-set ascent on the per-user minimum-rate multipliers.
 
 The blocks and the objective see the powers only through the interference-
 plus-noise vector, computed once per iteration. Solver tolerances are constants.
+
+The budget bisection evaluates BISECT_DEPTH levels of its halving tree per
+vectorized call and then walks the path a one-at-a-time bisection would take,
+so it returns the sequential bisection's multiplier and powers bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +32,11 @@ BUDGET_TOL = 1e-10      # relative power-budget residual for the bisection
 OUTER_CAP = 200         # cap on min-rate constraint-enforcement rounds per power step
 STAGNATION_TOL = 1e-12  # early stop once the objective gains less than this ...
 STAGNATION_PATIENCE = 3  # ... for this many consecutive iterations
+MAX_HALVINGS = 200      # cap on budget-bisection halvings per root
+BISECT_DEPTH = 5        # bisection-tree levels evaluated per vectorized call
+_GRID_FRACTIONS = np.arange(2 ** BISECT_DEPTH + 1) / 2.0 ** BISECT_DEPTH
+_EXACT_NUMERATOR = 2 ** (53 - BISECT_DEPTH)
+_EXACT_DENOMINATOR = 2 ** (1074 - BISECT_DEPTH)
 
 
 @dataclass
@@ -37,8 +46,8 @@ class OptimizerConfig:
     max_iters    : outer c/a/p iteration cap (T_max)
     min_rate     : per-user minimum rate in bps/Hz
 
-    The solver tolerances are the module constants BUDGET_TOL, OUTER_CAP,
-    STAGNATION_TOL and STAGNATION_PATIENCE.
+    The solver tolerances are the module constants BUDGET_TOL, MAX_HALVINGS,
+    OUTER_CAP, STAGNATION_TOL and STAGNATION_PATIENCE.
     """
 
     max_iters: int = 20
@@ -160,12 +169,12 @@ def _stationary_denominator(lg: LinkGains, c: np.ndarray, a: np.ndarray,
     weights = a * np.abs(c) ** 2
     colsum = weights @ lg.gains
     own_w = weights * lg.own_gain
-    base = colsum[lg.beam_of] - seg_excl_cumsum(own_w, lg.beam_slices)
+    base = colsum[lg.beam_of] - seg_excl_cumsum(own_w, lg.beam_start)
     if not np.any(mu):
         return base
     colmu = mu @ lg.gains
     own_mu = mu * lg.own_gain
-    incl = seg_excl_cumsum(own_mu, lg.beam_slices) + own_mu
+    incl = seg_excl_cumsum(own_mu, lg.beam_start) + own_mu
     return base + eta * (colmu[lg.beam_of] - incl) - own_mu
 
 
@@ -176,6 +185,30 @@ def _powers_at(numer: np.ndarray, denom_base: np.ndarray, lam: float) -> np.ndar
     return np.where((denom <= 0) & (numer > 0), np.inf, p)
 
 
+def _bisection_grid(lo: float, hi: float) -> np.ndarray:
+    """Bracket endpoints after BISECT_DEPTH rounds of halving every interval of
+    [lo, hi]: 2**BISECT_DEPTH + 1 ascending values, each new one the
+    (left + right) / 2.0 midpoint of the two it splits.
+
+    With lo = A / den and hi = B / den for integers 0 <= A < B and a power of
+    two den, every grid point is an integer below B * 2**BISECT_DEPTH over
+    den * 2**BISECT_DEPTH. Below 2**53 (and above the subnormal step) all of
+    them are doubles, so no midpoint rounds and the affine grid is the same
+    array; otherwise the midpoints are taken level by level.
+    """
+    (a, den_lo), (b, den_hi) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    den = max(den_lo, den_hi)
+    if a >= 0 and b * (den // den_hi) < _EXACT_NUMERATOR and den < _EXACT_DENOMINATOR:
+        return lo + (hi - lo) * _GRID_FRACTIONS
+    grid = np.array([lo, hi])
+    for _ in range(BISECT_DEPTH):
+        fine = np.empty(2 * len(grid) - 1)
+        fine[0::2] = grid
+        fine[1::2] = (grid[:-1] + grid[1:]) / 2.0
+        grid = fine
+    return grid
+
+
 def _solve_budget(numer: np.ndarray, denom_base: np.ndarray,
                   total_mw: float) -> tuple[float, np.ndarray]:
     """Bisect the budget multiplier so the closed-form powers fill the budget.
@@ -183,6 +216,17 @@ def _solve_budget(numer: np.ndarray, denom_base: np.ndarray,
     Returns the feasible side of the bracket, so sum(p) <= total always; the
     remaining residual is at most BUDGET_TOL * total (or the budget is slack
     at multiplier zero, which complementary slackness permits).
+
+    After the slack check at zero and the doubling phase that brackets the
+    root, the halvings run in batches: every multiplier the next BISECT_DEPTH
+    halvings can visit (the interior of `_bisection_grid(lo, hi)`) is
+    evaluated in one (2**BISECT_DEPTH - 1, K) array, and the walk down the
+    tree then follows the path of a one-at-a-time bisection on the row sums,
+    with the same residual stop, the same stop on a midpoint equal to an
+    endpoint and the same cap of MAX_HALVINGS. Each row is elementwise the
+    1-D `_powers_at` vector and a row sum of a C-contiguous array equals the
+    1-D sum, so the returned multiplier and powers are bit-identical to the
+    sequential bisection.
     """
     p = _powers_at(numer, denom_base, 0.0)
     if p.sum() <= total_mw:
@@ -194,17 +238,39 @@ def _solve_budget(numer: np.ndarray, denom_base: np.ndarray,
             break
         hi *= 2.0
     lo = hi / 2.0 if hi > 1.0 else 0.0
-    for _ in range(200):
-        if total_mw - p.sum() <= BUDGET_TOL * total_mw:
-            break
-        mid = (lo + hi) / 2.0
-        if mid == lo or mid == hi:
-            break
-        p_mid = _powers_at(numer, denom_base, mid)
-        if p_mid.sum() > total_mw:
-            lo = mid
-        else:
-            hi, p = mid, p_mid
+    p_sum = float(p.sum())
+    # Rounding is monotone, so denom_base + lam > 0 for every lam >= lo once it
+    # holds at lo. The masks of _powers_at then only zero the powers of users
+    # whose numerator is not positive (or NaN), and fmax gives those the same
+    # +0.0 without masks.
+    unmasked = bool(denom_base.min() + lo > 0)
+    if unmasked:
+        numer = np.fmax(numer, 0.0)
+    halvings = 0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while halvings < MAX_HALVINGS:
+            grid = _bisection_grid(lo, hi)
+            lams = grid[1:-1, None]
+            points = grid.tolist()
+            if unmasked:
+                batch = (numer / (denom_base + lams)) ** 2
+            else:
+                batch = _powers_at(numer, denom_base, lams)
+            sums = batch.sum(axis=1).tolist()
+            left, right = 0, len(points) - 1
+            while right - left > 1 and halvings < MAX_HALVINGS:
+                if total_mw - p_sum <= BUDGET_TOL * total_mw:
+                    return hi, p
+                node = (left + right) // 2
+                mid = points[node]
+                if mid == lo or mid == hi:
+                    return hi, p
+                halvings += 1
+                if sums[node - 1] > total_mw:
+                    lo, left = mid, node
+                else:
+                    hi, right = mid, node
+                    p, p_sum = batch[node - 1], sums[node - 1]
     return hi, p
 
 

@@ -82,14 +82,12 @@ class LinkGains:
     heff: np.ndarray      # (K, N_RF) complex, row u = h_u^H W
     gains: np.ndarray     # |heff|^2
     own: np.ndarray       # (K,) complex own-beam gain h_u^H w_{beam(u)}
+    own_gain: np.ndarray  # (K,) |own|^2, read from gains
     beam_of: np.ndarray   # (K,) int
+    beam_start: np.ndarray  # (K,) int flat index of the first user of beam_of
     beam_slices: list[slice]
     users: np.ndarray     # (K,) original user ids in flat order
     n_rf: int
-
-    @property
-    def own_gain(self) -> np.ndarray:
-        return self.gains[np.arange(len(self.beam_of)), self.beam_of]
 
 
 def link_gains(grouping: BeamGrouping, precoder: Precoder) -> LinkGains:
@@ -101,19 +99,23 @@ def link_gains(grouping: BeamGrouping, precoder: Precoder) -> LinkGains:
     beam_of = np.repeat(np.arange(grouping.n_rf), sizes)
     bounds = np.concatenate(([0], np.cumsum(sizes)))
     slices = [slice(bounds[i], bounds[i + 1]) for i in range(grouping.n_rf)]
-    own = heff[np.arange(len(users)), beam_of]
-    return LinkGains(heff=heff, gains=gains, own=own, beam_of=beam_of,
-                     beam_slices=slices, users=users, n_rf=grouping.n_rf)
+    rows = np.arange(len(users))
+    return LinkGains(heff=heff, gains=gains, own=heff[rows, beam_of],
+                     own_gain=gains[rows, beam_of], beam_of=beam_of,
+                     beam_start=bounds[beam_of], beam_slices=slices, users=users,
+                     n_rf=grouping.n_rf)
 
 
-def seg_excl_cumsum(x: np.ndarray, slices: list[slice]) -> np.ndarray:
-    """Exclusive prefix sums of x restarting at each beam boundary."""
-    cum = np.cumsum(x)
-    out = cum - x
-    for s in slices:
-        if s.start > 0:
-            out[s] -= cum[s.start - 1]
-    return out
+def seg_excl_cumsum(x: np.ndarray, seg_start: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sums of x restarting at each segment boundary;
+    seg_start[i] is the index of the first element of element i's segment.
+
+    Element i gets cumsum(x)[i] - x[i] - cumsum(x)[seg_start[i] - 1], the last
+    term read as exactly 0.0 on the first segment.
+    """
+    cum = np.zeros(len(x) + 1)
+    np.cumsum(x, out=cum[1:])
+    return cum[1:] - x - cum[seg_start]
 
 
 def interference_vector(lg: LinkGains, powers: np.ndarray, noise_mw: float) -> np.ndarray:
@@ -121,7 +123,7 @@ def interference_vector(lg: LinkGains, powers: np.ndarray, noise_mw: float) -> n
     powers = np.asarray(powers, dtype=float)
     beam_power = np.bincount(lg.beam_of, weights=powers, minlength=lg.n_rf)
     inter = lg.gains @ beam_power - lg.own_gain * beam_power[lg.beam_of]
-    return lg.own_gain * seg_excl_cumsum(powers, lg.beam_slices) + inter + noise_mw
+    return lg.own_gain * seg_excl_cumsum(powers, lg.beam_start) + inter + noise_mw
 
 
 def rate_report(lg: LinkGains, powers: np.ndarray, xi: np.ndarray) -> RateReport:

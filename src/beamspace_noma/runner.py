@@ -25,6 +25,9 @@ from .channel import (LensMatrix, lens_transform_matrix, sample_realization, to_
                       trial_rng)
 from .config import SystemConfig
 
+# failures that turn one trial's scheme into a recorded drop instead of an abort
+DROP_ERRORS = (precoding.PrecodingError, beams.DegenerateChannelError)
+
 CSV_COLUMNS = ["trial", "seed", "snr_db", "scheme", "variant", "k", "n_rf",
                "sum_rate_bpshz", "energy_eff_bpshzw", "dropped", "drop_reason"]
 
@@ -87,11 +90,11 @@ def run_trial(config: SystemConfig, trial_index: int) -> list[ExperimentRecord]:
     rhash = hashlib.sha1(realization.matrix.tobytes()).hexdigest()
 
     noma_link = None
-    noma_error: precoding.PrecodingError | None = None
+    noma_error: Exception | None = None
     if "noma" in config.schemes or "oma" in config.schemes:
         try:
             noma_link = build_noma_link(beamspace, config.variant)
-        except precoding.PrecodingError as err:
+        except DROP_ERRORS as err:
             noma_error = err
 
     records = []
@@ -130,7 +133,7 @@ def run_trial(config: SystemConfig, trial_index: int) -> list[ExperimentRecord]:
                     raise ValueError(f"unknown scheme {scheme!r}")
                 rec.energy_eff = rates.energy_efficiency(rec.sum_rate, rec.n_rf,
                                                          budget, pm)
-            except precoding.PrecodingError as err:
+            except DROP_ERRORS as err:
                 rec.dropped = True
                 rec.drop_reason = str(err)
                 rec.n_rf, rec.sum_rate, rec.energy_eff = 0, math.nan, math.nan

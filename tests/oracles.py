@@ -8,6 +8,7 @@ paths they are used to judge.
 import numpy as np
 
 from beamspace_noma import link_gains
+from beamspace_noma.power import BUDGET_TOL, _powers_at
 
 
 def simplex_grid_optimum(grouping, precoder, budget, steps=1000):
@@ -31,3 +32,30 @@ def simplex_grid_optimum(grouping, precoder, budget, steps=1000):
     xi = own * intra + inter + budget.noise_mw
     rates = np.log2(1.0 + own * points / xi).sum(axis=1)
     return float(rates.max())
+
+
+def sequential_solve_budget(numer, denom_base, total_mw):
+    """The one-multiplier-at-a-time budget bisection that
+    `power._solve_budget` batches; it must return the same bits."""
+    p = _powers_at(numer, denom_base, 0.0)
+    if p.sum() <= total_mw:
+        return 0.0, p
+    hi = 1.0
+    for _ in range(400):
+        p = _powers_at(numer, denom_base, hi)
+        if p.sum() <= total_mw:
+            break
+        hi *= 2.0
+    lo = hi / 2.0 if hi > 1.0 else 0.0
+    for _ in range(200):
+        if total_mw - p.sum() <= BUDGET_TOL * total_mw:
+            break
+        mid = (lo + hi) / 2.0
+        if mid == lo or mid == hi:
+            break
+        p_mid = _powers_at(numer, denom_base, mid)
+        if p_mid.sum() > total_mw:
+            lo = mid
+        else:
+            hi, p = mid, p_mid
+    return hi, p

@@ -271,3 +271,36 @@ def test_failed_sweep_keeps_previous_outputs(tmp_path, monkeypatch):
     for path, data in before.items():
         assert open(path, "rb").read() == data
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "run.json"]
+
+
+def test_all_zero_user_channel_is_a_drop_not_an_abort(tmp_path, monkeypatch):
+    from beamspace_noma import runner
+
+    real_sample = runner.sample_realization
+
+    def zero_user_one(params, rng):
+        realization = real_sample(params, rng)
+        realization.matrix[:, 1] = 0.0
+        return realization
+
+    config = _small_config(tmp_path, trials=2)
+    monkeypatch.setattr(runner, "sample_realization", zero_user_one)
+    result = sweep(config, "snr")
+    assert len(result.records) == config.trials * len(config.schemes)
+    for rec in result.records:
+        assert rec.dropped and math.isnan(rec.sum_rate) and rec.n_rf == 0
+        if rec.scheme in ("noma", "oma"):
+            assert rec.drop_reason == "user 1 has an all-zero beamspace channel"
+    assert all(cell["dropped"] == config.trials for cell in result.summary)
+    with open(result.csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(result.records)
+    assert {r["dropped"] for r in rows} == {"1"}
+
+
+@pytest.mark.parametrize("k", [8, 16, 32])
+def test_users_sweep_noise_floor_scales_with_cell_user_count(k):
+    config = SystemConfig(users_sweep=[8, 16, 32])
+    budget = config.with_users(k).budget(10.0)
+    assert budget.total_power_mw == config.total_power_mw
+    assert budget.noise_mw == (config.total_power_mw / k) / 10.0

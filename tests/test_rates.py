@@ -160,3 +160,36 @@ def test_noise_mapping_and_scale_invariance(random_link):
     r1 = sum_rate(grouping, precoder, powers, b1)
     r2 = sum_rate(grouping, precoder, 2 * powers, b2)
     np.testing.assert_allclose(r1.sinr, r2.sinr, rtol=1e-12)
+
+
+def _looped_seg_excl_cumsum(x, slices):
+    cum = np.cumsum(x)
+    out = cum - x
+    for s in slices:
+        if s.start > 0:
+            out[s] -= cum[s.start - 1]
+    return out
+
+
+@pytest.mark.parametrize("sizes", [[1], [5], [1, 1, 1], [3, 1, 4, 1, 5], [2] * 16])
+def test_seg_excl_cumsum_matches_per_beam_loop(sizes):
+    from beamspace_noma.rates import seg_excl_cumsum
+
+    rng = np.random.default_rng(len(sizes))
+    x = rng.exponential(size=sum(sizes)) * 10.0 ** rng.uniform(-6, 6, size=sum(sizes))
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    slices = [slice(bounds[i], bounds[i + 1]) for i in range(len(sizes))]
+    seg_start = np.repeat(bounds[:-1], sizes)
+    got = seg_excl_cumsum(x, seg_start)
+    assert got.tobytes() == _looped_seg_excl_cumsum(x, slices).tobytes()
+    for s in slices:
+        assert got[s.start] == 0.0
+
+
+def test_link_gains_own_gain_and_beam_start(random_link):
+    _, _, grouping, precoder = random_link(seed=3, n=32, k=12, min_groups=2)
+    lg = link_gains(grouping, precoder)
+    rows = np.arange(len(lg.users))
+    assert lg.own_gain.tobytes() == lg.gains[rows, lg.beam_of].tobytes()
+    for n, s in enumerate(lg.beam_slices):
+        assert np.all(lg.beam_start[s] == s.start) and np.all(lg.beam_of[s] == n)
