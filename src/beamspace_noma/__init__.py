@@ -9,13 +9,15 @@ Monte Carlo harness.
 
 from .beams import (BeamAssignment, BeamGrouping, DegenerateChannelError,
                     OrderReport, group_users, reorder, select_beams, verify_order)
-from .baselines import SchemeResult, beamspace_mimo_single_user, fully_digital_zf, mimo_oma
+from .baselines import (SchemeResult, beamspace_mimo_single_user,
+                        beamspace_mimo_single_user_batch, fully_digital_zf, fully_digital_zf_batch,
+                        mimo_oma, mimo_oma_batch)
 from .channel import (ChannelParams, ChannelRealization, LensMatrix, SpatialChannel,
                       lens_transform_matrix, sample_realization, sample_user_channel,
                       steering_vector, to_beamspace, trial_rng)
 from .config import SystemConfig, build_config, load_config_file
 from .power import (AuxState, DualSolution, OptimizerConfig, PowerAllocation,
-                    allocate, mmse_error, mmse_identity, proposition1_check,
+                    allocate, allocate_batch, mmse_error, mmse_identity, proposition1_check,
                     update_a, update_c, update_p)
 from .precoding import (EquivalentChannel, Precoder, PrecodingError,
                         equivalent_channel_strongest, equivalent_channel_svd,

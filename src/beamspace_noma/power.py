@@ -10,21 +10,32 @@ active-set ascent on the per-user minimum-rate multipliers.
 The blocks and the objective see the powers only through the interference-
 plus-noise vector, computed once per iteration. Solver tolerances are constants.
 
-The budget bisection evaluates BISECT_DEPTH levels of its halving tree per
-vectorized call and then walks the path a one-at-a-time bisection would take,
-so it returns the sequential bisection's multiplier and powers bit for bit.
+The SNR points of a trial share the link and differ only in the noise, so
+`allocate_batch` solves them together: each budget is one row of (S, K)
+arrays and follows exactly the iterations a lone run would take, leaving the
+batch when it stagnates (and the min-rate dual ascent when it converges).
+Every batched step keeps the bits of the one-row computation: elementwise
+ops, row sums of C-contiguous rows, per-row gemv through stacked matmuls and
+per-beam bincounts over row-offset bins. `allocate`, `update_p` and the 1-D
+helpers are one-row views of the batched code.
+
+The budget bisection evaluates BISECT_DEPTH levels of every row's halving
+tree per vectorized call and then walks the path a one-at-a-time bisection
+would take, so it returns the sequential bisection's multiplier and powers
+bit for bit.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .beams import BeamGrouping
 from .precoding import Precoder
-from .rates import (LinkBudget, LinkGains, RateReport, interference_vector, link_gains,
-                    rate_report, seg_excl_cumsum)
+from .rates import (LinkBudget, LinkGains, RateReport, budget_arrays, interference_vector,
+                    link_gains, rate_reports, seg_excl_cumsum)
 
 RATE_SLACK = 1e-6       # achieved-rate tolerance when judging feasibility
 VIOLATION_TOL = 1e-8    # min-rate constraint slack target for the active set
@@ -34,6 +45,8 @@ STAGNATION_TOL = 1e-12  # early stop once the objective gains less than this ...
 STAGNATION_PATIENCE = 3  # ... for this many consecutive iterations
 MAX_HALVINGS = 200      # cap on budget-bisection halvings per root
 BISECT_DEPTH = 5        # bisection-tree levels evaluated per vectorized call
+DOUBLINGS = 400         # cap on budget-multiplier doublings from 1 before halving
+_FIRST_MULTIPLIERS = np.array([[0.0], [1.0]])  # slack check and first doubling point
 _GRID_FRACTIONS = np.arange(2 ** BISECT_DEPTH + 1) / 2.0 ** BISECT_DEPTH
 _EXACT_NUMERATOR = 2 ** (53 - BISECT_DEPTH)
 _EXACT_DENOMINATOR = 2 ** (1074 - BISECT_DEPTH)
@@ -159,7 +172,8 @@ def mmse_error(powers: np.ndarray, grouping: BeamGrouping, precoder: Precoder,
 
 def _stationary_denominator(lg: LinkGains, c: np.ndarray, a: np.ndarray,
                             mu: np.ndarray, eta: float) -> np.ndarray:
-    """Lambda-free part of the KKT denominator tau for every user.
+    """Lambda-free part of the KKT denominator tau for every user; c, a and mu
+    are (K,) or (R, K) rows.
 
     Per user u on beam n: all same-beam users ranked at or after u plus every
     other beam's users contribute a*|c|^2*|h^H w_n|^2; the min-rate
@@ -167,18 +181,26 @@ def _stationary_denominator(lg: LinkGains, c: np.ndarray, a: np.ndarray,
     users whose constraints user u's power tightens.
     """
     weights = a * np.abs(c) ** 2
-    colsum = weights @ lg.gains
-    own_w = weights * lg.own_gain
-    base = colsum[lg.beam_of] - seg_excl_cumsum(own_w, lg.beam_start)
-    if not np.any(mu):
+    colsum = np.matmul(weights[..., None, :], lg.gains)[..., 0, :]
+    base = colsum[..., lg.beam_of] - seg_excl_cumsum(weights * lg.own_gain, lg.beam_start)
+    return _with_rate_multipliers(lg, base, mu, eta)
+
+
+def _with_rate_multipliers(lg: LinkGains, base: np.ndarray, mu: np.ndarray,
+                           eta: float) -> np.ndarray:
+    """The denominator `base` of zero multipliers plus the min-rate multiplier
+    terms; a row whose multipliers are all zero gets `base` alone."""
+    has_mu = mu.any(axis=-1)
+    if not has_mu.any():
         return base
-    colmu = mu @ lg.gains
+    colmu = np.matmul(mu[..., None, :], lg.gains)[..., 0, :]
     own_mu = mu * lg.own_gain
     incl = seg_excl_cumsum(own_mu, lg.beam_start) + own_mu
-    return base + eta * (colmu[lg.beam_of] - incl) - own_mu
+    tightened = base + eta * (colmu[..., lg.beam_of] - incl) - own_mu
+    return tightened if has_mu.all() else np.where(has_mu[..., None], tightened, base)
 
 
-def _powers_at(numer: np.ndarray, denom_base: np.ndarray, lam: float) -> np.ndarray:
+def _powers_at(numer: np.ndarray, denom_base: np.ndarray, lam) -> np.ndarray:
     denom = denom_base + lam
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         p = np.where(numer > 0, (numer / denom) ** 2, 0.0)
@@ -186,92 +208,219 @@ def _powers_at(numer: np.ndarray, denom_base: np.ndarray, lam: float) -> np.ndar
 
 
 def _bisection_grid(lo: float, hi: float) -> np.ndarray:
+    """One-row view of `_bisection_grids`."""
+    return _bisection_grids([lo], [hi])[0]
+
+
+def _bisection_grids(los: list[float], his: list[float]) -> np.ndarray:
     """Bracket endpoints after BISECT_DEPTH rounds of halving every interval of
-    [lo, hi]: 2**BISECT_DEPTH + 1 ascending values, each new one the
-    (left + right) / 2.0 midpoint of the two it splits.
+    each row's [lo, hi]: (R, 2**BISECT_DEPTH + 1) ascending values, each new
+    one the (left + right) / 2.0 midpoint of the two it splits.
 
     With lo = A / den and hi = B / den for integers 0 <= A < B and a power of
     two den, every grid point is an integer below B * 2**BISECT_DEPTH over
     den * 2**BISECT_DEPTH. Below 2**53 (and above the subnormal step) all of
     them are doubles, so no midpoint rounds and the affine grid is the same
-    array; otherwise the midpoints are taken level by level.
+    array; other rows take the midpoints level by level.
     """
+    if len(los) == 1:  # scalar operands: the same arithmetic in fewer array calls
+        grid = (los[0] + (his[0] - los[0]) * _GRID_FRACTIONS)[None]
+        if _dyadic_grid_is_exact(los[0], his[0]):
+            return grid
+    else:
+        lo = np.array(los)[:, None]
+        grid = lo + (np.array(his)[:, None] - lo) * _GRID_FRACTIONS
+    exact = [_dyadic_grid_is_exact(lo, hi) for lo, hi in zip(los, his)]
+    if all(exact):
+        return grid
+    rows = [i for i, row_exact in enumerate(exact) if not row_exact]
+    span = len(_GRID_FRACTIONS) - 1
+    mids = np.empty((len(rows), span + 1))
+    mids[:, 0], mids[:, span] = [los[i] for i in rows], [his[i] for i in rows]
+    while span > 1:
+        half = span // 2
+        mids[:, half::span] = (mids[:, :-1:span] + mids[:, span::span]) / 2.0
+        span = half
+    grid[rows] = mids
+    return grid
+
+
+def _dyadic_grid_is_exact(lo: float, hi: float) -> bool:
     (a, den_lo), (b, den_hi) = lo.as_integer_ratio(), hi.as_integer_ratio()
     den = max(den_lo, den_hi)
-    if a >= 0 and b * (den // den_hi) < _EXACT_NUMERATOR and den < _EXACT_DENOMINATOR:
-        return lo + (hi - lo) * _GRID_FRACTIONS
-    grid = np.array([lo, hi])
-    for _ in range(BISECT_DEPTH):
-        fine = np.empty(2 * len(grid) - 1)
-        fine[0::2] = grid
-        fine[1::2] = (grid[:-1] + grid[1:]) / 2.0
-        grid = fine
-    return grid
+    return a >= 0 and b * (den // den_hi) < _EXACT_NUMERATOR and den < _EXACT_DENOMINATOR
 
 
 def _solve_budget(numer: np.ndarray, denom_base: np.ndarray,
                   total_mw: float) -> tuple[float, np.ndarray]:
-    """Bisect the budget multiplier so the closed-form powers fill the budget.
+    """One-row view of `_solve_budgets`: the multiplier and (K,) powers."""
+    lam, p = _solve_budgets(numer[None], denom_base[None], np.array([total_mw]))
+    return float(lam[0]), p[0]
 
-    Returns the feasible side of the bracket, so sum(p) <= total always; the
+
+def _solve_budgets(numer: np.ndarray, denom_base: np.ndarray,
+                   total_mw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bisect every row's budget multiplier so its closed-form powers fill
+    that row's budget; numer and denom_base are (R, K), total_mw is (R,).
+
+    Returns the feasible side of each bracket, so sum(p) <= total always; the
     remaining residual is at most BUDGET_TOL * total (or the budget is slack
     at multiplier zero, which complementary slackness permits).
 
-    After the slack check at zero and the doubling phase that brackets the
-    root, the halvings run in batches: every multiplier the next BISECT_DEPTH
-    halvings can visit (the interior of `_bisection_grid(lo, hi)`) is
-    evaluated in one (2**BISECT_DEPTH - 1, K) array, and the walk down the
-    tree then follows the path of a one-at-a-time bisection on the row sums,
-    with the same residual stop, the same stop on a midpoint equal to an
-    endpoint and the same cap of MAX_HALVINGS. Each row is elementwise the
-    1-D `_powers_at` vector and a row sum of a C-contiguous array equals the
-    1-D sum, so the returned multiplier and powers are bit-identical to the
+    Every row follows the path of a one-at-a-time bisection: the slack check
+    at zero, doubling from one until the budget is met, then halvings with a
+    residual stop, a stop on a midpoint equal to an endpoint and a cap of
+    MAX_HALVINGS. The multipliers 0 and 1 are evaluated for all rows in one
+    array; only rows that miss the budget at 1 keep doubling. The halvings
+    run in batches: every multiplier the next BISECT_DEPTH halvings of every
+    row can visit (the interior of its `_bisection_grids` row) is evaluated
+    as one (R, 2**BISECT_DEPTH - 1, K) array, and each row's walk down its
+    tree then reads its row sums. Each row is elementwise the 1-D
+    `_powers_at` vector and a row sum of a C-contiguous array equals the 1-D
+    sum, so each row's multiplier and powers are bit-identical to the
     sequential bisection.
     """
-    p = _powers_at(numer, denom_base, 0.0)
-    if p.sum() <= total_mw:
-        return 0.0, p
-    hi = 1.0
-    for _ in range(400):
-        p = _powers_at(numer, denom_base, hi)
-        if p.sum() <= total_mw:
-            break
-        hi *= 2.0
-    lo = hi / 2.0 if hi > 1.0 else 0.0
-    p_sum = float(p.sum())
-    # Rounding is monotone, so denom_base + lam > 0 for every lam >= lo once it
-    # holds at lo. The masks of _powers_at then only zero the powers of users
-    # whose numerator is not positive (or NaN), and fmax gives those the same
-    # +0.0 without masks.
-    unmasked = bool(denom_base.min() + lo > 0)
-    if unmasked:
-        numer = np.fmax(numer, 0.0)
-    halvings = 0
+    lam = np.zeros(len(numer))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        while halvings < MAX_HALVINGS:
-            grid = _bisection_grid(lo, hi)
-            lams = grid[1:-1, None]
-            points = grid.tolist()
-            if unmasked:
+        first = _powers_at(numer[:, None, :], denom_base[:, None, :], _FIRST_MULTIPLIERS)
+        first_sums = first.sum(axis=-1).tolist()
+        powers = first[:, 0]
+        # the rows not slack at zero, each with its bracket [lo, hi], the
+        # powers at hi and their sum, its budget and its halvings so far
+        rows, los, his, current, p_sums, totals = [], [], [], [], [], []
+        for row, ((at_zero, at_one), total) in enumerate(
+                zip(first_sums, np.asarray(total_mw, dtype=float).tolist())):
+            if at_zero <= total:
+                continue
+            hi, p, p_sum = 1.0, first[row, 1], at_one
+            if not at_one <= total:
+                hi = 2.0
+                for _ in range(DOUBLINGS - 1):
+                    p = _powers_at(numer[row], denom_base[row], hi)
+                    if p.sum() <= total:
+                        break
+                    hi *= 2.0
+                p_sum = float(p.sum())
+            rows.append(row)
+            los.append(hi / 2.0 if hi > 1.0 else 0.0)
+            his.append(hi)
+            current.append(p)
+            p_sums.append(p_sum)
+            totals.append(total)
+        if not rows:
+            return lam, powers
+        halvings = [0] * len(rows)
+        # Rounding is monotone, so denom_base + lam > 0 for every lam >= lo once
+        # it holds at lo. The masks of _powers_at then only zero the powers of
+        # users whose numerator is not positive (or NaN), and fmax gives those
+        # the same +0.0 without masks (and changes no power _powers_at gives).
+        lows = denom_base.min(axis=-1).tolist()
+        unmasked = [lows[row] + lo > 0 for row, lo in zip(rows, los)]
+        if len(rows) < len(numer):
+            numer, denom_base = numer[rows], denom_base[rows]
+        numer, denom_base = np.fmax(numer, 0.0)[:, None, :], denom_base[:, None, :]
+        powers = powers.copy()
+        while rows:
+            grid = _bisection_grids(los, his)
+            lams = grid[:, 1:-1, None]
+            if all(unmasked):
                 batch = (numer / (denom_base + lams)) ** 2
             else:
                 batch = _powers_at(numer, denom_base, lams)
-            sums = batch.sum(axis=1).tolist()
-            left, right = 0, len(points) - 1
-            while right - left > 1 and halvings < MAX_HALVINGS:
-                if total_mw - p_sum <= BUDGET_TOL * total_mw:
-                    return hi, p
-                node = (left + right) // 2
-                mid = points[node]
-                if mid == lo or mid == hi:
-                    return hi, p
-                halvings += 1
-                if sums[node - 1] > total_mw:
-                    lo, left = mid, node
-                else:
-                    hi, right = mid, node
-                    p, p_sum = batch[node - 1], sums[node - 1]
-    return hi, p
+            still_open = []
+            for pos, (points, row_sums) in enumerate(zip(grid.tolist(),
+                                                         batch.sum(axis=-1).tolist())):
+                lo, hi, p_sum, total = los[pos], his[pos], p_sums[pos], totals[pos]
+                count = halvings[pos]
+                left, right = 0, len(points) - 1
+                stopped = False
+                while right - left > 1 and count < MAX_HALVINGS:
+                    if total - p_sum <= BUDGET_TOL * total:
+                        stopped = True
+                        break
+                    node = (left + right) // 2
+                    mid = points[node]
+                    if mid == lo or mid == hi:
+                        stopped = True
+                        break
+                    count += 1
+                    if row_sums[node - 1] > total:
+                        lo, left = mid, node
+                    else:
+                        hi, right = mid, node
+                        current[pos], p_sum = batch[pos, node - 1], row_sums[node - 1]
+                los[pos], his[pos], p_sums[pos], halvings[pos] = lo, hi, p_sum, count
+                still_open.append(not stopped and count < MAX_HALVINGS)
+                if not still_open[-1]:
+                    lam[rows[pos]], powers[rows[pos]] = hi, current[pos]
+            if not any(still_open):
+                break
+            if not all(still_open):
+                rows, los, his, current, p_sums, totals, halvings, unmasked = (
+                    [x for x, keep in zip(state, still_open) if keep]
+                    for state in (rows, los, his, current, p_sums, totals, halvings, unmasked))
+                numer, denom_base = numer[still_open], denom_base[still_open]
+    return lam, powers
+
+
+def _update_p_rows(lg: LinkGains, c: np.ndarray, a: np.ndarray, eta: float,
+                   total_mw: np.ndarray, noise_mw: np.ndarray):
+    """Closed-form KKT power update for R rows of equalizers and weights.
+
+    Returns (R, K) powers and per-row budget multipliers, (R, K) rate
+    multipliers, dual rounds and worst min-rate violations. Rows leave the
+    dual ascent at the round where they converge; see `update_p`.
+    """
+    numer = a * np.real(c * lg.own)
+    mu = np.zeros_like(numer)
+    n_rows = len(numer)
+    base = _stationary_denominator(lg, c, a, mu, eta)  # c and a are fixed for the step
+    if eta == 0.0:
+        lam, p = _solve_budgets(numer, base, total_mw)
+        return p, lam, mu, np.ones(n_rows, dtype=int), np.zeros(n_rows)
+    out_p, out_lam, out_mu = np.empty_like(numer), np.empty(n_rows), np.empty_like(numer)
+    out_rounds, out_violation = np.full(n_rows, OUTER_CAP), np.empty(n_rows)
+    live = np.arange(n_rows)
+    step = np.full(numer.shape, 1.0 / np.maximum(lg.own_gain, 1e-300))
+    prev_theta = None
+    for rounds in range(1, OUTER_CAP + 1):
+        lam, p = _solve_budgets(numer, _with_rate_multipliers(lg, base, mu, eta), total_mw)
+        xi = interference_vector(lg, p, noise_mw)
+        theta = eta * xi - lg.own_gain * p
+        violation = theta.max(axis=-1)
+        if prev_theta is None:
+            best = (violation, p, lam, mu)
+        else:
+            better = violation < best[0]
+            if better.all():
+                best = (violation, p, lam, mu)
+            elif better.any():
+                best = (np.where(better, violation, best[0]),
+                        np.where(better[:, None], p, best[1]),
+                        np.where(better, lam, best[2]),
+                        np.where(better[:, None], mu, best[3]))
+        done = violation <= VIOLATION_TOL
+        if done.any():
+            finished = live[done]
+            out_p[finished], out_lam[finished], out_mu[finished] = p[done], lam[done], mu[done]
+            out_rounds[finished], out_violation[finished] = rounds, violation[done]
+            keep = ~done
+            if not keep.any():
+                return out_p, out_lam, out_mu, out_rounds, out_violation
+            live, numer, base, mu, step, theta = (x[keep] for x in (live, numer, base, mu,
+                                                                     step, theta))
+            total_mw, noise_mw = total_mw[keep], noise_mw[keep]
+            best = tuple(x[keep] for x in best)
+            if prev_theta is not None:
+                prev_theta = prev_theta[keep]
+        if prev_theta is not None:
+            flipped = np.sign(theta) * np.sign(prev_theta) < 0
+            stalled = (theta > 0) & (prev_theta > 0) & (theta > 0.7 * prev_theta)
+            step = np.where(flipped, step * 0.5, np.where(stalled, step * 2.0, step))
+        mu = np.maximum(0.0, mu + step * theta)
+        prev_theta = theta
+    out_violation[live], out_p[live], out_lam[live], out_mu[live] = best
+    return out_p, out_lam, out_mu, out_rounds, out_violation
 
 
 def update_p(aux: AuxState, grouping: BeamGrouping, precoder: Precoder,
@@ -287,73 +436,72 @@ def update_p(aux: AuxState, grouping: BeamGrouping, precoder: Precoder,
     hit, in which case the least-violating iterate is returned.
     """
     lg = lg or link_gains(grouping, precoder)
-    eta = config.rate_threshold
-    numer = aux.a * np.real(aux.c * lg.own)
-    mu = np.zeros_like(numer)
-    step = 1.0 / np.maximum(lg.own_gain, 1e-300)
-    prev_theta = None
-    best = None
-    rounds = 0
-    for rounds in range(1, OUTER_CAP + 1):
-        denom_base = _stationary_denominator(lg, aux.c, aux.a, mu, eta)
-        lam, p = _solve_budget(numer, denom_base, budget.total_power_mw)
-        if eta == 0.0:
-            return p, DualSolution(lam, mu, rounds, 0.0)
-        xi = interference_vector(lg, p, budget.noise_mw)
-        theta = eta * xi - lg.own_gain * p
-        violation = float(theta.max())
-        if best is None or violation < best[0]:
-            best = (violation, p, lam, mu.copy())
-        if violation <= VIOLATION_TOL:
-            return p, DualSolution(lam, mu, rounds, violation)
-        if prev_theta is not None:
-            flipped = np.sign(theta) * np.sign(prev_theta) < 0
-            stalled = (theta > 0) & (prev_theta > 0) & (theta > 0.7 * prev_theta)
-            step = np.where(flipped, step * 0.5, np.where(stalled, step * 2.0, step))
-        mu = np.maximum(0.0, mu + step * theta)
-        prev_theta = theta
-    violation, p, lam, mu = best
-    return p, DualSolution(lam, mu, rounds, violation)
+    total, noise = budget_arrays([budget])
+    p, lam, mu, rounds, violation = _update_p_rows(lg, aux.c[None], aux.a[None],
+                                                   config.rate_threshold, total, noise)
+    return p[0], DualSolution(float(lam[0]), mu[0], int(rounds[0]), float(violation[0]))
 
 
 def allocate(grouping: BeamGrouping, precoder: Precoder, budget: LinkBudget,
              config: OptimizerConfig | None = None) -> PowerAllocation:
-    """Run the iterative c/a/p optimization from an equal power split.
+    """Run the iterative c/a/p optimization from an equal power split; the
+    one-budget view of `allocate_batch`."""
+    return allocate_batch(grouping, precoder, [budget], config)[0]
 
-    Records the sum rate after every iteration; the trace is non-decreasing
-    (up to numerical slack) when no minimum rate is enforced. Stops early on
+
+def allocate_batch(grouping: BeamGrouping, precoder: Precoder, budgets: Sequence[LinkBudget],
+                   config: OptimizerConfig | None = None,
+                   lg: LinkGains | None = None) -> list[PowerAllocation]:
+    """Run the iterative c/a/p optimization for every budget on one link.
+
+    The budgets (one per SNR point) form the rows of (S, K) arrays, and each
+    row follows the iterations a lone run would take. Records the sum rate
+    after every iteration; the trace is non-decreasing (up to numerical
+    slack) when no minimum rate is enforced. A row stops early on
     stagnation. The feasibility flag reports whether the final rates meet the
     minimum-rate floor; it is never silently relaxed.
     """
     config = config or OptimizerConfig()
-    lg = link_gains(grouping, precoder)
-    k = len(lg.users)
-    p = np.full(k, budget.total_power_mw / k)
-    trace: list[float] = []
-    budget_trace: list[float] = []
-    lam, mu = 0.0, np.zeros(k)
-    xi = interference_vector(lg, p, budget.noise_mw)
-    report = rate_report(lg, p, xi)
-    stall = 0
-    iterations = 0
+    lg = lg or link_gains(grouping, precoder)
+    eta = config.rate_threshold
+    total, noise = budget_arrays(budgets)
+    n_rows, k = len(total), len(lg.users)
+    p = np.repeat(total[:, None] / k, k, axis=1)
+    lam, mu = np.zeros(n_rows), np.zeros((n_rows, k))
+    xi = interference_vector(lg, p, noise)
+    reports = rate_reports(lg, p, xi)
+    traces: list[list[float]] = [[] for _ in range(n_rows)]
+    budget_traces: list[list[float]] = [[] for _ in range(n_rows)]
+    stall, iterations = [0] * n_rows, [0] * n_rows
+    live = np.arange(n_rows)
     for t in range(1, config.max_iters + 1):
-        iterations = t
-        c = _equalizers(lg, p, xi)
-        a = 1.0 / _mmse(lg, p, xi)
-        aux = AuxState(c=c, a=a, e=1.0 / a, powers=p, iteration=t)
-        p, duals = update_p(aux, grouping, precoder, config, budget, lg=lg)
-        lam, mu = duals.budget_multiplier, duals.rate_multipliers
-        prev = report.sum_rate
-        xi = interference_vector(lg, p, budget.noise_mw)
-        report = rate_report(lg, p, xi)
-        trace.append(report.sum_rate)
-        budget_trace.append(float(p.sum()))
-        stall = stall + 1 if report.sum_rate - prev < STAGNATION_TOL else 0
-        if stall >= STAGNATION_PATIENCE:
+        p_live = p[live]
+        c = _equalizers(lg, p_live, xi)
+        a = 1.0 / _mmse(lg, p_live, xi)
+        p_live, lam[live], mu[live], _, _ = _update_p_rows(lg, c, a, eta, total[live],
+                                                           noise[live])
+        p[live] = p_live
+        xi = interference_vector(lg, p_live, noise[live])
+        keep = []
+        for row, report, used in zip(live.tolist(), rate_reports(lg, p_live, xi),
+                                     p_live.sum(axis=-1).tolist()):
+            iterations[row] = t
+            gain = report.sum_rate - reports[row].sum_rate
+            stall[row] = stall[row] + 1 if gain < STAGNATION_TOL else 0
+            reports[row] = report
+            traces[row].append(report.sum_rate)
+            budget_traces[row].append(used)
+            keep.append(stall[row] < STAGNATION_PATIENCE)
+        if not any(keep):
             break
-    feasible = bool(np.all(report.rates >= config.min_rate - RATE_SLACK)
-                    and p.sum() <= budget.total_power_mw + 1e-9)
-    return PowerAllocation(powers=p, users=lg.users, trace=trace,
-                           budget_trace=budget_trace, budget_multiplier=lam,
-                           rate_multipliers=mu, feasible=feasible,
-                           iterations_used=iterations, report=report)
+        live, xi = live[keep], xi[keep]
+    out = []
+    for row, report in enumerate(reports):
+        feasible = bool(np.all(report.rates >= config.min_rate - RATE_SLACK)
+                        and p[row].sum() <= total[row] + 1e-9)
+        out.append(PowerAllocation(powers=p[row], users=lg.users, trace=traces[row],
+                                   budget_trace=budget_traces[row],
+                                   budget_multiplier=float(lam[row]),
+                                   rate_multipliers=mu[row], feasible=feasible,
+                                   iterations_used=iterations[row], report=report))
+    return out

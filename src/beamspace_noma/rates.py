@@ -7,6 +7,7 @@ beam plus every other beam's total power, plus noise.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,33 +107,62 @@ def link_gains(grouping: BeamGrouping, precoder: Precoder) -> LinkGains:
                      n_rf=grouping.n_rf)
 
 
+def budget_arrays(budgets: Sequence[LinkBudget]) -> tuple[np.ndarray, np.ndarray]:
+    """(S,) total transmit powers and (S,) noise powers of S budgets."""
+    return (np.array([b.total_power_mw for b in budgets], dtype=float),
+            np.array([b.noise_mw for b in budgets], dtype=float))
+
+
 def seg_excl_cumsum(x: np.ndarray, seg_start: np.ndarray) -> np.ndarray:
-    """Exclusive prefix sums of x restarting at each segment boundary;
-    seg_start[i] is the index of the first element of element i's segment.
+    """Exclusive prefix sums along the last axis of x restarting at each
+    segment boundary; seg_start[i] is the index of the first element of
+    element i's segment.
 
     Element i gets cumsum(x)[i] - x[i] - cumsum(x)[seg_start[i] - 1], the last
     term read as exactly 0.0 on the first segment.
     """
-    cum = np.zeros(len(x) + 1)
-    np.cumsum(x, out=cum[1:])
-    return cum[1:] - x - cum[seg_start]
+    cum = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    inclusive = x.cumsum(axis=-1, out=cum[..., 1:])
+    return inclusive - x - cum.take(seg_start, axis=-1)
 
 
-def interference_vector(lg: LinkGains, powers: np.ndarray, noise_mw: float) -> np.ndarray:
-    """All users' post-SIC interference-plus-noise terms at once."""
+def interference_vector(lg: LinkGains, powers: np.ndarray, noise_mw) -> np.ndarray:
+    """All users' post-SIC interference-plus-noise terms at once.
+
+    powers is (K,) with a scalar noise_mw, or (S, K) with one noise power per
+    row. Each row's beam powers are one bincount over row-offset bins and its
+    cross-beam terms one gemv of a stacked matmul, so a row's result has the
+    same bits as the (K,) call on that row alone.
+    """
     powers = np.asarray(powers, dtype=float)
-    beam_power = np.bincount(lg.beam_of, weights=powers, minlength=lg.n_rf)
-    inter = lg.gains @ beam_power - lg.own_gain * beam_power[lg.beam_of]
-    return lg.own_gain * seg_excl_cumsum(powers, lg.beam_start) + inter + noise_mw
+    rows = powers.reshape(-1, powers.shape[-1])
+    n_rows = len(rows)
+    bins = lg.beam_of
+    if n_rows > 1:
+        bins = (bins + lg.n_rf * np.arange(n_rows)[:, None]).ravel()
+    beam_power = np.bincount(bins, weights=rows.ravel(),
+                             minlength=n_rows * lg.n_rf).reshape(n_rows, lg.n_rf)
+    inter = (np.matmul(lg.gains, beam_power[:, :, None])[:, :, 0]
+             - lg.own_gain * beam_power[:, lg.beam_of])
+    xi = (lg.own_gain * seg_excl_cumsum(rows, lg.beam_start) + inter
+          + np.asarray(noise_mw)[..., None])
+    return xi.reshape(powers.shape)
+
+
+def rate_reports(lg: LinkGains, powers: np.ndarray, xi: np.ndarray) -> list[RateReport]:
+    """One report per row of (S, K) powers and their interference-plus-noise
+    rows xi = interference_vector(lg, powers, noise)."""
+    gamma = lg.own_gain * powers / xi
+    rates = np.log2(1.0 + gamma)
+    return [RateReport(users=lg.users, sinr=g, interference=x, rates=r, sum_rate=total,
+                       n_rf=lg.n_rf)
+            for g, x, r, total in zip(gamma, xi, rates, rates.sum(axis=-1).tolist())]
 
 
 def rate_report(lg: LinkGains, powers: np.ndarray, xi: np.ndarray) -> RateReport:
-    """SINRs, rates and sum rate at the given powers from their
-    interference-plus-noise vector xi = interference_vector(lg, powers, noise)."""
-    gamma = lg.own_gain * powers / xi
-    rates = np.log2(1.0 + gamma)
-    return RateReport(users=lg.users, sinr=gamma, interference=xi, rates=rates,
-                      sum_rate=float(rates.sum()), n_rf=lg.n_rf)
+    """SINRs, rates and sum rate at (K,) powers from their interference-plus-
+    noise vector xi = interference_vector(lg, powers, noise)."""
+    return rate_reports(lg, powers[None], xi[None])[0]
 
 
 def interference_term(m: int, n: int, grouping: BeamGrouping, precoder: Precoder,

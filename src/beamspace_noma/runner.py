@@ -82,61 +82,79 @@ def build_noma_link(beamspace: np.ndarray, variant: str) -> tuple[beams.BeamGrou
     return grouping, precoder
 
 
+def _scheme_results(scheme: str, config: SystemConfig, budgets: list[rates.LinkBudget],
+                    spatial: np.ndarray, beamspace: np.ndarray, noma_link, noma_gains) -> list:
+    """One scheme at every SNR point: a PowerAllocation (noma) or SchemeResult
+    per budget."""
+    if scheme == "noma":
+        grouping, precoder = noma_link
+        return power.allocate_batch(grouping, precoder, budgets, config.optimizer_config(),
+                                    lg=noma_gains)
+    if scheme == "oma":
+        return baselines.mimo_oma_batch(*noma_link, budgets, lg=noma_gains)
+    if scheme == "beamspace_mimo":
+        return baselines.beamspace_mimo_single_user_batch(beamspace, budgets)
+    if scheme == "fully_digital":
+        return baselines.fully_digital_zf_batch(spatial, budgets)
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
 def run_trial(config: SystemConfig, trial_index: int) -> list[ExperimentRecord]:
-    """Execute every configured scheme at every SNR point on one realization."""
+    """Execute every configured scheme at every SNR point on one realization.
+
+    The SNR points share the link and differ only in the noise, so each
+    scheme runs once with one budget per SNR point.
+    """
     rng = trial_rng(config.seed, trial_index)
     realization = sample_realization(config.channel_params(), rng)
     beamspace = to_beamspace(realization.matrix, _lens(config.n_antennas))
     rhash = hashlib.sha1(realization.matrix.tobytes()).hexdigest()
+    budgets = [config.budget(snr_db) for snr_db in config.snr_db]
 
-    noma_link = None
+    noma_link = noma_gains = None
     noma_error: Exception | None = None
     if "noma" in config.schemes or "oma" in config.schemes:
         try:
             noma_link = build_noma_link(beamspace, config.variant)
+            noma_gains = rates.link_gains(*noma_link)
         except DROP_ERRORS as err:
             noma_error = err
 
+    outcomes: dict[str, list | Exception] = {}
+    for scheme in config.schemes:
+        try:
+            if scheme in ("noma", "oma") and noma_error is not None:
+                raise noma_error
+            outcomes[scheme] = _scheme_results(scheme, config, budgets, realization.matrix,
+                                               beamspace, noma_link, noma_gains)
+        except DROP_ERRORS as err:
+            outcomes[scheme] = err
+
     records = []
     pm = config.power_model()
-    for snr_db in config.snr_db:
-        budget = config.budget(snr_db)
+    for i, (snr_db, budget) in enumerate(zip(config.snr_db, budgets)):
         for scheme in config.schemes:
             variant = config.variant if scheme in ("noma", "oma") else "na"
             rec = ExperimentRecord(trial=trial_index, seed=config.seed,
                                    snr_db=snr_db, scheme=scheme, variant=variant,
                                    k=config.n_users, n_rf=0, sum_rate=math.nan,
                                    energy_eff=math.nan, realization_hash=rhash)
-            try:
-                if scheme in ("noma", "oma") and noma_error is not None:
-                    raise noma_error
-                if scheme == "noma":
-                    grouping, precoder = noma_link
-                    alloc = power.allocate(grouping, precoder, budget,
-                                           config.optimizer_config())
-                    rec.n_rf = grouping.n_rf
-                    rec.sum_rate = alloc.report.sum_rate
-                    rec.feasible = alloc.feasible
-                    rec.trace = list(alloc.trace)
-                    rec.user_rates = [float(r) for r in alloc.report.rates_by_user]
-                elif scheme == "oma":
-                    grouping, precoder = noma_link
-                    result = baselines.mimo_oma(grouping, precoder, budget)
-                    rec.n_rf, rec.sum_rate = result.n_rf, result.sum_rate
-                elif scheme == "beamspace_mimo":
-                    result = baselines.beamspace_mimo_single_user(beamspace, budget)
-                    rec.n_rf, rec.sum_rate = result.n_rf, result.sum_rate
-                elif scheme == "fully_digital":
-                    result = baselines.fully_digital_zf(realization.matrix, budget)
-                    rec.n_rf, rec.sum_rate = result.n_rf, result.sum_rate
-                else:
-                    raise ValueError(f"unknown scheme {scheme!r}")
-                rec.energy_eff = rates.energy_efficiency(rec.sum_rate, rec.n_rf,
-                                                         budget, pm)
-            except DROP_ERRORS as err:
+            outcome = outcomes[scheme]
+            if isinstance(outcome, Exception):
                 rec.dropped = True
-                rec.drop_reason = str(err)
-                rec.n_rf, rec.sum_rate, rec.energy_eff = 0, math.nan, math.nan
+                rec.drop_reason = str(outcome)
+                records.append(rec)
+                continue
+            result = outcome[i]
+            if scheme == "noma":
+                rec.n_rf = noma_link[0].n_rf
+                rec.sum_rate = result.report.sum_rate
+                rec.feasible = result.feasible
+                rec.trace = list(result.trace)
+                rec.user_rates = [float(r) for r in result.report.rates_by_user]
+            else:
+                rec.n_rf, rec.sum_rate = result.n_rf, result.sum_rate
+            rec.energy_eff = rates.energy_efficiency(rec.sum_rate, rec.n_rf, budget, pm)
             records.append(rec)
     return records
 

@@ -3,12 +3,26 @@
 These deliberately re-derive quantities from first principles (exhaustive
 search, explicit term enumeration) instead of calling the iterative code
 paths they are used to judge.
+
+The per-budget references at the end are the one-SNR-point-at-a-time power
+allocation, baselines and trial loop that the SNR-batched code replaced,
+kept here on 1-D arrays so that they share no arithmetic with it; the
+batched code must reproduce them bit for bit.
 """
+
+import hashlib
+import math
 
 import numpy as np
 
-from beamspace_noma import link_gains
-from beamspace_noma.power import BUDGET_TOL, _powers_at
+from beamspace_noma import (BeamGrouping, DualSolution, ExperimentRecord, PowerAllocation,
+                            RateReport, SchemeResult, build_noma_link,
+                            equivalent_channel_strongest, energy_efficiency, link_gains,
+                            sample_realization, to_beamspace, trial_rng, zf_precoder)
+from beamspace_noma.power import (BUDGET_TOL, OUTER_CAP, RATE_SLACK, STAGNATION_PATIENCE,
+                                  STAGNATION_TOL, VIOLATION_TOL)
+from beamspace_noma.precoding import zf_columns
+from beamspace_noma.runner import DROP_ERRORS, _lens
 
 
 def simplex_grid_optimum(grouping, precoder, budget, steps=1000):
@@ -59,3 +73,203 @@ def sequential_solve_budget(numer, denom_base, total_mw):
         else:
             hi, p = mid, p_mid
     return hi, p
+
+
+# ---------------------------------------------------------------------------
+# per-budget references
+# ---------------------------------------------------------------------------
+
+def _powers_at(numer, denom_base, lam):
+    denom = denom_base + lam
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        p = np.where(numer > 0, (numer / denom) ** 2, 0.0)
+    return np.where((denom <= 0) & (numer > 0), np.inf, p)
+
+
+def _seg_excl_cumsum(x, seg_start):
+    cum = np.zeros(len(x) + 1)
+    np.cumsum(x, out=cum[1:])
+    return cum[1:] - x - cum[seg_start]
+
+
+def interference_vector(lg, powers, noise_mw):
+    powers = np.asarray(powers, dtype=float)
+    beam_power = np.bincount(lg.beam_of, weights=powers, minlength=lg.n_rf)
+    inter = lg.gains @ beam_power - lg.own_gain * beam_power[lg.beam_of]
+    return lg.own_gain * _seg_excl_cumsum(powers, lg.beam_start) + inter + noise_mw
+
+
+def rate_report(lg, powers, xi):
+    gamma = lg.own_gain * powers / xi
+    rates = np.log2(1.0 + gamma)
+    return RateReport(users=lg.users, sinr=gamma, interference=xi, rates=rates,
+                      sum_rate=float(rates.sum()), n_rf=lg.n_rf)
+
+
+def _stationary_denominator(lg, c, a, mu, eta):
+    weights = a * np.abs(c) ** 2
+    colsum = weights @ lg.gains
+    own_w = weights * lg.own_gain
+    base = colsum[lg.beam_of] - _seg_excl_cumsum(own_w, lg.beam_start)
+    if not np.any(mu):
+        return base
+    colmu = mu @ lg.gains
+    own_mu = mu * lg.own_gain
+    incl = _seg_excl_cumsum(own_mu, lg.beam_start) + own_mu
+    return base + eta * (colmu[lg.beam_of] - incl) - own_mu
+
+
+def sequential_update_p(lg, c, a, min_rate, budget):
+    """The KKT power step with its min-rate dual ascent for one budget."""
+    eta = 2.0 ** min_rate - 1.0
+    numer = a * np.real(c * lg.own)
+    mu = np.zeros_like(numer)
+    step = 1.0 / np.maximum(lg.own_gain, 1e-300)
+    prev_theta = None
+    best = None
+    rounds = 0
+    for rounds in range(1, OUTER_CAP + 1):
+        denom_base = _stationary_denominator(lg, c, a, mu, eta)
+        lam, p = sequential_solve_budget(numer, denom_base, budget.total_power_mw)
+        if eta == 0.0:
+            return p, DualSolution(lam, mu, rounds, 0.0)
+        xi = interference_vector(lg, p, budget.noise_mw)
+        theta = eta * xi - lg.own_gain * p
+        violation = float(theta.max())
+        if best is None or violation < best[0]:
+            best = (violation, p, lam, mu.copy())
+        if violation <= VIOLATION_TOL:
+            return p, DualSolution(lam, mu, rounds, violation)
+        if prev_theta is not None:
+            flipped = np.sign(theta) * np.sign(prev_theta) < 0
+            stalled = (theta > 0) & (prev_theta > 0) & (theta > 0.7 * prev_theta)
+            step = np.where(flipped, step * 0.5, np.where(stalled, step * 2.0, step))
+        mu = np.maximum(0.0, mu + step * theta)
+        prev_theta = theta
+    violation, p, lam, mu = best
+    return p, DualSolution(lam, mu, rounds, violation)
+
+
+def sequential_allocate(grouping, precoder, budget, max_iters, min_rate):
+    """The c/a/p iteration for one budget, from the equal power split."""
+    lg = link_gains(grouping, precoder)
+    k = len(lg.users)
+    p = np.full(k, budget.total_power_mw / k)
+    trace, budget_trace = [], []
+    lam, mu = 0.0, np.zeros(k)
+    xi = interference_vector(lg, p, budget.noise_mw)
+    report = rate_report(lg, p, xi)
+    stall = 0
+    iterations = 0
+    for t in range(1, max_iters + 1):
+        iterations = t
+        c = np.conj(np.sqrt(p) * lg.own) / (p * lg.own_gain + xi)
+        a = 1.0 / (xi / (p * lg.own_gain + xi))
+        p, duals = sequential_update_p(lg, c, a, min_rate, budget)
+        lam, mu = duals.budget_multiplier, duals.rate_multipliers
+        prev = report.sum_rate
+        xi = interference_vector(lg, p, budget.noise_mw)
+        report = rate_report(lg, p, xi)
+        trace.append(report.sum_rate)
+        budget_trace.append(float(p.sum()))
+        stall = stall + 1 if report.sum_rate - prev < STAGNATION_TOL else 0
+        if stall >= STAGNATION_PATIENCE:
+            break
+    feasible = bool(np.all(report.rates >= min_rate - RATE_SLACK)
+                    and p.sum() <= budget.total_power_mw + 1e-9)
+    return PowerAllocation(powers=p, users=lg.users, trace=trace, budget_trace=budget_trace,
+                           budget_multiplier=lam, rate_multipliers=mu, feasible=feasible,
+                           iterations_used=iterations, report=report)
+
+
+def reference_fully_digital_zf(spatial, budget):
+    n, k = spatial.shape
+    w, _ = zf_columns(spatial, "channel")
+    g = np.abs(spatial.conj().T @ w) ** 2
+    per_user = budget.total_power_mw / k
+    desired = np.diag(g) * per_user
+    interf = (g.sum(axis=1) - np.diag(g)) * per_user + budget.noise_mw
+    rates = np.log2(1.0 + desired / interf)
+    return SchemeResult(scheme="fully_digital", sum_rate=float(rates.sum()), n_rf=n,
+                        served=k, rates=rates, users=np.arange(k))
+
+
+def reference_beamspace_mimo(beamspace, budget):
+    n, k = beamspace.shape
+    norms = np.linalg.norm(beamspace, axis=0)
+    mags = np.abs(beamspace)
+    claimed = {}
+    free = np.ones(n, dtype=bool)
+    for user in np.lexsort((np.arange(k), -norms)):
+        best = int(np.argmax(np.where(free, mags[:, user], -1.0)))
+        claimed[user] = best
+        free[best] = False
+    selected = np.array(sorted(claimed.values()))
+    beam_rank = {beam: i for i, beam in enumerate(selected)}
+    beams = [np.empty(0, dtype=int)] * k
+    for user, beam in claimed.items():
+        beams[beam_rank[beam]] = np.array([user])
+    grouping = BeamGrouping(beams=beams, reduced=beamspace[selected, :], selected=selected)
+    lg = link_gains(grouping, zf_precoder(equivalent_channel_strongest(grouping)))
+    powers = np.full(k, budget.total_power_mw / k)
+    report = rate_report(lg, powers, interference_vector(lg, powers, budget.noise_mw))
+    return SchemeResult(scheme="beamspace_mimo", sum_rate=report.sum_rate, n_rf=k,
+                        served=k, rates=report.rates, users=report.users)
+
+
+def reference_mimo_oma(grouping, precoder, budget):
+    lg = link_gains(grouping, precoder)
+    per_beam = budget.total_power_mw / lg.n_rf
+    inter = (lg.gains.sum(axis=1) - lg.own_gain) * per_beam
+    gamma = lg.own_gain * per_beam / (inter + budget.noise_mw)
+    share = 1.0 / np.array([len(grouping.beams[b]) for b in lg.beam_of])
+    rates = share * np.log2(1.0 + gamma)
+    return SchemeResult(scheme="oma", sum_rate=float(rates.sum()), n_rf=lg.n_rf,
+                        served=len(lg.users), rates=rates, users=lg.users)
+
+
+def reference_trial(config, trial_index):
+    """`runner.run_trial` as a loop over SNR points, one budget at a time."""
+    realization = sample_realization(config.channel_params(), trial_rng(config.seed, trial_index))
+    beamspace = to_beamspace(realization.matrix, _lens(config.n_antennas))
+    rhash = hashlib.sha1(realization.matrix.tobytes()).hexdigest()
+    noma_link, noma_error = None, None
+    if "noma" in config.schemes or "oma" in config.schemes:
+        try:
+            noma_link = build_noma_link(beamspace, config.variant)
+        except DROP_ERRORS as err:
+            noma_error = err
+    records = []
+    for snr_db in config.snr_db:
+        budget = config.budget(snr_db)
+        for scheme in config.schemes:
+            variant = config.variant if scheme in ("noma", "oma") else "na"
+            rec = ExperimentRecord(trial=trial_index, seed=config.seed, snr_db=snr_db,
+                                   scheme=scheme, variant=variant, k=config.n_users, n_rf=0,
+                                   sum_rate=math.nan, energy_eff=math.nan,
+                                   realization_hash=rhash)
+            try:
+                if scheme in ("noma", "oma") and noma_error is not None:
+                    raise noma_error
+                if scheme == "noma":
+                    alloc = sequential_allocate(*noma_link, budget, config.max_iters,
+                                                config.min_rate)
+                    rec.n_rf, rec.sum_rate = noma_link[0].n_rf, alloc.report.sum_rate
+                    rec.feasible = alloc.feasible
+                    rec.trace = list(alloc.trace)
+                    rec.user_rates = [float(r) for r in alloc.report.rates_by_user]
+                else:
+                    if scheme == "oma":
+                        result = reference_mimo_oma(*noma_link, budget)
+                    elif scheme == "beamspace_mimo":
+                        result = reference_beamspace_mimo(beamspace, budget)
+                    else:
+                        result = reference_fully_digital_zf(realization.matrix, budget)
+                    rec.n_rf, rec.sum_rate = result.n_rf, result.sum_rate
+                rec.energy_eff = energy_efficiency(rec.sum_rate, rec.n_rf, budget,
+                                                   config.power_model())
+            except DROP_ERRORS as err:
+                rec.dropped, rec.drop_reason = True, str(err)
+                rec.n_rf, rec.sum_rate, rec.energy_eff = 0, math.nan, math.nan
+            records.append(rec)
+    return records

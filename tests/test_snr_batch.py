@@ -1,0 +1,235 @@
+"""The SNR-batched power allocation, baselines and trial against the
+one-budget-at-a-time references in oracles.py, bit for bit."""
+
+from dataclasses import asdict
+
+import numpy as np
+import pytest
+
+import oracles
+from beamspace_noma import (AuxState, ChannelParams, LinkBudget, OptimizerConfig, PrecodingError,
+                            SystemConfig, allocate, allocate_batch, beamspace_mimo_single_user,
+                            beamspace_mimo_single_user_batch, build_noma_link, fully_digital_zf,
+                            fully_digital_zf_batch, lens_transform_matrix, link_gains, mimo_oma,
+                            mimo_oma_batch, run_trial, sample_realization, trial_rng, update_p)
+from beamspace_noma.power import _stationary_denominator
+
+# Seven points above the default sweep: below 10 dB a min-rate of 1 bps/Hz is
+# infeasible for most users, so every iteration runs the 200-round dual cap
+# and the per-budget reference takes minutes.
+SNR_DB = [10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0]
+SETTINGS = [(min_rate, max_iters) for min_rate in (0.0, 1.0, 50.0)
+            for max_iters in (0, 1, 20, 500)]
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _budgets(k, snr_db=SNR_DB, total_mw=32.0):
+    return [LinkBudget.from_snr(total_mw, snr, k) for snr in snr_db]
+
+
+def _link(n, k, seed, trial=0):
+    real = sample_realization(ChannelParams(n_antennas=n, n_users=k), trial_rng(seed, trial))
+    beamspace = lens_transform_matrix(n).matrix @ real.matrix
+    grouping, precoder = build_noma_link(beamspace, "strongest")
+    return real.matrix, beamspace, grouping, precoder
+
+
+def _assert_same_report(got, want):
+    assert got.users.tobytes() == want.users.tobytes()
+    for field in ("sinr", "interference", "rates"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    assert type(got.sum_rate) is float and _bits(got.sum_rate) == _bits(want.sum_rate)
+    assert got.n_rf == want.n_rf
+
+
+def _assert_same_allocation(got, want):
+    assert got.powers.dtype == want.powers.dtype and got.powers.shape == want.powers.shape
+    assert got.powers.tobytes() == want.powers.tobytes()
+    assert got.users.tobytes() == want.users.tobytes()
+    assert all(type(v) is float for v in got.trace + got.budget_trace)
+    assert _bits(got.trace) == _bits(want.trace)
+    assert _bits(got.budget_trace) == _bits(want.budget_trace)
+    assert type(got.budget_multiplier) is float
+    assert _bits(got.budget_multiplier) == _bits(want.budget_multiplier)
+    assert got.rate_multipliers.tobytes() == want.rate_multipliers.tobytes()
+    assert got.feasible is want.feasible
+    assert got.iterations_used == want.iterations_used
+    _assert_same_report(got.report, want.report)
+
+
+def _check_allocations(grouping, precoder, budgets, max_iters, min_rate):
+    config = OptimizerConfig(max_iters=max_iters, min_rate=min_rate)
+    got = allocate_batch(grouping, precoder, budgets, config)
+    assert len(got) == len(budgets)
+    want = [oracles.sequential_allocate(grouping, precoder, budget, max_iters, min_rate)
+            for budget in budgets]
+    for alloc, ref in zip(got, want):
+        _assert_same_allocation(alloc, ref)
+    return want
+
+
+@pytest.mark.parametrize("min_rate,max_iters", SETTINGS)
+def test_allocation_matches_per_budget_loop_on_a_small_link(min_rate, max_iters):
+    _, _, grouping, precoder = _link(16, 6, 3)
+    assert grouping.n_rf < 6  # at least one NOMA group
+    _check_allocations(grouping, precoder, _budgets(6), max_iters, min_rate)
+
+
+@pytest.mark.parametrize("max_iters", [0, 1, 20, 500])
+def test_allocation_matches_per_budget_loop_on_a_second_small_link(max_iters):
+    _, _, grouping, precoder = _link(32, 12, 8)
+    assert grouping.n_rf < 12
+    _check_allocations(grouping, precoder, _budgets(12), max_iters, 0.0)
+
+
+# min_rate 1 for 500 iterations would take minutes at full scale
+@pytest.mark.parametrize("min_rate,max_iters", [s for s in SETTINGS if s != (1.0, 500)])
+def test_allocation_matches_per_budget_loop_at_full_scale(min_rate, max_iters):
+    _, _, grouping, precoder = _link(256, 32, 3)
+    want = _check_allocations(grouping, precoder, _budgets(32), max_iters, min_rate)
+    if (min_rate, max_iters) in ((0.0, 500), (1.0, 20)):
+        # rows leave the batch at different iterations
+        assert len({ref.iterations_used for ref in want}) > 1
+
+
+def test_rows_stop_at_different_dual_rounds():
+    _, _, grouping, precoder = _link(32, 12, 8)
+    lg = link_gains(grouping, precoder)
+    rounds = set()
+    for budget in _budgets(12):
+        p = np.full(12, budget.total_power_mw / 12)
+        xi = oracles.interference_vector(lg, p, budget.noise_mw)
+        c = np.conj(np.sqrt(p) * lg.own) / (p * lg.own_gain + xi)
+        a = (p * lg.own_gain + xi) / xi
+        got_p, got = update_p(AuxState(c=c, a=a, e=1 / a, powers=p, iteration=1), grouping,
+                              precoder, OptimizerConfig(min_rate=1.0), budget, lg=lg)
+        want_p, want = oracles.sequential_update_p(lg, c, a, 1.0, budget)
+        assert got_p.tobytes() == want_p.tobytes()
+        assert type(got.budget_multiplier) is float and type(got.max_violation) is float
+        assert _bits(got.budget_multiplier) == _bits(want.budget_multiplier)
+        assert got.rate_multipliers.tobytes() == want.rate_multipliers.tobytes()
+        assert got.rounds == want.rounds
+        assert _bits(got.max_violation) == _bits(want.max_violation)
+        rounds.add(got.rounds)
+    assert len(rounds) > 1
+
+
+@pytest.mark.parametrize("eta", [0.0, 1.0, np.inf])
+def test_stationary_denominator_rows_match_one_row_calls(eta):
+    _, _, grouping, precoder = _link(16, 6, 3)
+    lg = link_gains(grouping, precoder)
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+    a = 1.0 + rng.exponential(size=(3, 6))
+    # a row without multipliers must get the base terms alone, even where
+    # adding the zero multiplier terms would change them (inf * 0 is NaN)
+    mu = np.vstack([np.zeros(6), rng.exponential(size=6), np.zeros(6)])
+    mu[2, 4] = 0.5
+    with np.errstate(invalid="ignore"):
+        got = _stationary_denominator(lg, c, a, mu, eta)
+        for row in range(3):
+            want = oracles._stationary_denominator(lg, c[row], a[row], mu[row], eta)
+            assert got[row].tobytes() == want.tobytes()
+            one = _stationary_denominator(lg, c[row], a[row], mu[row], eta)
+            assert one.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("min_rate", [0.0, 1.0])
+def test_single_user_and_single_budget(min_rate):
+    _, _, grouping, precoder = _link(8, 1, 4)
+    _check_allocations(grouping, precoder, _budgets(1), 20, min_rate)
+    _, _, grouping, precoder = _link(16, 6, 3)
+    for budget in _budgets(6, snr_db=[10.0]):
+        _assert_same_allocation(allocate(grouping, precoder, budget,
+                                         OptimizerConfig(max_iters=20, min_rate=min_rate)),
+                                oracles.sequential_allocate(grouping, precoder, budget, 20,
+                                                            min_rate))
+
+
+def _assert_same_scheme(got, want):
+    assert (got.scheme, got.n_rf, got.served) == (want.scheme, want.n_rf, want.served)
+    assert type(got.sum_rate) is float and _bits(got.sum_rate) == _bits(want.sum_rate)
+    assert got.rates.tobytes() == want.rates.tobytes()
+    assert got.users.tobytes() == want.users.tobytes()
+
+
+@pytest.mark.parametrize("n,k,seed", [(16, 6, 3), (32, 12, 8), (256, 32, 3), (8, 1, 4)])
+def test_baselines_match_per_budget_calls(n, k, seed):
+    spatial, beamspace, grouping, precoder = _link(n, k, seed)
+    budgets = _budgets(k)
+    lg = link_gains(grouping, precoder)
+    batches = {
+        "fully_digital": (fully_digital_zf_batch(spatial, budgets), fully_digital_zf,
+                          oracles.reference_fully_digital_zf, spatial),
+        "beamspace_mimo": (beamspace_mimo_single_user_batch(beamspace, budgets),
+                           beamspace_mimo_single_user, oracles.reference_beamspace_mimo,
+                           beamspace),
+    }
+    for got_all, one, reference, channel in batches.values():
+        assert len(got_all) == len(budgets)
+        for got, budget in zip(got_all, budgets):
+            want = reference(channel, budget)
+            _assert_same_scheme(got, want)
+            _assert_same_scheme(one(channel, budget), want)
+    for got_all in (mimo_oma_batch(grouping, precoder, budgets),
+                    mimo_oma_batch(grouping, precoder, budgets, lg=lg)):
+        for got, budget in zip(got_all, budgets):
+            want = oracles.reference_mimo_oma(grouping, precoder, budget)
+            _assert_same_scheme(got, want)
+            _assert_same_scheme(mimo_oma(grouping, precoder, budget), want)
+
+
+def test_singular_channel_raises_the_per_budget_error():
+    spatial, _, _, _ = _link(16, 4, 5)
+    spatial[:, 2] = spatial[:, 1]
+    budgets = _budgets(4)
+    with pytest.raises(PrecodingError) as want:
+        oracles.reference_fully_digital_zf(spatial, budgets[0])
+    with pytest.raises(PrecodingError) as got:
+        fully_digital_zf_batch(spatial, budgets)
+    assert str(got.value) == str(want.value)
+
+
+def _records(records):
+    # repr keeps float bits, NaN and the difference between float and np.float64
+    return [repr(asdict(rec)) for rec in records]
+
+
+def test_run_trial_matches_per_snr_reference_with_min_rate():
+    config = SystemConfig(n_antennas=32, n_users=8, snr_db=[10.0, 20.0, 30.0],
+                          trials=3, seed=11, min_rate=1.0, max_iters=8)
+    feasible, iterations = set(), set()
+    for trial in range(config.trials):
+        got = run_trial(config, trial)
+        assert len(got) == len(config.snr_db) * len(config.schemes)
+        assert _records(got) == _records(oracles.reference_trial(config, trial))
+        noma = [rec for rec in got if rec.scheme == "noma"]
+        feasible.update(rec.feasible for rec in noma)
+        iterations.update(len(rec.trace) for rec in noma)
+    # the SNR rows differ in feasibility and in the iteration they stop at
+    assert feasible == {True, False} and len(iterations) > 1
+
+
+def test_run_trial_drops_every_snr_point_of_a_singular_channel(monkeypatch):
+    from beamspace_noma import runner
+
+    real_sample = runner.sample_realization
+
+    def duplicate_user(params, rng):
+        realization = real_sample(params, rng)
+        realization.matrix[:, 3] = realization.matrix[:, 2]
+        return realization
+
+    monkeypatch.setattr(runner, "sample_realization", duplicate_user)
+    monkeypatch.setattr(oracles, "sample_realization", duplicate_user)
+    config = SystemConfig(n_antennas=16, n_users=6, snr_db=[0.0, 15.0, 30.0], trials=1, seed=2)
+    got = run_trial(config, 0)
+    assert _records(got) == _records(oracles.reference_trial(config, 0))
+    for scheme, reason in (("fully_digital", "channel condition"),
+                           ("beamspace_mimo", "equivalent channel condition")):
+        records = [rec for rec in got if rec.scheme == scheme]
+        assert len(records) == len(config.snr_db)
+        assert all(rec.dropped and rec.drop_reason.startswith(reason) for rec in records)
