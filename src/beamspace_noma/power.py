@@ -46,7 +46,6 @@ STAGNATION_PATIENCE = 3  # ... for this many consecutive iterations
 MAX_HALVINGS = 200      # cap on budget-bisection halvings per root
 BISECT_DEPTH = 5        # bisection-tree levels evaluated per vectorized call
 DOUBLINGS = 400         # cap on budget-multiplier doublings from 1 before halving
-_FIRST_MULTIPLIERS = np.array([[0.0], [1.0]])  # slack check and first doubling point
 _GRID_FRACTIONS = np.arange(2 ** BISECT_DEPTH + 1) / 2.0 ** BISECT_DEPTH
 _EXACT_NUMERATOR = 2 ** (53 - BISECT_DEPTH)
 _EXACT_DENOMINATOR = 2 ** (1074 - BISECT_DEPTH)
@@ -180,39 +179,42 @@ def _stationary_denominator(lg: LinkGains, c: np.ndarray, a: np.ndarray,
     multipliers enter with -mu_u on the own gain and +eta*mu_v on the gains of
     users whose constraints user u's power tightens.
     """
+    return _with_rate_multipliers(lg, _base_denominator(lg, c, a), mu, eta)
+
+
+def _base_denominator(lg: LinkGains, c: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """`_stationary_denominator` with every min-rate multiplier zero."""
     weights = a * np.abs(c) ** 2
     colsum = np.matmul(weights[..., None, :], lg.gains)[..., 0, :]
-    base = colsum[..., lg.beam_of] - seg_excl_cumsum(weights * lg.own_gain, lg.beam_start)
-    return _with_rate_multipliers(lg, base, mu, eta)
+    return colsum.take(lg.beam_of, axis=-1) - seg_excl_cumsum(weights * lg.own_gain,
+                                                             lg.beam_start)
 
 
 def _with_rate_multipliers(lg: LinkGains, base: np.ndarray, mu: np.ndarray,
                            eta: float) -> np.ndarray:
     """The denominator `base` of zero multipliers plus the min-rate multiplier
     terms; a row whose multipliers are all zero gets `base` alone."""
-    has_mu = mu.any(axis=-1)
-    if not has_mu.any():
-        return base
     colmu = np.matmul(mu[..., None, :], lg.gains)[..., 0, :]
     own_mu = mu * lg.own_gain
     incl = seg_excl_cumsum(own_mu, lg.beam_start) + own_mu
-    tightened = base + eta * (colmu[..., lg.beam_of] - incl) - own_mu
-    return tightened if has_mu.all() else np.where(has_mu[..., None], tightened, base)
+    tightened = base + eta * (colmu.take(lg.beam_of, axis=-1) - incl) - own_mu
+    return np.where(mu.any(axis=-1)[..., None], tightened, base)
 
 
 def _powers_at(numer: np.ndarray, denom_base: np.ndarray, lam) -> np.ndarray:
-    denom = denom_base + lam
+    """Closed-form powers (numer / (denom_base + lam))**2 at multiplier lam:
+    zero where numer is not positive, inf where a positive numer meets a
+    non-positive denominator (the clamp to 0 makes that quotient inf)."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        p = np.where(numer > 0, (numer / denom) ** 2, 0.0)
-    return np.where((denom <= 0) & (numer > 0), np.inf, p)
+        return np.where(numer > 0, (numer / np.maximum(denom_base + lam, 0.0)) ** 2, 0.0)
 
 
 def _bisection_grid(lo: float, hi: float) -> np.ndarray:
     """One-row view of `_bisection_grids`."""
-    return _bisection_grids([lo], [hi])[0]
+    return _bisection_grids([(lo, hi)])[0]
 
 
-def _bisection_grids(los: list[float], his: list[float]) -> np.ndarray:
+def _bisection_grids(brackets: list[tuple[float, float]]) -> np.ndarray:
     """Bracket endpoints after BISECT_DEPTH rounds of halving every interval of
     each row's [lo, hi]: (R, 2**BISECT_DEPTH + 1) ascending values, each new
     one the (left + right) / 2.0 midpoint of the two it splits.
@@ -223,25 +225,18 @@ def _bisection_grids(los: list[float], his: list[float]) -> np.ndarray:
     them are doubles, so no midpoint rounds and the affine grid is the same
     array; other rows take the midpoints level by level.
     """
-    if len(los) == 1:  # scalar operands: the same arithmetic in fewer array calls
-        grid = (los[0] + (his[0] - los[0]) * _GRID_FRACTIONS)[None]
-        if _dyadic_grid_is_exact(los[0], his[0]):
-            return grid
-    else:
-        lo = np.array(los)[:, None]
-        grid = lo + (np.array(his)[:, None] - lo) * _GRID_FRACTIONS
-    exact = [_dyadic_grid_is_exact(lo, hi) for lo, hi in zip(los, his)]
-    if all(exact):
-        return grid
-    rows = [i for i, row_exact in enumerate(exact) if not row_exact]
-    span = len(_GRID_FRACTIONS) - 1
-    mids = np.empty((len(rows), span + 1))
-    mids[:, 0], mids[:, span] = [los[i] for i in rows], [his[i] for i in rows]
-    while span > 1:
-        half = span // 2
-        mids[:, half::span] = (mids[:, :-1:span] + mids[:, span::span]) / 2.0
-        span = half
-    grid[rows] = mids
+    lo_width = np.array([(lo, hi - lo) for lo, hi in brackets])
+    grid = lo_width[:, :1] + lo_width[:, 1:] * _GRID_FRACTIONS
+    inexact = [row for row, bracket in enumerate(brackets) if not _dyadic_grid_is_exact(*bracket)]
+    if inexact:
+        span = len(_GRID_FRACTIONS) - 1
+        mids = np.empty((len(inexact), span + 1))
+        mids[:, ::span] = [brackets[row] for row in inexact]
+        while span > 1:
+            half = span // 2
+            mids[:, half::span] = (mids[:, :-1:span] + mids[:, span::span]) / 2.0
+            span = half
+        grid[inexact] = mids
     return grid
 
 
@@ -270,97 +265,81 @@ def _solve_budgets(numer: np.ndarray, denom_base: np.ndarray,
     Every row follows the path of a one-at-a-time bisection: the slack check
     at zero, doubling from one until the budget is met, then halvings with a
     residual stop, a stop on a midpoint equal to an endpoint and a cap of
-    MAX_HALVINGS. The multipliers 0 and 1 are evaluated for all rows in one
-    array; only rows that miss the budget at 1 keep doubling. The halvings
-    run in batches: every multiplier the next BISECT_DEPTH halvings of every
-    row can visit (the interior of its `_bisection_grids` row) is evaluated
-    as one (R, 2**BISECT_DEPTH - 1, K) array, and each row's walk down its
-    tree then reads its row sums. Each row is elementwise the 1-D
-    `_powers_at` vector and a row sum of a C-contiguous array equals the 1-D
-    sum, so each row's multiplier and powers are bit-identical to the
-    sequential bisection.
+    MAX_HALVINGS. The halvings run in rounds: every multiplier the next
+    BISECT_DEPTH halvings of every open row can visit (its `_bisection_grids`
+    row) is evaluated as one (R, 2**BISECT_DEPTH + 1, K) array, and each
+    row's walk down its tree then reads its row sums. The first round spans
+    [0, 1], so its ends are the slack check and the first doubling point;
+    only rows over budget at 1 keep doubling, and they start halving in the
+    next round. Each row is elementwise the 1-D `_powers_at` vector and a
+    row sum of a C-contiguous array equals the 1-D sum, so each row's
+    multiplier and powers are bit-identical to the sequential bisection.
     """
-    lam = np.zeros(len(numer))
+    lam, powers = np.zeros(len(numer)), np.empty_like(numer)
+    # one record per open row: [row, budget, smallest denominator, bracket
+    # lo and hi, powers at hi (None before the first round), their sum, halvings]
+    brackets = [[row, total, low, 0.0, 1.0, None, 0.0, 0] for row, (total, low) in
+                enumerate(zip(total_mw.tolist(), denom_base.min(axis=-1).tolist()))]
+    numer, denom_base = np.fmax(numer, 0.0)[:, None, :], denom_base[:, None, :]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        first = _powers_at(numer[:, None, :], denom_base[:, None, :], _FIRST_MULTIPLIERS)
-        first_sums = first.sum(axis=-1).tolist()
-        powers = first[:, 0]
-        # the rows not slack at zero, each with its bracket [lo, hi], the
-        # powers at hi and their sum, its budget and its halvings so far
-        rows, los, his, current, p_sums, totals = [], [], [], [], [], []
-        for row, ((at_zero, at_one), total) in enumerate(
-                zip(first_sums, np.asarray(total_mw, dtype=float).tolist())):
-            if at_zero <= total:
-                continue
-            hi, p, p_sum = 1.0, first[row, 1], at_one
-            if not at_one <= total:
-                hi = 2.0
-                for _ in range(DOUBLINGS - 1):
-                    p = _powers_at(numer[row], denom_base[row], hi)
-                    if p.sum() <= total:
-                        break
-                    hi *= 2.0
-                p_sum = float(p.sum())
-            rows.append(row)
-            los.append(hi / 2.0 if hi > 1.0 else 0.0)
-            his.append(hi)
-            current.append(p)
-            p_sums.append(p_sum)
-            totals.append(total)
-        if not rows:
-            return lam, powers
-        halvings = [0] * len(rows)
-        # Rounding is monotone, so denom_base + lam > 0 for every lam >= lo once
-        # it holds at lo. The masks of _powers_at then only zero the powers of
-        # users whose numerator is not positive (or NaN), and fmax gives those
-        # the same +0.0 without masks (and changes no power _powers_at gives).
-        lows = denom_base.min(axis=-1).tolist()
-        unmasked = [lows[row] + lo > 0 for row, lo in zip(rows, los)]
-        if len(rows) < len(numer):
-            numer, denom_base = numer[rows], denom_base[rows]
-        numer, denom_base = np.fmax(numer, 0.0)[:, None, :], denom_base[:, None, :]
-        powers = powers.copy()
-        while rows:
-            grid = _bisection_grids(los, his)
-            lams = grid[:, 1:-1, None]
-            if all(unmasked):
+        while True:
+            lams = _bisection_grids([(bracket[3], bracket[4]) for bracket in brackets])[..., None]
+            # Rounding is monotone, so denom_base + lam > 0 for every lam >= lo
+            # once it holds at lo. The masks of _powers_at then only zero the
+            # powers of users whose numerator is not positive (or NaN), and
+            # fmax gives those the same +0.0 without masks.
+            if all(low + lo > 0 for _, _, low, lo, _, _, _, _ in brackets):
                 batch = (numer / (denom_base + lams)) ** 2
             else:
                 batch = _powers_at(numer, denom_base, lams)
             still_open = []
-            for pos, (points, row_sums) in enumerate(zip(grid.tolist(),
-                                                         batch.sum(axis=-1).tolist())):
-                lo, hi, p_sum, total = los[pos], his[pos], p_sums[pos], totals[pos]
-                count = halvings[pos]
-                left, right = 0, len(points) - 1
+            for pos, (bracket, row_sums, row_batch) in enumerate(
+                    zip(brackets, batch.sum(axis=-1).tolist(), batch)):
+                row, total, _, lo, hi, p, p_sum, count = bracket
+                if p is None:  # the first round: [lo, hi] = [0, 1]
+                    if row_sums[0] <= total:
+                        powers[row] = row_batch[0]
+                        still_open.append(False)
+                        continue
+                    p, p_sum = row_batch[-1], row_sums[-1]
+                    if not p_sum <= total:
+                        hi = 2.0
+                        for _ in range(DOUBLINGS - 1):
+                            p = _powers_at(numer[pos, 0], denom_base[pos, 0], hi)
+                            if p.sum() <= total:
+                                break
+                            hi *= 2.0
+                        bracket[3:7] = hi / 2.0, hi, p, float(p.sum())
+                        still_open.append(True)
+                        continue
+                # the sequential bisection; its midpoints are the grid's nodes
+                left, right = 0, 2 ** BISECT_DEPTH
                 stopped = False
                 while right - left > 1 and count < MAX_HALVINGS:
                     if total - p_sum <= BUDGET_TOL * total:
                         stopped = True
                         break
-                    node = (left + right) // 2
-                    mid = points[node]
+                    mid = (lo + hi) / 2.0
                     if mid == lo or mid == hi:
                         stopped = True
                         break
                     count += 1
-                    if row_sums[node - 1] > total:
+                    node = (left + right) // 2
+                    if row_sums[node] > total:
                         lo, left = mid, node
                     else:
                         hi, right = mid, node
-                        current[pos], p_sum = batch[pos, node - 1], row_sums[node - 1]
-                los[pos], his[pos], p_sums[pos], halvings[pos] = lo, hi, p_sum, count
+                        p, p_sum = row_batch[node], row_sums[node]
+                bracket[3:] = lo, hi, p, p_sum, count
                 still_open.append(not stopped and count < MAX_HALVINGS)
                 if not still_open[-1]:
-                    lam[rows[pos]], powers[rows[pos]] = hi, current[pos]
+                    lam[row], powers[row] = hi, p
             if not any(still_open):
-                break
+                return lam, powers
             if not all(still_open):
-                rows, los, his, current, p_sums, totals, halvings, unmasked = (
-                    [x for x, keep in zip(state, still_open) if keep]
-                    for state in (rows, los, his, current, p_sums, totals, halvings, unmasked))
-                numer, denom_base = numer[still_open], denom_base[still_open]
-    return lam, powers
+                brackets = [bracket for bracket, keep in zip(brackets, still_open) if keep]
+                numer = numer.compress(still_open, axis=0)
+                denom_base = denom_base.compress(still_open, axis=0)
 
 
 def _update_p_rows(lg: LinkGains, c: np.ndarray, a: np.ndarray, eta: float,
@@ -374,7 +353,7 @@ def _update_p_rows(lg: LinkGains, c: np.ndarray, a: np.ndarray, eta: float,
     numer = a * np.real(c * lg.own)
     mu = np.zeros_like(numer)
     n_rows = len(numer)
-    base = _stationary_denominator(lg, c, a, mu, eta)  # c and a are fixed for the step
+    base = _base_denominator(lg, c, a)  # c and a are fixed for the step
     if eta == 0.0:
         lam, p = _solve_budgets(numer, base, total_mw)
         return p, lam, mu, np.ones(n_rows, dtype=int), np.zeros(n_rows)
@@ -392,13 +371,10 @@ def _update_p_rows(lg: LinkGains, c: np.ndarray, a: np.ndarray, eta: float,
             best = (violation, p, lam, mu)
         else:
             better = violation < best[0]
-            if better.all():
-                best = (violation, p, lam, mu)
-            elif better.any():
-                best = (np.where(better, violation, best[0]),
-                        np.where(better[:, None], p, best[1]),
-                        np.where(better, lam, best[2]),
-                        np.where(better[:, None], mu, best[3]))
+            best = (np.where(better, violation, best[0]),
+                    np.where(better[:, None], p, best[1]),
+                    np.where(better, lam, best[2]),
+                    np.where(better[:, None], mu, best[3]))
         done = violation <= VIOLATION_TOL
         if done.any():
             finished = live[done]

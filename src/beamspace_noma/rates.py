@@ -137,13 +137,11 @@ def interference_vector(lg: LinkGains, powers: np.ndarray, noise_mw) -> np.ndarr
     powers = np.asarray(powers, dtype=float)
     rows = powers.reshape(-1, powers.shape[-1])
     n_rows = len(rows)
-    bins = lg.beam_of
-    if n_rows > 1:
-        bins = (bins + lg.n_rf * np.arange(n_rows)[:, None]).ravel()
+    bins = (lg.beam_of + np.arange(0, n_rows * lg.n_rf, lg.n_rf)[:, None]).ravel()
     beam_power = np.bincount(bins, weights=rows.ravel(),
                              minlength=n_rows * lg.n_rf).reshape(n_rows, lg.n_rf)
     inter = (np.matmul(lg.gains, beam_power[:, :, None])[:, :, 0]
-             - lg.own_gain * beam_power[:, lg.beam_of])
+             - lg.own_gain * beam_power.take(lg.beam_of, axis=-1))
     xi = (lg.own_gain * seg_excl_cumsum(rows, lg.beam_start) + inter
           + np.asarray(noise_mw)[..., None])
     return xi.reshape(powers.shape)

@@ -1,8 +1,12 @@
 """The batched budget bisection against the sequential one, bit for bit."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+import oracles
+from beamspace_noma import power
 from beamspace_noma.power import (BISECT_DEPTH, BUDGET_TOL, MAX_HALVINGS, _bisection_grid,
                                   _solve_budget)
 from oracles import sequential_solve_budget
@@ -127,3 +131,31 @@ def test_bisection_grid_is_the_midpoint_tree():
         grid = _bisection_grid(lo, hi)
         assert grid.shape == (2 ** BISECT_DEPTH + 1,)
         assert grid.tobytes() == _halving_grid(lo, hi).tobytes(), (lo, hi)
+
+
+def test_powers_at_matches_the_masked_form_on_special_values():
+    values = [-np.inf, -1.0, -0.0, 0.0, 5e-324, 1e-300, 0.5, 1.0, 1e300, np.inf, np.nan]
+    numer, denom_base = (np.array(x) for x in zip(*itertools.product(values, values)))
+    for lam in (0.0, 0.5, 1.0, 1e300, np.array([[0.0], [2.0 ** -1074], [1.0]])):
+        want = oracles._powers_at(numer, denom_base, lam)
+        got = power._powers_at(numer, denom_base, lam)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), lam
+
+
+def test_root_leaves_the_masked_form_once_every_denominator_is_positive(monkeypatch):
+    # at multiplier 0 two users have non-positive denominators, so the first
+    # batch needs the masks; the root lies near 0.7, past -min(denom_base), so
+    # every later batch of the bracket [lo, hi] can drop them
+    numer, denom_base = np.ones(8), np.linspace(-0.2, 1.0, 8)
+    total = float(np.sum((numer / (denom_base + 0.7)) ** 2))
+    masked = []
+    real = power._powers_at
+
+    def counting(numer, denom_base, lam):
+        masked.append(np.ndim(lam) == 3)
+        return real(numer, denom_base, lam)
+
+    monkeypatch.setattr(power, "_powers_at", counting)
+    lam, _ = _assert_same_root(numer, denom_base, total)
+    assert 0.5 < lam < 1.0
+    assert masked.count(True) == 1

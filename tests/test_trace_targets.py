@@ -1,5 +1,12 @@
-"""The benchmark's tracer (perfbench/tracing.py) wraps package functions by
-name; a refactor that renames or removes one would silently drop its span."""
+"""Every name the benchmark's tracer (perfbench/tracing.py) wraps by name must
+still resolve to a function of the package, so a rename or a removal fails
+here instead of dropping its span.
+
+This does not check that the trial still calls those functions: a name can
+resolve and yet read 0 in a trace. `runner.run_trial` now calls
+`power.allocate_batch` and the `*_batch` baselines, so the traced
+`power.allocate`, `power.update_p` and `baselines.*` spans read 0 on every
+workload."""
 
 import importlib
 import importlib.util
