@@ -64,13 +64,17 @@ def _overrides(args: argparse.Namespace) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = make_parser().parse_args(argv)
-    file_values = load_config_file(args.config) if args.config else {}
-    overrides = _overrides(args)
-    for key, value in MODE_DEFAULTS[args.mode].items():
-        if key not in file_values and overrides.get(key) is None:
-            overrides[key] = value
-    config = build_config(file_values, overrides)
+    parser = make_parser()
+    args = parser.parse_args(argv)
+    try:
+        file_values = load_config_file(args.config) if args.config else {}
+        overrides = _overrides(args)
+        for key, value in MODE_DEFAULTS[args.mode].items():
+            if key not in file_values and overrides.get(key) is None:
+                overrides[key] = value
+        config = build_config(file_values, overrides)
+    except ValueError as exc:  # a bad value: exit with usage before any output is written
+        parser.error(str(exc))
     result = sweep(config, MODE_NAMES[args.mode])
     for cell in result.summary:
         print(f"snr={cell['snr_db']:g} dB  k={cell['k']}  {cell['scheme']:<15} "

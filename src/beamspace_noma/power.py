@@ -19,14 +19,24 @@ ops, row sums of C-contiguous rows, per-row gemv through stacked matmuls and
 per-beam bincounts over row-offset bins. `allocate`, `update_p` and the 1-D
 helpers are one-row views of the batched code.
 
-The budget bisection evaluates BISECT_DEPTH levels of every row's halving
-tree per vectorized call and then walks the path a one-at-a-time bisection
-would take, so it returns the sequential bisection's multiplier and powers
-bit for bit.
+The budget root returns the multiplier and powers of a one-at-a-time
+bisection bit for bit, but evaluates few of its midpoints. The powers' sum
+S(lam) = sum((n_u / (d_u + lam))**2) is non-increasing in lam even in
+floating point wherever every d_u + lam > 0: each operation rounds
+monotonically and the summation order is fixed. So once two evaluated
+multipliers a < b certify S(a) > budget and a residual above tolerance at b,
+every midpoint outside (a, b) goes the way the bound says, and the walk takes
+those halvings in closed form. Safeguarded Newton steps on S**-0.5, warm
+started from the previous iteration's multiplier, place a and b a fraction
+of the residual zone around the root; the estimate chooses only which
+multipliers are evaluated and never decides a branch. Rows that do not
+certify resume in rounds that evaluate BISECT_DEPTH levels of their halving
+tree per vectorized call.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -35,9 +45,10 @@ import numpy as np
 from .beams import BeamGrouping
 from .precoding import Precoder
 from .rates import (LinkBudget, LinkGains, RateReport, budget_arrays, interference_vector,
-                    link_gains, rate_reports, seg_excl_cumsum)
+                    link_gains, rate_reports, seg_excl_cumsum, sum_rates)
 
 RATE_SLACK = 1e-6       # achieved-rate tolerance when judging feasibility
+MAX_MIN_RATE = 1024.0   # 2**min_rate overflows a double from here on
 VIOLATION_TOL = 1e-8    # min-rate constraint slack target for the active set
 BUDGET_TOL = 1e-10      # relative power-budget residual for the bisection
 OUTER_CAP = 200         # cap on min-rate constraint-enforcement rounds per power step
@@ -46,6 +57,9 @@ STAGNATION_PATIENCE = 3  # ... for this many consecutive iterations
 MAX_HALVINGS = 200      # cap on budget-bisection halvings per root
 BISECT_DEPTH = 5        # bisection-tree levels evaluated per vectorized call
 DOUBLINGS = 400         # cap on budget-multiplier doublings from 1 before halving
+NEWTON_STEPS = 8        # cap on Newton steps placing a budget root in (0, 1)
+NEWTON_SETTLED = 2.0 ** -20  # relative budget misfit at which the Newton steps stop
+UNDERSHOOT = 2.0 ** 42  # bound on a settled estimate's shortfall, in zones per misfit**2
 _GRID_FRACTIONS = np.arange(2 ** BISECT_DEPTH + 1) / 2.0 ** BISECT_DEPTH
 _EXACT_NUMERATOR = 2 ** (53 - BISECT_DEPTH)
 _EXACT_DENOMINATOR = 2 ** (1074 - BISECT_DEPTH)
@@ -68,8 +82,9 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-        if self.min_rate < 0:
-            raise ValueError("min_rate must be >= 0")
+        if not 0 <= self.min_rate < MAX_MIN_RATE:
+            raise ValueError(f"min_rate must be finite, >= 0 and < {MAX_MIN_RATE:g} bps/Hz "
+                             f"(2**min_rate - 1 is the SINR floor), got {self.min_rate}")
 
     @property
     def rate_threshold(self) -> float:
@@ -246,116 +261,281 @@ def _dyadic_grid_is_exact(lo: float, hi: float) -> bool:
     return a >= 0 and b * (den // den_hi) < _EXACT_NUMERATOR and den < _EXACT_DENOMINATOR
 
 
-def _solve_budget(numer: np.ndarray, denom_base: np.ndarray,
-                  total_mw: float) -> tuple[float, np.ndarray]:
+def _solve_budget(numer: np.ndarray, denom_base: np.ndarray, total_mw: float,
+                  guess: float = math.nan) -> tuple[float, np.ndarray]:
     """One-row view of `_solve_budgets`: the multiplier and (K,) powers."""
-    lam, p = _solve_budgets(numer[None], denom_base[None], np.array([total_mw]))
+    lam, p = _solve_budgets(numer[None], denom_base[None], np.array([total_mw]),
+                            np.array([guess]))
     return float(lam[0]), p[0]
 
 
-def _solve_budgets(numer: np.ndarray, denom_base: np.ndarray,
-                   total_mw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _solve_budgets(numer: np.ndarray, denom_base: np.ndarray, total_mw: np.ndarray,
+                   guess: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Bisect every row's budget multiplier so its closed-form powers fill
-    that row's budget; numer and denom_base are (R, K), total_mw is (R,).
+    that row's budget; numer and denom_base are (R, K), total_mw is (R,) and
+    guess, if given, holds (R,) estimates of the multipliers (a warm start).
 
     Returns the feasible side of each bracket, so sum(p) <= total always; the
     remaining residual is at most BUDGET_TOL * total (or the budget is slack
     at multiplier zero, which complementary slackness permits).
 
     Every row follows the path of a one-at-a-time bisection: the slack check
-    at zero, doubling from one until the budget is met, then halvings with a
-    residual stop, a stop on a midpoint equal to an endpoint and a cap of
-    MAX_HALVINGS. The halvings run in rounds: every multiplier the next
-    BISECT_DEPTH halvings of every open row can visit (its `_bisection_grids`
-    row) is evaluated as one (R, 2**BISECT_DEPTH + 1, K) array, and each
-    row's walk down its tree then reads its row sums. The first round spans
-    [0, 1], so its ends are the slack check and the first doubling point;
-    only rows over budget at 1 keep doubling, and they start halving in the
-    next round. Each row is elementwise the 1-D `_powers_at` vector and a
-    row sum of a C-contiguous array equals the 1-D sum, so each row's
-    multiplier and powers are bit-identical to the sequential bisection.
+    at zero, doubling from one until the budget is met, then halvings of
+    [0, 1] (or of the last doubling) with a residual stop, a stop on a
+    midpoint equal to an endpoint and a cap of MAX_HALVINGS. The multiplier
+    and powers are bit-identical to that bisection's.
+
+    One evaluation at 0, 1 and a start point settles the slack and doubling
+    checks. A row whose root lies in (0, 1) is then placed by `_newton` and
+    certified in a window [a, b] of the nodes of one dyadic table: S(a) >
+    total and total - S(b) > BUDGET_TOL * total, with S(x) the row sum of the
+    powers at multiplier x. Where every denominator is positive, S is
+    non-increasing in the multiplier even in floating point: each addition,
+    division and square rounds monotonically and the summation order is
+    fixed. So every midpoint at or below a goes right and every one at or
+    above b goes left without meeting the residual stop, and `_walk` takes
+    those halvings in closed form; only midpoints inside the window read
+    evaluated sums. The guess and the Newton estimate only choose which
+    multipliers are evaluated; no branch of the walk depends on them.
+
+    Rows over budget at 1, rows whose window does not certify or has a
+    denominator that is not positive at a, and walks that leave the table
+    resume from their bracket in rounds that evaluate every multiplier the
+    next BISECT_DEPTH halvings can visit (a `_bisection_grids` row) as one
+    (R, 2**BISECT_DEPTH + 1, K) array. Each evaluated row is elementwise the
+    1-D `_powers_at` vector, and a row sum of a C-contiguous array equals the
+    1-D sum.
     """
-    lam, powers = np.zeros(len(numer)), np.empty_like(numer)
-    # one record per open row: [row, budget, smallest denominator, bracket
-    # lo and hi, powers at hi (None before the first round), their sum, halvings]
-    brackets = [[row, total, low, 0.0, 1.0, None, 0.0, 0] for row, (total, low) in
-                enumerate(zip(total_mw.tolist(), denom_base.min(axis=-1).tolist()))]
+    n_rows = len(numer)
+    lam, powers = np.zeros(n_rows), np.empty_like(numer)
+    lows, totals = denom_base.min(axis=-1).tolist(), total_mw.tolist()
     numer, denom_base = np.fmax(numer, 0.0)[:, None, :], denom_base[:, None, :]
+    hints = [math.nan] * n_rows if guess is None else guess.tolist()
+    # every denominator is positive above floor; Newton starts from the guess
+    # where it lies in (floor, 1), else halfway from floor to 1
+    floors = [max(-low, 0.0) for low in lows]
+    starts = [hint if floor < hint < 1.0 else 0.5 * (floor + 1.0)
+              for floor, hint in zip(floors, hints)]
+    lams = np.array([(0.0, 1.0, start) for start in starts])[..., None]
+    # one record per open row: [row, budget, smallest denominator, bracket lo
+    # and hi, powers at hi (None where only a bound is known there), their
+    # sum, halvings]
+    brackets, inside = [], []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        while True:
-            lams = _bisection_grids([(bracket[3], bracket[4]) for bracket in brackets])[..., None]
-            # Rounding is monotone, so denom_base + lam > 0 for every lam >= lo
-            # once it holds at lo. The masks of _powers_at then only zero the
-            # powers of users whose numerator is not positive (or NaN), and
-            # fmax gives those the same +0.0 without masks.
-            if all(low + lo > 0 for _, _, low, lo, _, _, _, _ in brackets):
-                batch = (numer / (denom_base + lams)) ** 2
-            else:
-                batch = _powers_at(numer, denom_base, lams)
+        batch = _batch_powers(numer, denom_base, lams, all(low > 0 for low in lows))
+        for row, (at_zero, at_one, _) in enumerate(batch.sum(axis=-1).tolist()):
+            total = totals[row]
+            if at_zero <= total:
+                powers[row] = batch[row, 0]
+                continue
+            bracket = [row, total, lows[row], 0.0, 1.0, batch[row, 1], at_one, 0]
+            if at_one <= total:  # the root lies in (0, 1]
+                (inside if total > 0 else brackets).append(bracket)
+                continue
+            hi = 2.0
+            for _ in range(DOUBLINGS - 1):
+                p = _powers_at(numer[row, 0], denom_base[row, 0], hi)
+                if p.sum() <= total:
+                    break
+                hi *= 2.0
+            bracket[3:7] = hi / 2.0, hi, p, float(p.sum())
+            brackets.append(bracket)
+        if inside:
+            rows = None if len(inside) == n_rows else [bracket[0] for bracket in inside]
+            roots = _newton(_take(numer, rows)[:, 0], _take(denom_base, rows)[:, 0],
+                            [bracket[1] for bracket in inside],
+                            [starts[bracket[0]] for bracket in inside],
+                            _take(batch, rows)[:, 2], [floors[bracket[0]] for bracket in inside])
+            brackets += _certified_walks(numer, denom_base, inside, roots, lam, powers)
+        while brackets:
+            grids = _bisection_grids([(bracket[3], bracket[4]) for bracket in brackets])
+            rows = [bracket[0] for bracket in brackets]
+            batch = _batch_powers(numer.take(rows, axis=0), denom_base.take(rows, axis=0),
+                                  grids[..., None], all(b[2] + b[3] > 0 for b in brackets))
             still_open = []
-            for pos, (bracket, row_sums, row_batch) in enumerate(
-                    zip(brackets, batch.sum(axis=-1).tolist(), batch)):
-                row, total, _, lo, hi, p, p_sum, count = bracket
-                if p is None:  # the first round: [lo, hi] = [0, 1]
-                    if row_sums[0] <= total:
-                        powers[row] = row_batch[0]
-                        still_open.append(False)
-                        continue
-                    p, p_sum = row_batch[-1], row_sums[-1]
-                    if not p_sum <= total:
-                        hi = 2.0
-                        for _ in range(DOUBLINGS - 1):
-                            p = _powers_at(numer[pos, 0], denom_base[pos, 0], hi)
-                            if p.sum() <= total:
-                                break
-                            hi *= 2.0
-                        bracket[3:7] = hi / 2.0, hi, p, float(p.sum())
-                        still_open.append(True)
-                        continue
-                # the sequential bisection; its midpoints are the grid's nodes
-                left, right = 0, 2 ** BISECT_DEPTH
-                stopped = False
-                while right - left > 1 and count < MAX_HALVINGS:
-                    if total - p_sum <= BUDGET_TOL * total:
-                        stopped = True
-                        break
-                    mid = (lo + hi) / 2.0
-                    if mid == lo or mid == hi:
-                        stopped = True
-                        break
-                    count += 1
-                    node = (left + right) // 2
-                    if row_sums[node] > total:
-                        lo, left = mid, node
-                    else:
-                        hi, right = mid, node
-                        p, p_sum = row_batch[node], row_sums[node]
-                bracket[3:] = lo, hi, p, p_sum, count
-                still_open.append(not stopped and count < MAX_HALVINGS)
-                if not still_open[-1]:
-                    lam[row], powers[row] = hi, p
-            if not any(still_open):
-                return lam, powers
-            if not all(still_open):
-                brackets = [bracket for bracket, keep in zip(brackets, still_open) if keep]
-                numer = numer.compress(still_open, axis=0)
-                denom_base = denom_base.compress(still_open, axis=0)
+            for bracket, row_sums, row_batch in zip(brackets, batch.sum(axis=-1).tolist(), batch):
+                if bracket[5] is None:  # hi is the grid's last node
+                    bracket[5:7] = row_batch[-1], row_sums[-1]
+                if (_walk(bracket, 0, row_sums, row_batch, 0, 2 ** BISECT_DEPTH)
+                        or bracket[7] >= MAX_HALVINGS):
+                    lam[bracket[0]], powers[bracket[0]] = bracket[4], bracket[5]
+                else:
+                    still_open.append(bracket)
+            brackets = still_open
+    return lam, powers
+
+
+def _take(array: np.ndarray, rows: list[int] | None) -> np.ndarray:
+    return array if rows is None else array.take(rows, axis=0)
+
+
+def _batch_powers(numer: np.ndarray, denom_base: np.ndarray, lams: np.ndarray,
+                  positive: bool) -> np.ndarray:
+    """(R, T, K) powers of (R, 1, K) rows with non-negative numerators at the
+    (R, T, 1) multipliers lams. Where positive says that every denom_base +
+    lam > 0, the masks of `_powers_at` would only zero the powers of users
+    with a zero numerator, which the division already does."""
+    if positive:
+        return (numer / (denom_base + lams)) ** 2
+    return _powers_at(numer, denom_base, lams)
+
+
+def _newton(numer: np.ndarray, denom_base: np.ndarray, totals: list[float], x: list[float],
+            p: np.ndarray, floors: list[float]) -> list[tuple[float, float, float] | None]:
+    """Estimate the roots of S(lam) = sum((numer / (denom_base + lam))**2) =
+    total of (R, K) rows by Newton steps on g = S**-0.5, from x where the
+    powers are p.
+
+    Above floor every denominator is positive and g is concave and
+    increasing, so a step lands at or below the root and later steps climb
+    to it; a step that would cross floor halves the distance to it instead.
+    Returns per row None if it has not settled within NEWTON_STEPS, else the
+    estimate, the width BUDGET_TOL * total / |S'| of the residual zone above
+    the root and the relative budget misfit sqrt(S / total) - 1 at the last
+    evaluated point, which bounds how far the estimate falls short.
+    """
+    for _ in range(NEWTON_STEPS):
+        denom = denom_base + np.array(x)[:, None]
+        if p is None:
+            p = (numer / denom) ** 2
+        roots, following, settled = [], [], True
+        for row_sum, half_slope, x_row, floor, total in zip(
+                p.sum(axis=-1).tolist(), (p / denom).sum(axis=-1).tolist(), x, floors, totals):
+            # half_slope is -S'/2
+            if half_slope > 0.0:
+                misfit = math.sqrt(row_sum / total) - 1.0
+                estimate = x_row + misfit * row_sum / half_slope
+                zone = (0.5 * BUDGET_TOL) * total / half_slope
+            else:
+                misfit = estimate = zone = math.nan
+            if abs(misfit) <= NEWTON_SETTLED and zone < math.inf:
+                roots.append((estimate, zone, misfit))
+            else:
+                roots.append(None)
+                settled = False
+            following.append(estimate if estimate > floor else 0.5 * (floor + x_row))
+        if settled:
+            break
+        x, p = following, None
+    return roots
+
+
+def _certified_walks(numer: np.ndarray, denom_base: np.ndarray, brackets: list,
+                     roots: list, lam: np.ndarray, powers: np.ndarray) -> list:
+    """Walk the rows whose roots lie in (0, 1) through windows around the
+    `_newton` estimates; store the multipliers and powers of the rows that
+    finish and return the records of the rest, their brackets replayed as
+    far as the walk went.
+
+    A row's table holds the multiples of a power of two `step` <= zone / 2
+    from a node below its estimate to one past the residual zone above it,
+    widened by UNDERSHOOT * misfit**2 zones for the estimate's shortfall;
+    every midpoint the walk meets in the window is such a multiple. Nodes
+    below 2**51 keep every midpoint of the walk exact, so node * step is the
+    bisection's own midpoint.
+    """
+    walks = []
+    for bracket, root in zip(brackets, roots):
+        if root is None:
+            continue
+        estimate, zone, misfit = root
+        exponent = math.frexp(0.5 * zone)[1] - 1
+        step = math.ldexp(1.0, exponent)
+        below = (estimate - 0.25 * zone) / step
+        above = (estimate + (1.25 + UNDERSHOOT * misfit * misfit) * zone) / step
+        if 1.0 <= below and above < 2.0 ** 51 and math.floor(below) * step > -bracket[2]:
+            walks.append((bracket, math.floor(below), math.ceil(above), exponent))
+    width = max([last - first + 1 for _, first, last, _ in walks], default=0)
+    walks = [walk for walk in walks if walk[1] + width - 1 < 2 ** -walk[3]]
+    if not walks:
+        return brackets
+    rows = None if len(walks) == len(numer) else [walk[0][0] for walk in walks]
+    nodes = np.ldexp(np.array([first for _, first, _, _ in walks], dtype=float)[:, None]
+                     + np.arange(width), np.array([exponent for *_, exponent in walks])[:, None])
+    table = (_take(numer, rows) / (_take(denom_base, rows) + nodes[..., None])) ** 2
+    finished = set()
+    for (bracket, first, _, exponent), row_sums, row_table in zip(
+            walks, table.sum(axis=-1).tolist(), table):
+        total = bracket[1]
+        if (row_sums[0] > total and not total - row_sums[-1] <= BUDGET_TOL * total
+                and (_walk(bracket, first, row_sums, row_table, 0, 1 << -exponent,
+                           math.ldexp(1.0, exponent))
+                     or bracket[7] >= MAX_HALVINGS)
+                and bracket[5] is not None):
+            lam[bracket[0]], powers[bracket[0]] = bracket[4], bracket[5]
+            finished.add(bracket[0])
+    return [bracket for bracket in brackets if bracket[0] not in finished]
+
+
+def _walk(bracket: list, first: int, sums: list, batch: np.ndarray, left: int, right: int,
+          scale: float = 0.0) -> bool:
+    """Advance one row's sequential bisection; return whether it stopped.
+
+    The bracket [lo, hi] spans the integer tree nodes [left, right]; a node's
+    multiplier is its index times scale, and each halving's midpoint is the
+    middle node. Nodes first .. first + len(sums) - 1 have evaluated powers
+    (rows of batch) and row sums (sums). A node below them is over budget and one
+    above them under budget by more than the residual tolerance: the caller
+    has certified both ends. The walk ends at a stop, at the halving cap or
+    where the next midpoint falls between two nodes, and writes the bracket
+    it reached into the record.
+
+    When the middle node lies outside the table, every halving down to the
+    coarsest table node inside the bracket is decided by the bounds, so they
+    are taken at once, unless the cap falls among them.
+    """
+    total, lo, hi, p, p_sum, count = bracket[1], *bracket[3:]
+    last = first + len(sums) - 1
+    stopped = False
+    while right - left > 1 and count < MAX_HALVINGS:
+        if total - p_sum <= BUDGET_TOL * total:
+            stopped = True
+            break
+        node = (left + right) // 2
+        if not first <= node <= last:
+            low_node, high_node = max(first, left + 1), min(last, right - 1)
+            level = (high_node ^ (low_node - 1)).bit_length() - 1
+            coarsest = high_node >> level << level
+            skipped = (right - left).bit_length() - level - 2
+            if count + skipped < MAX_HALVINGS:
+                node, count = coarsest, count + skipped
+                if coarsest - (1 << level) != left:
+                    left = coarsest - (1 << level)
+                    lo = left * scale
+                if coarsest + (1 << level) != right:
+                    right = coarsest + (1 << level)
+                    hi, p, p_sum = right * scale, None, -math.inf
+        mid = (lo + hi) / 2.0
+        if mid == lo or mid == hi:
+            stopped = True
+            break
+        count += 1
+        if node < first or node <= last and sums[node - first] > total:
+            lo, left = mid, node
+        elif node <= last:
+            hi, right, p, p_sum = mid, node, batch[node - first], sums[node - first]
+        else:
+            hi, right, p, p_sum = mid, node, None, -math.inf
+    bracket[3:] = lo, hi, p, p_sum, count
+    return stopped
 
 
 def _update_p_rows(lg: LinkGains, c: np.ndarray, a: np.ndarray, eta: float,
-                   total_mw: np.ndarray, noise_mw: np.ndarray):
+                   total_mw: np.ndarray, noise_mw: np.ndarray, guess: np.ndarray | None = None):
     """Closed-form KKT power update for R rows of equalizers and weights.
 
     Returns (R, K) powers and per-row budget multipliers, (R, K) rate
     multipliers, dual rounds and worst min-rate violations. Rows leave the
-    dual ascent at the round where they converge; see `update_p`.
+    dual ascent at the round where they converge; see `update_p`. guess holds
+    estimates of the budget multipliers (the previous iteration's) to start
+    the first budget root from; each dual round starts from the last one's.
     """
     numer = a * np.real(c * lg.own)
     mu = np.zeros_like(numer)
     n_rows = len(numer)
     base = _base_denominator(lg, c, a)  # c and a are fixed for the step
     if eta == 0.0:
-        lam, p = _solve_budgets(numer, base, total_mw)
+        lam, p = _solve_budgets(numer, base, total_mw, guess)
         return p, lam, mu, np.ones(n_rows, dtype=int), np.zeros(n_rows)
     out_p, out_lam, out_mu = np.empty_like(numer), np.empty(n_rows), np.empty_like(numer)
     out_rounds, out_violation = np.full(n_rows, OUTER_CAP), np.empty(n_rows)
@@ -363,7 +543,8 @@ def _update_p_rows(lg: LinkGains, c: np.ndarray, a: np.ndarray, eta: float,
     step = np.full(numer.shape, 1.0 / np.maximum(lg.own_gain, 1e-300))
     prev_theta = None
     for rounds in range(1, OUTER_CAP + 1):
-        lam, p = _solve_budgets(numer, _with_rate_multipliers(lg, base, mu, eta), total_mw)
+        lam, p = _solve_budgets(numer, _with_rate_multipliers(lg, base, mu, eta), total_mw, guess)
+        guess = lam
         xi = interference_vector(lg, p, noise_mw)
         theta = eta * xi - lg.own_gain * p
         violation = theta.max(axis=-1)
@@ -383,8 +564,8 @@ def _update_p_rows(lg: LinkGains, c: np.ndarray, a: np.ndarray, eta: float,
             keep = ~done
             if not keep.any():
                 return out_p, out_lam, out_mu, out_rounds, out_violation
-            live, numer, base, mu, step, theta = (x[keep] for x in (live, numer, base, mu,
-                                                                     step, theta))
+            live, numer, base, mu, step, theta, guess = (
+                x[keep] for x in (live, numer, base, mu, step, theta, guess))
             total_mw, noise_mw = total_mw[keep], noise_mw[keep]
             best = tuple(x[keep] for x in best)
             if prev_theta is not None:
@@ -444,8 +625,10 @@ def allocate_batch(grouping: BeamGrouping, precoder: Precoder, budgets: Sequence
     n_rows, k = len(total), len(lg.users)
     p = np.repeat(total[:, None] / k, k, axis=1)
     lam, mu = np.zeros(n_rows), np.zeros((n_rows, k))
-    xi = interference_vector(lg, p, noise)
-    reports = rate_reports(lg, p, xi)
+    # the interference rows at each row's latest powers; the rate reports are
+    # built once, from the final ones
+    xi_rows = interference_vector(lg, p, noise)
+    xi, latest = xi_rows, sum_rates(lg, p, xi_rows).tolist()
     traces: list[list[float]] = [[] for _ in range(n_rows)]
     budget_traces: list[list[float]] = [[] for _ in range(n_rows)]
     stall, iterations = [0] * n_rows, [0] * n_rows
@@ -455,24 +638,24 @@ def allocate_batch(grouping: BeamGrouping, precoder: Precoder, budgets: Sequence
         c = _equalizers(lg, p_live, xi)
         a = 1.0 / _mmse(lg, p_live, xi)
         p_live, lam[live], mu[live], _, _ = _update_p_rows(lg, c, a, eta, total[live],
-                                                           noise[live])
+                                                           noise[live], lam[live])
         p[live] = p_live
         xi = interference_vector(lg, p_live, noise[live])
+        xi_rows[live] = xi
         keep = []
-        for row, report, used in zip(live.tolist(), rate_reports(lg, p_live, xi),
-                                     p_live.sum(axis=-1).tolist()):
+        for row, rate, used in zip(live.tolist(), sum_rates(lg, p_live, xi).tolist(),
+                                   p_live.sum(axis=-1).tolist()):
             iterations[row] = t
-            gain = report.sum_rate - reports[row].sum_rate
-            stall[row] = stall[row] + 1 if gain < STAGNATION_TOL else 0
-            reports[row] = report
-            traces[row].append(report.sum_rate)
+            stall[row] = stall[row] + 1 if rate - latest[row] < STAGNATION_TOL else 0
+            latest[row] = rate
+            traces[row].append(rate)
             budget_traces[row].append(used)
             keep.append(stall[row] < STAGNATION_PATIENCE)
         if not any(keep):
             break
         live, xi = live[keep], xi[keep]
     out = []
-    for row, report in enumerate(reports):
+    for row, report in enumerate(rate_reports(lg, p, xi_rows)):
         feasible = bool(np.all(report.rates >= config.min_rate - RATE_SLACK)
                         and p[row].sum() <= total[row] + 1e-9)
         out.append(PowerAllocation(powers=p[row], users=lg.users, trace=traces[row],

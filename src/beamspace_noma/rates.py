@@ -147,11 +147,21 @@ def interference_vector(lg: LinkGains, powers: np.ndarray, noise_mw) -> np.ndarr
     return xi.reshape(powers.shape)
 
 
+def _sinr_and_rates(lg: LinkGains, powers: np.ndarray, xi: np.ndarray):
+    gamma = lg.own_gain * powers / xi
+    return gamma, np.log2(1.0 + gamma)
+
+
+def sum_rates(lg: LinkGains, powers: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """The sum rates of `rate_reports`, bit for bit, without building reports:
+    (S,) for (S, K) powers and their interference-plus-noise rows xi."""
+    return _sinr_and_rates(lg, powers, xi)[1].sum(axis=-1)
+
+
 def rate_reports(lg: LinkGains, powers: np.ndarray, xi: np.ndarray) -> list[RateReport]:
     """One report per row of (S, K) powers and their interference-plus-noise
     rows xi = interference_vector(lg, powers, noise)."""
-    gamma = lg.own_gain * powers / xi
-    rates = np.log2(1.0 + gamma)
+    gamma, rates = _sinr_and_rates(lg, powers, xi)
     return [RateReport(users=lg.users, sinr=g, interference=x, rates=r, sum_rate=total,
                        n_rf=lg.n_rf)
             for g, x, r, total in zip(gamma, xi, rates, rates.sum(axis=-1).tolist())]

@@ -159,3 +159,181 @@ def test_root_leaves_the_masked_form_once_every_denominator_is_positive(monkeypa
     lam, _ = _assert_same_root(numer, denom_base, total)
     assert 0.5 < lam < 1.0
     assert masked.count(True) == 1
+
+
+def _sequential_rows(numer, denom_base, total):
+    rows = [sequential_solve_budget(n, d, t) for n, d, t in zip(numer, denom_base, total)]
+    return np.array([lam for lam, _ in rows]), np.array([p for _, p in rows])
+
+
+def _random_batch(rng, n_rows, k):
+    """Rows of every kind the root meets: slack budgets, roots in (0, 1) and
+    beyond 1 (whose doubling brackets have no exact dyadic grid past 2**48),
+    non-positive denominators, NaN/zero/negative numerators and totals from
+    1e-250 to 1e250."""
+    scale = 10.0 ** rng.uniform(-100, 100, size=(n_rows, 1))
+    numer = rng.exponential(size=(n_rows, k)) * 10.0 ** rng.uniform(-3, 1, size=(n_rows, 1))
+    denom_base = rng.exponential(size=(n_rows, k)) * 10.0 ** rng.uniform(-3, 1, size=(n_rows, 1))
+    numer *= np.where(rng.random((n_rows, 1)) < 0.3, scale, 1.0)
+    shift = rng.random(n_rows) < 0.25
+    denom_base[shift] -= rng.uniform(0, 1.5, size=(shift.sum(), 1)) * denom_base[shift].max(
+        axis=-1, keepdims=True)
+    special = rng.random((n_rows, k)) < 0.05
+    numer[special] = rng.choice([0.0, -0.0, -1.0, np.nan], size=special.sum())
+    kind = rng.random(n_rows)
+    target = np.where(kind < 0.5, 10.0 ** rng.uniform(-4, 0, n_rows),
+                      10.0 ** rng.uniform(0, 30, n_rows))
+    target += np.fmax(-denom_base.min(axis=-1), 0.0)
+    fill = np.sum(oracles._powers_at(numer, denom_base, target[:, None]), axis=-1)
+    slack = np.sum(oracles._powers_at(numer, denom_base, 0.0), axis=-1) * rng.uniform(1, 3, n_rows)
+    total = np.where(kind < 0.7, fill, np.where(kind < 0.8, slack,
+                                                10.0 ** rng.uniform(-250, 250, n_rows)))
+    total = np.where(np.isfinite(total) & (total > 0), total,
+                     10.0 ** rng.uniform(-250, 250, n_rows))
+    guess = np.where(rng.random(n_rows) < 0.5, target * rng.uniform(0.9, 1.1, n_rows),
+                     rng.choice([np.nan, 0.0, 0.5, 2.0], size=n_rows))
+    return numer, denom_base, total, guess
+
+
+def test_matches_sequential_on_a_seeded_sweep_of_random_rows():
+    rng = np.random.default_rng(2024)
+    rows = 0
+    while rows < 2000:
+        n_rows, k = int(rng.integers(1, 9)), int(rng.integers(1, 65))
+        numer, denom_base, total, guess = _random_batch(rng, n_rows, k)
+        want_lam, want_p = _sequential_rows(numer, denom_base, total)
+        lam, p = power._solve_budgets(numer, denom_base, total, guess)
+        assert lam.tobytes() == want_lam.tobytes(), (numer, denom_base, total, guess)
+        assert p.shape == want_p.shape and p.tobytes() == want_p.tobytes()
+        rows += n_rows
+
+
+@pytest.mark.parametrize("case,root", [("inside", 0.3), ("masked", 0.8), ("slack", -1.0),
+                                       ("doubling", 1e6)])
+def test_guess_never_changes_the_bits(case, root):
+    numer, denom_base = _instance(11, 32, negative_denoms=case == "masked")
+    total = 1e30 if case == "slack" else float(np.sum((numer / (denom_base + root)) ** 2))
+    want_lam, want_p = sequential_solve_budget(numer, denom_base, total)
+    assert want_lam == 0.0 if case == "slack" else abs(want_lam / root - 1.0) < 1e-6
+    for guess in (np.nan, 0.0, 1e300, -1.0, np.inf, want_lam, 0.5 * want_lam, 1.5 * want_lam):
+        lam, p = _solve_budget(numer, denom_base, total, guess)
+        assert lam == want_lam and p.tobytes() == want_p.tobytes(), guess
+
+
+def test_full_scale_roots_rarely_resume_the_grid_rounds(monkeypatch):
+    # the default sweep's link and SNR points: nearly every root should finish
+    # in its certified window, or the speedup has decayed into the rounds
+    from beamspace_noma import (ChannelParams, LinkBudget, allocate_batch, build_noma_link,
+                                lens_transform_matrix, sample_realization, trial_rng)
+
+    params = ChannelParams(n_antennas=256, n_users=32)
+    lens = lens_transform_matrix(256)
+    budgets = [LinkBudget.from_snr(32.0, snr, 32) for snr in range(0, 31, 5)]
+    roots, resumed = [], []
+    real_solve, real_grids = power._solve_budgets, power._bisection_grids
+
+    def solve(numer, *args):
+        roots.append(len(numer))
+        resumed.append(0)
+        return real_solve(numer, *args)
+
+    def grids(brackets):
+        resumed[-1] = max(resumed[-1], len(brackets))
+        return real_grids(brackets)
+
+    monkeypatch.setattr(power, "_solve_budgets", solve)
+    monkeypatch.setattr(power, "_bisection_grids", grids)
+    for trial in range(2):
+        real = sample_realization(params, trial_rng(41, trial))
+        grouping, precoder = build_noma_link(lens.matrix @ real.matrix, "strongest")
+        allocate_batch(grouping, precoder, budgets)
+    assert sum(roots) >= 200
+    assert sum(resumed) <= 0.1 * sum(roots)
+
+
+@pytest.mark.parametrize("zone_factor,shift", [(64.0, 0.0), (1 / 64, 0.0), (1.0, 3.0),
+                                               (1.0, -3.0), (1.0, 0.5)])
+def test_newton_estimate_never_changes_the_bits(monkeypatch, zone_factor, shift):
+    # windows too coarse for the walk (it leaves the table and resumes), too
+    # narrow to certify, or off the root: the walk and the rounds fix it all
+    real_newton, real_walk = power._newton, power._walk
+    resumed_walks = []
+
+    def newton(*args):
+        return [None if root is None else
+                (root[0] + shift * root[1], root[1] * zone_factor, root[2])
+                for root in real_newton(*args)]
+
+    def walk(bracket, first, sums, batch, left, right, scale=0.0):
+        stopped = real_walk(bracket, first, sums, batch, left, right, scale)
+        if scale and not stopped and bracket[7] < MAX_HALVINGS:
+            resumed_walks.append(bracket[7])
+        return stopped
+
+    monkeypatch.setattr(power, "_newton", newton)
+    monkeypatch.setattr(power, "_walk", walk)
+    rng = np.random.default_rng(77)
+    for _ in range(60):
+        n_rows, k = int(rng.integers(1, 9)), int(rng.integers(1, 65))
+        numer, denom_base, total, guess = _random_batch(rng, n_rows, k)
+        want_lam, want_p = _sequential_rows(numer, denom_base, total)
+        lam, p = power._solve_budgets(numer, denom_base, total, guess)
+        assert lam.tobytes() == want_lam.tobytes() and p.tobytes() == want_p.tobytes()
+    if zone_factor > 1.0:
+        assert len(resumed_walks) > 10
+
+
+def test_window_walk_hits_the_halving_cap(monkeypatch):
+    # the root sits near 9e-66, so the skip to its window would pass the cap:
+    # the walk halves one step at a time up to it, and hi, known only by a
+    # bound, is evaluated when the row resumes
+    numer, denom_base, total = np.array([1.0, 2.0]), np.array([1e-66, 1e-60]), 1e130
+    want_lam, want_p = sequential_solve_budget(numer, denom_base, total)
+    walks = []
+    real_walk = power._walk
+
+    def walk(bracket, *args):
+        stopped = real_walk(bracket, *args)
+        walks.append((len(args) == 6, bracket[7], bracket[5] is None))
+        return stopped
+
+    monkeypatch.setattr(power, "_walk", walk)
+    lam, p = _solve_budget(numer, denom_base, total, 9e-66)
+    assert lam == want_lam == 2.0 ** -MAX_HALVINGS and p.tobytes() == want_p.tobytes()
+    assert walks == [(True, MAX_HALVINGS, True), (False, MAX_HALVINGS, False)]
+
+
+@pytest.mark.parametrize("numer,denom,total,guess", [(1e-150, 1e-151, 1.0, 9e-151),
+                                                     (1e-160, 1e-311, 1e300, 1e-310),
+                                                     (1e-160, 0.0, 1e300, 1e-310)])
+def test_roots_near_the_subnormal_range(numer, denom, total, guess):
+    # windows whose nodes are 2**-500 .. 2**-1070 apart: the tree above them
+    # is far deeper than the halving cap
+    numer, denom_base = np.array([numer, 0.5 * numer]), np.array([denom, 2.0 * denom])
+    want_lam, want_p = sequential_solve_budget(numer, denom_base, total)
+    for hint in (guess, np.nan):
+        lam, p = _solve_budget(numer, denom_base, total, hint)
+        assert lam == want_lam and p.tobytes() == want_p.tobytes()
+
+
+@pytest.mark.parametrize("exponent", range(-176, -150, 3))
+def test_walk_skips_close_to_the_halving_cap(exponent):
+    # roots near 2**exponent: the halvings skipped to the window plus the ones
+    # inside it come close to (or pass) the cap, so the count must be exact
+    numer, denom_base = np.array([1.0, 0.25]), np.array([2.0 ** exponent, 2.0 ** (exponent + 3)])
+    root = 1.7 * 2.0 ** exponent
+    total = float(np.sum((numer / (denom_base + root)) ** 2))
+    want_lam, want_p = sequential_solve_budget(numer, denom_base, total)
+    lam, p = _solve_budget(numer, denom_base, total, root)
+    assert lam == want_lam and p.tobytes() == want_p.tobytes()
+
+
+def test_zero_numerator_user_with_the_lowest_denominator():
+    # the user without power has denominator -0.375 + lam, which is zero at the
+    # dyadic node 0.375 just below the root: the unmasked form would read 0/0
+    # there, so the window must not reach below that node
+    numer, denom_base = np.array([0.0, 1.0]), np.array([-0.375, 0.1])
+    total = float((1.0 / (0.475 + 1e-12)) ** 2)
+    want_lam, want_p = sequential_solve_budget(numer, denom_base, total)
+    lam, p = _solve_budget(numer, denom_base, total, 0.375 + 1e-12)
+    assert lam == want_lam and p.tobytes() == want_p.tobytes()

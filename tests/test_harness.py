@@ -236,6 +236,27 @@ def test_config_rejects_nonpositive_power(tmp_path):
         _small_config(tmp_path, total_power_mw=0.0)
 
 
+@pytest.mark.parametrize("min_rate", [math.nan, math.inf, -math.inf, 1024.0, 2000.0])
+def test_config_rejects_min_rate_without_a_finite_sinr_floor(tmp_path, min_rate):
+    # 2**min_rate overflows from 1024 on; NaN and inf give no usable SINR floor
+    with pytest.raises(ValueError, match="min_rate"):
+        _small_config(tmp_path, min_rate=min_rate)
+    assert _small_config(tmp_path, min_rate=1023.0).optimizer_config().rate_threshold < math.inf
+
+
+@pytest.mark.parametrize("rmin", ["nan", "inf", "2000"])
+def test_cli_rejects_bad_min_rate_before_touching_outputs(tmp_path, capsys, rmin):
+    out = tmp_path / "fair"
+    earlier = tmp_path / "fair.csv"
+    earlier.write_bytes(b"earlier results\n")
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["fairness", "--trials", "1", "--seed", "2", "--rmin", rmin, "--out", str(out)])
+    assert exit_info.value.code != 0
+    assert "min_rate" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fair.csv"]
+    assert earlier.read_bytes() == b"earlier results\n"
+
+
 @pytest.mark.parametrize("scheme", ["beamspace_mimo", "fully_digital"])
 def test_config_rejects_more_users_than_antennas(tmp_path, scheme):
     with pytest.raises(ValueError, match="n_users <= n_antennas"):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,12 @@ def test_allocate_stops_on_stagnation():
     budget = LinkBudget(noise_mw=0.5, total_power_mw=2.0)
     alloc = allocate(g, w, budget, OptimizerConfig(max_iters=500))
     assert alloc.iterations_used < 500
+
+
+@pytest.mark.parametrize("min_rate", [math.nan, math.inf, -1.0, 1024.0, 2000.0])
+def test_optimizer_config_rejects_min_rate_without_a_finite_sinr_floor(min_rate):
+    with pytest.raises(ValueError, match="min_rate"):
+        OptimizerConfig(min_rate=min_rate)
 
 
 def test_proposition1_reference_points():
