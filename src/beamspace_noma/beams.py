@@ -110,6 +110,9 @@ def verify_order(grouping: BeamGrouping, precoder) -> OrderReport:
     """
     violations, perms = [], []
     for n, members in enumerate(grouping.beams):
+        if len(members) == 1:  # a lone user has no order to violate
+            perms.append(np.zeros(1, np.intp))
+            continue
         g = np.abs(grouping.reduced[:, members].conj().T @ precoder.matrix[:, n])
         perm = np.lexsort((members, -g))
         perms.append(perm)

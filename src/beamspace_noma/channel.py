@@ -7,6 +7,7 @@ is orthonormal. Wavelength and physical angles never need to be instantiated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +20,8 @@ class ChannelParams:
     n_antennas : BS ULA size N (>= 2)
     n_users    : number of single-antenna users K (>= 1)
     n_nlos     : NLoS paths per user L (>= 0); one LoS path is always present
-    los_var    : total variance of the LoS complex gain (> 0)
-    nlos_var   : total variance of each NLoS complex gain (>= 0)
+    los_var    : total variance of the LoS complex gain (finite, > 0)
+    nlos_var   : total variance of each NLoS complex gain (finite, >= 0)
     direction_range : interval the spatial directions are drawn from
     """
 
@@ -38,10 +39,12 @@ class ChannelParams:
             raise ValueError(f"need at least 1 user, got {self.n_users}")
         if self.n_nlos < 0:
             raise ValueError(f"NLoS path count must be >= 0, got {self.n_nlos}")
-        if self.los_var <= 0:
-            raise ValueError(f"LoS variance must be > 0, got {self.los_var}")
-        if self.nlos_var < 0:
-            raise ValueError(f"NLoS variance must be >= 0, got {self.nlos_var}")
+        if not (math.isfinite(self.los_var) and self.los_var > 0):
+            raise ValueError(f"LoS variance (los_variance) must be finite and > 0, "
+                             f"got {self.los_var}")
+        if not (math.isfinite(self.nlos_var) and self.nlos_var >= 0):
+            raise ValueError(f"NLoS variance (nlos_variance) must be finite and >= 0, "
+                             f"got {self.nlos_var}")
         lo, hi = self.direction_range
         if not lo < hi:
             raise ValueError(f"empty direction range {self.direction_range}")

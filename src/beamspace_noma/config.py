@@ -50,8 +50,9 @@ class SystemConfig:
             raise ValueError("need at least one trial")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.total_power_mw <= 0:
-            raise ValueError(f"total power must be > 0 mW, got {self.total_power_mw}")
+        if not (math.isfinite(self.total_power_mw) and self.total_power_mw > 0):
+            raise ValueError(f"total power (total_power_mw) must be finite and > 0 mW, "
+                             f"got {self.total_power_mw}")
         if any(k < 1 for k in self.users_sweep):
             raise ValueError(f"user sweep entries must be >= 1, got {self.users_sweep}")
         # the component constructors check antennas, users, paths, variances,

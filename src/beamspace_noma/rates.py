@@ -7,6 +7,7 @@ beam plus every other beam's total power, plus noise.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -50,8 +51,11 @@ class PowerModel:
     baseband_mw: float = 200.0
 
     def __post_init__(self):
-        if min(self.rf_chain_mw, self.switch_mw, self.baseband_mw) < 0:
-            raise ValueError("power-model constants must be >= 0")
+        for name in ("rf_chain_mw", "switch_mw", "baseband_mw"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"power-model constant {name} must be finite and >= 0, "
+                                 f"got {value}")
 
 
 @dataclass

@@ -8,6 +8,12 @@ The per-budget references at the end are the one-SNR-point-at-a-time power
 allocation, baselines and trial loop that the SNR-batched code replaced,
 kept here on 1-D arrays so that they share no arithmetic with it; the
 batched code must reproduce them bit for bit.
+
+The link-layer references (`reference_zf_columns`,
+`reference_top_left_singular_vector`, `reference_verify_order`) are the
+ZF build that always ran the SVD condition check, the power iteration
+without its one-row closed form and the order check that evaluated
+one-member beams; the current code must match them bit for bit.
 """
 
 import hashlib
@@ -21,7 +27,8 @@ from beamspace_noma import (BeamGrouping, DualSolution, ExperimentRecord, PowerA
                             sample_realization, to_beamspace, trial_rng, zf_precoder)
 from beamspace_noma.power import (BUDGET_TOL, OUTER_CAP, RATE_SLACK, STAGNATION_PATIENCE,
                                   STAGNATION_TOL, VIOLATION_TOL)
-from beamspace_noma.precoding import zf_columns
+from beamspace_noma.beams import OrderReport
+from beamspace_noma.precoding import COND_LIMIT, PrecodingError, zf_columns
 from beamspace_noma.runner import DROP_ERRORS, _lens
 
 
@@ -273,3 +280,69 @@ def reference_trial(config, trial_index):
                 rec.n_rf, rec.sum_rate, rec.energy_eff = 0, math.nan, math.nan
             records.append(rec)
     return records
+
+
+def reference_zf_columns(h, what):
+    """ZF columns with the SVD condition check run on every channel."""
+    cond = float(np.linalg.cond(h))
+    if not np.isfinite(cond) or cond > COND_LIMIT:
+        raise PrecodingError(f"{what} condition {cond:.3e} exceeds {COND_LIMIT:.0e}",
+                             condition=cond)
+    w_raw = h @ np.linalg.inv(h.conj().T @ h)
+    residual = float(np.max(np.abs(h.conj().T @ w_raw - np.eye(h.shape[1]))))
+    return w_raw / np.linalg.norm(w_raw, axis=0, keepdims=True), residual
+
+
+def reference_top_left_singular_vector(mat, tol=1e-12, max_iters=10_000):
+    """Power iteration on M M^H for every shape, one-row matrices included."""
+    mat = np.atleast_2d(np.asarray(mat))
+    scale = np.linalg.norm(mat)
+    if scale == 0:
+        raise ValueError("zero matrix has no dominant singular vector")
+    b = mat @ mat.conj().T
+    r = b.shape[0]
+    x = np.ones(r) / np.sqrt(r)
+    best_x, best_res, lam = x, np.inf, 0.0
+    stall, restarted = 0, False
+    for _ in range(max_iters):
+        y = b @ x
+        lam = float(np.real(x.conj() @ y))
+        res = float(np.linalg.norm(y - lam * x))
+        if res < best_res:
+            best_x, best_res, stall = x, res, 0
+        else:
+            stall += 1
+        if res <= tol * scale**2:
+            best_x, best_res = x, res
+            break
+        if stall > 50 and not restarted:
+            rng = np.random.default_rng(0)
+            x = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+            x /= np.linalg.norm(x)
+            stall, restarted = 0, True
+            continue
+        ny = np.linalg.norm(y)
+        if ny == 0:
+            rng = np.random.default_rng(1)
+            x = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+            x /= np.linalg.norm(x)
+            continue
+        x = y / ny
+    else:
+        x = best_x
+        lam = float(np.real(x.conj() @ (b @ x)))
+    pivot = np.argmax(np.abs(x))
+    phase = x[pivot] / abs(x[pivot])
+    u = np.asarray(x / phase, dtype=complex)
+    return u, float(np.sqrt(max(lam, 0.0)))
+
+
+def reference_verify_order(grouping, precoder):
+    """SIC-order check that evaluates the gains of every beam, one-member ones too."""
+    violations, perms = [], []
+    for n, members in enumerate(grouping.beams):
+        g = np.abs(grouping.reduced[:, members].conj().T @ precoder.matrix[:, n])
+        perms.append(np.lexsort((members, -g)))
+        if np.any(np.diff(g) > 0):
+            violations.append(n)
+    return OrderReport(violations=violations, permutations=perms)

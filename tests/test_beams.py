@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from beamspace_noma import (BeamGrouping, ChannelParams, DegenerateChannelError,
                             lens_transform_matrix, reorder, sample_realization,
                             select_beams, steering_vector, sum_rate, trial_rng,
                             verify_order, zf_precoder)
+
+from oracles import reference_verify_order
 
 
 def _beamspace_with_peaks(rows, n=10, peak=5.0):
@@ -139,3 +143,36 @@ def test_conflict_free_grouping_matches_single_user_pipeline():
     noma = sum_rate(grouping, precoder, np.full(k, 1.0), budget)
     single = beamspace_mimo_single_user(hb, budget)
     assert noma.sum_rate == pytest.approx(single.sum_rate, abs=1e-10)
+
+
+def _random_grouping(rng, sizes):
+    """Random reduced channels for beams of the given sizes, users shuffled."""
+    n_rf, k = len(sizes), sum(sizes)
+    users = rng.permutation(k)
+    beams = np.split(users, np.cumsum(sizes)[:-1])
+    reduced = rng.standard_normal((n_rf, k)) + 1j * rng.standard_normal((n_rf, k))
+    return BeamGrouping(beams=beams, reduced=reduced, selected=np.arange(n_rf) * 3)
+
+
+@pytest.mark.parametrize("shape", ["all_singleton", "one_beam", "mixed"])
+def test_verify_order_matches_the_gain_check_of_every_beam(shape):
+    rng = np.random.default_rng({"all_singleton": 11, "one_beam": 12, "mixed": 13}[shape])
+    for _ in range(200):
+        n = int(rng.integers(1, 17))
+        if shape == "all_singleton":
+            sizes = [1] * n
+        elif shape == "one_beam":
+            sizes = [int(rng.integers(1, 9))]
+        else:
+            sizes = list(rng.integers(1, 5, n))
+        grouping = _random_grouping(rng, sizes)
+        precoders = [zf_precoder(equivalent_channel_strongest(grouping)),
+                     SimpleNamespace(matrix=rng.standard_normal((len(sizes),) * 2) + 0j)]
+        for precoder in precoders:
+            report = verify_order(grouping, precoder)
+            expected = reference_verify_order(grouping, precoder)
+            assert report.violations == expected.violations
+            assert len(report.permutations) == len(expected.permutations)
+            for perm, ref in zip(report.permutations, expected.permutations):
+                assert (perm.dtype, perm.shape, perm.tobytes()) == (ref.dtype, ref.shape,
+                                                                    ref.tobytes())

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from beamspace_noma import SystemConfig, build_config, load_config_file, run_trial, sweep
+from beamspace_noma import (ChannelParams, PowerModel, SystemConfig, build_config,
+                            load_config_file, run_trial, sweep)
 from beamspace_noma.cli import main as cli_main
 from beamspace_noma.config import parse_int_list, parse_snr_spec
 from beamspace_noma.runner import CSV_COLUMNS, ExperimentRecord, summarize, write_csv
@@ -325,3 +326,38 @@ def test_users_sweep_noise_floor_scales_with_cell_user_count(k):
     budget = config.with_users(k).budget(10.0)
     assert budget.total_power_mw == config.total_power_mw
     assert budget.noise_mw == (config.total_power_mw / k) / 10.0
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: ChannelParams(n_antennas=16, n_users=4, los_var=v),
+    lambda v: ChannelParams(n_antennas=16, n_users=4, nlos_var=v),
+    lambda v: PowerModel(rf_chain_mw=v),
+    lambda v: PowerModel(switch_mw=v),
+    lambda v: PowerModel(baseband_mw=v),
+], ids=["los_var", "nlos_var", "rf_chain_mw", "switch_mw", "baseband_mw"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_components_reject_non_finite_physical_inputs(make, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        make(value)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("los_variance", "nan"), ("los_variance", "inf"), ("nlos_variance", "nan"),
+    ("nlos_variance", "inf"), ("total_power_mw", "inf"), ("total_power_mw", "nan"),
+    ("rf_chain_mw", "nan"), ("switch_mw", "nan"), ("baseband_mw", "inf"),
+])
+def test_cli_rejects_non_finite_physical_inputs_before_touching_outputs(tmp_path, capsys,
+                                                                         field, value):
+    # each of these used to pass validation and then abort inside numpy or write
+    # NaN (or 0.0) rates and energy efficiencies as kept records
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"n_antennas = 16\nn_users = 4\nsnr_db = 10\n{field} = {value}\n")
+    earlier = tmp_path / "run.csv"
+    earlier.write_bytes(b"earlier results\n")
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["sweep-snr", "--trials", "1", "--config", str(cfg),
+                  "--out", str(tmp_path / "run")])
+    assert exit_info.value.code == 2
+    assert field in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "run.csv"]
+    assert earlier.read_bytes() == b"earlier results\n"

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 from beamspace_noma import (BeamGrouping, EquivalentChannel, LinkBudget, PrecodingError,
-                            allocate, equivalent_channel_strongest, equivalent_channel_svd,
-                            sum_rate, top_left_singular_vector, zf_precoder)
+                            SystemConfig, allocate, baselines, equivalent_channel_strongest,
+                            equivalent_channel_svd, precoding, run_trial, sum_rate,
+                            top_left_singular_vector, zf_precoder)
+from beamspace_noma.precoding import zf_columns
+
+from oracles import reference_top_left_singular_vector, reference_zf_columns
 
 
 def _grouping(columns, beams):
@@ -167,3 +171,128 @@ def test_every_zf_user_drops_singular_input_with_its_message():
         beamspace_mimo_single_user(beamspace, budget)
     with pytest.raises(PrecodingError, match=r"^equivalent channel condition "):
         zf_precoder(EquivalentChannel(matrix=same[:2], variant="strongest"))
+
+
+def _unitary(rng, m, n):
+    q, _ = np.linalg.qr(rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)))
+    return q
+
+
+def _zf_sweep(seed=2024, count=2100):
+    """Seeded tall and square matrices for the ZF certificate: conditions 1..1e17
+    (a third of them within half a decade of COND_LIMIT), scales 1e-150..1e150,
+    plus exactly singular, duplicate-column and one-NaN matrices, and graded
+    ones (orthogonal columns of spread norms, whose Gram inverse is accurate
+    however large cond(H) is)."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(1, 65))
+        m = n if rng.random() < 0.5 else n + int(rng.integers(1, 65))
+        log_cond = rng.uniform(11.5, 12.5) if i % 3 == 0 else rng.uniform(0.0, 17.0)
+        s = np.sort(10.0 ** -rng.uniform(0.0, log_cond, n))[::-1]
+        s[0], s[-1] = 1.0, 10.0 ** -log_cond if n > 1 else 1.0
+        kind = i % 10
+        h = _unitary(rng, m, n) * s
+        if kind != 4:
+            h = h @ _unitary(rng, n, n).conj().T
+        h *= 10.0 ** rng.uniform(-150.0, 150.0)
+        if kind == 1:
+            h[:, int(rng.integers(n))] = 0.0
+        elif kind == 2 and n > 1:
+            j, k = rng.choice(n, 2, replace=False)
+            h[:, j] = h[:, k]
+        elif kind == 3:
+            h[int(rng.integers(m)), int(rng.integers(n))] = np.nan
+        yield h
+
+
+def _zf_outcome(fn, h):
+    try:
+        w, residual = fn(h, "channel")
+    except (PrecodingError, np.linalg.LinAlgError) as exc:
+        condition = np.float64(getattr(exc, "condition", 0.0)).tobytes()
+        return type(exc), str(exc), condition
+    return w.dtype, w.shape, w.tobytes(), np.float64(residual).tobytes()
+
+
+def test_zf_certificate_matches_the_svd_check_on_a_seeded_sweep(monkeypatch):
+    svd_calls = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda h: svd_calls.append(1) or cond(h))
+    kinds = {"certified": 0, "fallback kept": 0, "PrecodingError": 0, "LinAlgError": 0}
+    with np.errstate(all="ignore"):
+        for h in _zf_sweep():
+            expected = _zf_outcome(reference_zf_columns, h)
+            before = len(svd_calls)
+            assert _zf_outcome(zf_columns, h) == expected
+            if isinstance(expected[0], type) and issubclass(expected[0], Exception):
+                kinds[expected[0].__name__] += 1
+            else:
+                kinds["fallback kept" if len(svd_calls) > before else "certified"] += 1
+    # every branch of the certificate and of its fallback is exercised
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_zf_certificate_keeps_the_singular_gram_error():
+    # cond(H) passes (a wide matrix has a finite ratio over its m singular values),
+    # the Gram is exactly singular and inv raises, as it did after the SVD check
+    h = np.array([[1.0, 0.0]])
+    with pytest.raises(np.linalg.LinAlgError) as new:
+        zf_columns(h, "channel")
+    with pytest.raises(np.linalg.LinAlgError) as old:
+        reference_zf_columns(h, "channel")
+    assert str(new.value) == str(old.value)
+
+
+def test_full_scale_links_rarely_fall_back_to_the_svd(monkeypatch):
+    calls, svd_calls = [], []
+    cond, zf = np.linalg.cond, precoding.zf_columns
+
+    def counted(h, what):
+        calls.append(what)
+        return zf(h, what)
+
+    monkeypatch.setattr(np.linalg, "cond", lambda h: svd_calls.append(1) or cond(h))
+    monkeypatch.setattr(precoding, "zf_columns", counted)
+    monkeypatch.setattr(baselines, "zf_columns", counted)
+    for variant in ("strongest", "svd"):
+        config = SystemConfig(snr_db=[10.0], trials=2, variant=variant)
+        for trial in range(2):
+            run_trial(config, trial)
+    assert len(calls) >= 12  # NOMA link, beamspace MIMO and fully digital ZF
+    assert len(svd_calls) <= 0.1 * len(calls), (len(svd_calls), len(calls))
+
+
+@pytest.mark.parametrize("part", ["real", "imag", "complex"])
+def test_one_row_singular_vector_matches_the_power_iteration(part):
+    rng = np.random.default_rng({"real": 5, "imag": 6, "complex": 7}[part])
+    for n in range(1, 65):
+        for scale in 10.0 ** np.linspace(-150, 150, 13):
+            re, im = rng.standard_normal(n), rng.standard_normal(n)
+            row = {"real": re + 0j, "imag": 1j * im, "complex": re + 1j * im}[part] * scale
+            for mat in (row, row[None, :]):
+                u, sigma = top_left_singular_vector(mat)
+                u_ref, sigma_ref = reference_top_left_singular_vector(mat)
+                assert (u.dtype, u.shape, u.tobytes()) == (u_ref.dtype, u_ref.shape,
+                                                           u_ref.tobytes())
+                assert np.float64(sigma).tobytes() == np.float64(sigma_ref).tobytes()
+
+
+@pytest.mark.parametrize("row", [np.zeros(5, complex), np.full((1, 3), 1e-170 + 0j)])
+def test_one_row_zero_matrix_still_raises(row):
+    with pytest.raises(ValueError, match="zero matrix") as new:
+        top_left_singular_vector(row)
+    with pytest.raises(ValueError) as old:
+        reference_top_left_singular_vector(row)
+    assert str(new.value) == str(old.value)
+
+
+def test_one_row_overflow_keeps_the_power_iteration_answer():
+    # |b_00| overflows to inf: the loop never meets its residual test, so the
+    # closed form must not answer for it
+    row = np.full((1, 4), 1e160 + 0j)
+    with np.errstate(all="ignore"):
+        u, sigma = top_left_singular_vector(row, max_iters=200)
+        u_ref, sigma_ref = reference_top_left_singular_vector(row, max_iters=200)
+    assert u.tobytes() == u_ref.tobytes()
+    assert np.float64(sigma).tobytes() == np.float64(sigma_ref).tobytes()
