@@ -63,32 +63,44 @@ def beamspace_mimo_single_user(beamspace: np.ndarray, budget: LinkBudget) -> Sch
     return beamspace_mimo_single_user_batch(beamspace, [budget])[0]
 
 
+def _claim_beams(beamspace: np.ndarray) -> np.ndarray:
+    """Each user's own beam for single-user beamspace MIMO (needs K <= N).
+
+    Users claim greedily in decreasing channel-norm order (ties to the lower
+    user index), each taking its strongest still-unclaimed beam (ties to the
+    lower beam). A user whose first argmax beam is free takes it directly;
+    only a conflict scans the free beams.
+    """
+    n, k = beamspace.shape
+    norms = np.linalg.norm(beamspace, axis=0)
+    mags = np.abs(beamspace)
+    first = mags.argmax(axis=0).tolist()
+    claim = np.empty(k, dtype=np.intp)
+    free = np.ones(n, dtype=bool)
+    for user in np.lexsort((np.arange(k), -norms)).tolist():
+        best = first[user]
+        if not free[best]:
+            best = int(np.argmax(np.where(free, mags[:, user], -1.0)))
+        claim[user] = best
+        free[best] = False
+    return claim
+
+
 def beamspace_mimo_single_user_batch(beamspace: np.ndarray,
                                      budgets: Sequence[LinkBudget]) -> list[SchemeResult]:
     """Existing beamspace MIMO: every user gets its own beam (N_RF = K).
 
-    Users claim beams greedily in decreasing channel-norm order, each taking
-    its strongest still-unclaimed beam, then ZF runs on the K x K reduced
-    matrix with equal power per user. The claim, the precoder and the link
-    gains are built once; each budget is one row of the rate computation.
+    Users claim beams greedily (`_claim_beams`), then ZF runs on the K x K
+    reduced matrix with equal power per user. The claim, the precoder and
+    the link gains are built once; each budget is one row of the rate
+    computation.
     """
     n, k = beamspace.shape
     if k > n:
         raise ValueError(f"single-user beam assignment needs K <= N, got K={k}, N={n}")
-    norms = np.linalg.norm(beamspace, axis=0)
-    order = np.lexsort((np.arange(k), -norms))
-    mags = np.abs(beamspace)
-    claimed: dict[int, int] = {}
-    free = np.ones(n, dtype=bool)
-    for user in order:
-        best = int(np.argmax(np.where(free, mags[:, user], -1.0)))
-        claimed[user] = best
-        free[best] = False
-    selected = np.array(sorted(claimed.values()))
-    beam_rank = {beam: i for i, beam in enumerate(selected)}
-    beams = [np.empty(0, dtype=int)] * k
-    for user, beam in claimed.items():
-        beams[beam_rank[beam]] = np.array([user])
+    claim = _claim_beams(beamspace)
+    selected = np.sort(claim)
+    beams = [np.array([user]) for user in np.argsort(claim)]
     grouping = BeamGrouping(beams=beams, reduced=beamspace[selected, :],
                             selected=selected)
     lg = link_gains(grouping, zf_precoder(equivalent_channel_strongest(grouping)))

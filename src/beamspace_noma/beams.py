@@ -89,15 +89,19 @@ def group_users(assignment: BeamAssignment, beamspace: np.ndarray) -> BeamGroupi
     """Group conflicting users per beam and extract reduced channels.
 
     Within a beam, users sort by decreasing reduced-channel norm; exact ties
-    keep the lower user index first.
+    keep the lower user index first. One lexsort keyed on (beam, -norm, user)
+    orders every user at once; each selected beam's members are then the run
+    of its index in that order. Users on an unselected beam are left out, and
+    a selected beam without users gets an empty group.
     """
     reduced = beamspace[assignment.selected, :]
     norms = np.linalg.norm(reduced, axis=0)
-    beams = []
-    for beam in assignment.selected:
-        members = np.where(assignment.beam_for_user == beam)[0]
-        order = np.lexsort((members, -norms[members]))
-        beams.append(members[order])
+    beam_for_user = assignment.beam_for_user
+    order = np.lexsort((np.arange(len(beam_for_user)), -norms, beam_for_user))
+    ranked = beam_for_user[order]
+    starts = np.searchsorted(ranked, assignment.selected, side="left").tolist()
+    ends = np.searchsorted(ranked, assignment.selected, side="right").tolist()
+    beams = [order[start:end] for start, end in zip(starts, ends)]
     return BeamGrouping(beams=beams, reduced=reduced, selected=assignment.selected)
 
 

@@ -3,6 +3,22 @@
 Spatial directions are used directly: theta = (d/lambda)*sin(phi) with
 half-wavelength spacing, so theta lives in [-1/2, 1/2] and the lens grid
 is orthonormal. Wavelength and physical angles never need to be instantiated.
+
+A trial's steering matrix exp(-j 2 pi theta m)/sqrt(N) is computed on the
+m >= 0 rows only; each m < 0 row is the conjugate of its mirror row, bit for
+bit:
+- the index set is exactly symmetric (m and -m are both exact), so the
+  products x = m*theta of mirror rows are exact negations;
+- numpy multiplies x by the scalar -2j*pi = (+0.0) + (-2 pi)j as the complex
+  x + 0j: the real part 0*x - (-2 pi)*0 is +0.0 for every finite x, and the
+  imaginary part 0*0 + (-2 pi)*x is an exact negation between mirror rows
+  whenever x != 0;
+- exp(+0.0 + jy) = cos y + j sin y with cos even and sin odd, so
+  exp(conj z) = conj(exp z), and dividing by the real sqrt(N) commutes with
+  conjugation.
+A zero product (theta = 0, or |theta| so small that m*theta underflows) has
+imaginary part +0.0 on both rows, which conjugation would not reproduce, so a
+direction outside MIRROR_RANGE sends the whole trial to the direct exp.
 """
 
 from __future__ import annotations
@@ -11,6 +27,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+# |theta| range whose steering rows are mirrored (module docstring); NaN fails it
+MIRROR_RANGE = (1e-300, 1.0)
 
 
 @dataclass
@@ -89,6 +108,25 @@ def _sym_indices(n: int) -> np.ndarray:
     return np.arange(n) - (n - 1) / 2.0
 
 
+def _steering_matrix(n: int, directions: np.ndarray) -> np.ndarray:
+    """(N, D) matrix of steering vectors, one column per direction, with each
+    m < 0 row the conjugate of its mirror row when every |theta| lies in
+    MIRROR_RANGE (bit-equal to the direct exp over all rows; module docstring)."""
+    m = _sym_indices(n)
+    mag = np.abs(directions)
+    lo, hi = MIRROR_RANGE
+    if not (mag.min() >= lo and mag.max() <= hi):
+        return np.exp(-2j * np.pi * np.outer(m, directions)) / np.sqrt(n)
+    half = n // 2
+    steer = np.empty((n, directions.size), dtype=complex)
+    upper = steer[half:]
+    np.exp(-2j * np.pi * np.outer(m[half:], directions), out=upper)
+    np.divide(upper, np.sqrt(n), out=upper)
+    # row i < half mirrors row n-1-i
+    np.conjugate(steer[:n - half - 1:-1], out=steer[:half])
+    return steer
+
+
 def steering_vector(theta: float, n_antennas: int) -> np.ndarray:
     """Unit-norm ULA array response at spatial direction theta.
 
@@ -153,8 +191,7 @@ def sample_realization(params: ChannelParams, rng: np.random.Generator) -> Chann
     if params.n_nlos:
         gains[:, 1:] = _complex_gaussian(rng, params.nlos_var, (k, params.n_nlos))
     # (N, K*(L+1)) steering matrix, then per-user gain contraction
-    m = _sym_indices(params.n_antennas)
-    steer = np.exp(-2j * np.pi * np.outer(m, directions.ravel())) / np.sqrt(params.n_antennas)
+    steer = _steering_matrix(params.n_antennas, directions.ravel())
     steer = steer.reshape(params.n_antennas, k, n_paths)
     h = np.einsum("nkl,kl->nk", steer, gains)
     return ChannelRealization(matrix=h, path_gains=gains, path_directions=directions)

@@ -64,6 +64,13 @@ def equivalent_channel_strongest(grouping: BeamGrouping) -> EquivalentChannel:
     return EquivalentChannel(matrix=grouping.reduced[:, first].copy(), variant="strongest")
 
 
+def _one_row_closed(b00):
+    """Whether the one-row power iteration stops at its start [1+0j]: with a
+    real, finite b00 = m m^H its first iteration meets the residual test
+    exactly. Elementwise over an array of b00 values."""
+    return (b00.imag == 0) & np.isfinite(b00.real)
+
+
 def top_left_singular_vector(mat: np.ndarray, tol: float = 1e-12,
                              max_iters: int = 10_000) -> tuple[np.ndarray, float]:
     """Dominant left singular pair of a complex matrix via power iteration.
@@ -79,8 +86,7 @@ def top_left_singular_vector(mat: np.ndarray, tol: float = 1e-12,
         raise ValueError("zero matrix has no dominant singular vector")
     b = mat @ mat.conj().T
     r = b.shape[0]
-    if r == 1 and b[0, 0].imag == 0 and np.isfinite(b[0, 0].real):
-        # one row: the loop's first iteration meets its residual test exactly
+    if r == 1 and _one_row_closed(b[0, 0]):
         return np.array([1.0 + 0j]), float(np.sqrt(max(float(b[0, 0].real), 0.0)))
     x = np.ones(r) / np.sqrt(r)
     best_x, best_res, lam = x, np.inf, 0.0
@@ -122,15 +128,36 @@ def top_left_singular_vector(mat: np.ndarray, tol: float = 1e-12,
 
 def equivalent_channel_svd(grouping: BeamGrouping) -> EquivalentChannel:
     """Represent beam n by H_n u_n* with u_n the dominant left singular
-    vector of H_n^T, mixing all of the beam's user channels."""
+    vector of H_n^T, mixing all of the beam's user channels.
+
+    One-member beams are built together from their stacked rows h^T, with
+    the one-row steps of `top_left_singular_vector`: the zero-matrix
+    ValueError, b00 = h^T conj(h) and, where b00 passes its closed form, the
+    column h @ [1-0j]. b00 and the column are stacked matmuls with the
+    one-beam shapes, so they run the same numpy kernels and keep the bits.
+    One-member beams that fail the closed form, and every beam with more
+    members, run the power iteration one by one.
+    """
     if any(len(members) == 0 for members in grouping.beams):
         raise ValueError("every beam must contain at least one user")
-    cols = []
-    for n in range(grouping.n_rf):
+    lone = [n for n, members in enumerate(grouping.beams) if len(members) == 1]
+    iterate = [n for n, members in enumerate(grouping.beams) if len(members) > 1]
+    eq = np.empty((grouping.reduced.shape[0], grouping.n_rf), dtype=complex)
+    if lone:
+        users = [grouping.beams[n][0] for n in lone]
+        rows = np.ascontiguousarray(grouping.reduced[:, users].T)
+        # ||h||_F == 0 exactly when every squared part underflows to zero
+        if not (rows.real ** 2 + rows.imag ** 2).any(axis=1).all():
+            raise ValueError("zero matrix has no dominant singular vector")
+        closed = _one_row_closed((rows[:, None, :] @ rows.conj()[:, :, None])[:, 0, 0])
+        cols = rows[closed][:, :, None] @ np.array([[1.0 + 0j]]).conj()  # h @ u* at u = [1+0j]
+        eq[:, np.asarray(lone)[closed]] = cols[:, :, 0].T
+        iterate += [n for n, c in zip(lone, closed.tolist()) if not c]
+    for n in iterate:
         h_n = grouping.beam_channels(n)
         u, _ = top_left_singular_vector(h_n.T)
-        cols.append(h_n @ u.conj())
-    return EquivalentChannel(matrix=np.stack(cols, axis=1), variant="svd")
+        eq[:, n] = h_n @ u.conj()
+    return EquivalentChannel(matrix=eq, variant="svd")
 
 
 def zf_columns(h: np.ndarray, what: str) -> tuple[np.ndarray, float]:
@@ -166,7 +193,14 @@ def zf_columns(h: np.ndarray, what: str) -> tuple[np.ndarray, float]:
 
 
 def zf_precoder(equivalent: EquivalentChannel) -> Precoder:
-    """Zero-forcing precoder W~ = H~ (H~^H H~)^{-1} with unit-norm columns."""
+    """Zero-forcing precoder W~ = H~ (H~^H H~)^{-1} with unit-norm columns.
+
+    An equivalent channel with a NaN or infinite entry (an SVD mix whose
+    power iteration overflowed) raises PrecodingError before ZF, so the trial
+    records a drop instead of aborting in the condition check's SVD."""
+    if not np.isfinite(equivalent.matrix).all():
+        raise PrecodingError("equivalent channel has non-finite entries",
+                             condition=float("nan"))
     w, residual = zf_columns(equivalent.matrix, "equivalent channel")
     return Precoder(matrix=w, equivalent=equivalent, zf_residual=residual)
 

@@ -14,6 +14,13 @@ The link-layer references (`reference_zf_columns`,
 ZF build that always ran the SVD condition check, the power iteration
 without its one-row closed form and the order check that evaluated
 one-member beams; the current code must match them bit for bit.
+
+The front-end references (`reference_sample_realization`,
+`reference_group_users`, `reference_equivalent_channel_svd`,
+`reference_claim_beams`) are the channel draw that ran the complex exp on
+every antenna row, the per-beam grouping loop, the one-beam-at-a-time SVD
+equivalent channel and the greedy beam claim that scanned the free beams for
+every user; the current code must match them bit for bit.
 """
 
 import hashlib
@@ -21,7 +28,8 @@ import math
 
 import numpy as np
 
-from beamspace_noma import (BeamGrouping, DualSolution, ExperimentRecord, PowerAllocation,
+from beamspace_noma import (BeamGrouping, ChannelRealization, DualSolution,
+                            EquivalentChannel, ExperimentRecord, PowerAllocation,
                             RateReport, SchemeResult, build_noma_link,
                             equivalent_channel_strongest, energy_efficiency, link_gains,
                             sample_realization, to_beamspace, trial_rng, zf_precoder)
@@ -201,7 +209,9 @@ def reference_fully_digital_zf(spatial, budget):
                         served=k, rates=rates, users=np.arange(k))
 
 
-def reference_beamspace_mimo(beamspace, budget):
+def reference_claim_beams(beamspace):
+    """Greedy single-user beam claim scanning the free beams for every user:
+    {user: beam} in claim order."""
     n, k = beamspace.shape
     norms = np.linalg.norm(beamspace, axis=0)
     mags = np.abs(beamspace)
@@ -211,6 +221,12 @@ def reference_beamspace_mimo(beamspace, budget):
         best = int(np.argmax(np.where(free, mags[:, user], -1.0)))
         claimed[user] = best
         free[best] = False
+    return claimed
+
+
+def reference_beamspace_mimo(beamspace, budget):
+    k = beamspace.shape[1]
+    claimed = reference_claim_beams(beamspace)
     selected = np.array(sorted(claimed.values()))
     beam_rank = {beam: i for i, beam in enumerate(selected)}
     beams = [np.empty(0, dtype=int)] * k
@@ -346,3 +362,46 @@ def reference_verify_order(grouping, precoder):
         if np.any(np.diff(g) > 0):
             violations.append(n)
     return OrderReport(violations=violations, permutations=perms)
+
+
+def reference_sample_realization(params, rng):
+    """Channel draw with the complex exp evaluated on every antenna row."""
+    k, n_paths = params.n_users, params.n_nlos + 1
+    lo, hi = params.direction_range
+    directions = rng.uniform(lo, hi, size=(k, n_paths))
+    gains = np.empty((k, n_paths), dtype=complex)
+    scale = np.sqrt(params.los_var / 2.0)
+    gains[:, 0] = scale * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+    if params.n_nlos:
+        scale = np.sqrt(params.nlos_var / 2.0)
+        size = (k, params.n_nlos)
+        gains[:, 1:] = scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+    n = params.n_antennas
+    m = np.arange(n) - (n - 1) / 2.0
+    steer = np.exp(-2j * np.pi * np.outer(m, directions.ravel())) / np.sqrt(n)
+    h = np.einsum("nkl,kl->nk", steer.reshape(n, k, n_paths), gains)
+    return ChannelRealization(matrix=h, path_gains=gains, path_directions=directions)
+
+
+def reference_group_users(assignment, beamspace):
+    """Per-beam grouping loop: members of each selected beam, sorted by
+    decreasing reduced-channel norm with ties to the lower user index."""
+    reduced = beamspace[assignment.selected, :]
+    norms = np.linalg.norm(reduced, axis=0)
+    beams = []
+    for beam in assignment.selected:
+        members = np.where(assignment.beam_for_user == beam)[0]
+        beams.append(members[np.lexsort((members, -norms[members]))])
+    return BeamGrouping(beams=beams, reduced=reduced, selected=assignment.selected)
+
+
+def reference_equivalent_channel_svd(grouping):
+    """SVD equivalent channel built one beam at a time by the power iteration."""
+    if any(len(members) == 0 for members in grouping.beams):
+        raise ValueError("every beam must contain at least one user")
+    cols = []
+    for n in range(grouping.n_rf):
+        h_n = grouping.beam_channels(n)
+        u, _ = reference_top_left_singular_vector(h_n.T)
+        cols.append(h_n @ u.conj())
+    return EquivalentChannel(matrix=np.stack(cols, axis=1), variant="svd")

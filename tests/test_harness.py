@@ -115,6 +115,7 @@ def test_worker_pool_matches_sequential(tmp_path):
     seq = sweep(_small_config(tmp_path, out=str(tmp_path / "seq")), "snr")
     par = sweep(_small_config(tmp_path, out=str(tmp_path / "par"), workers=2), "snr")
     assert open(seq.csv_path, "rb").read() == open(par.csv_path, "rb").read()
+    assert open(seq.json_path, "rb").read() == open(par.json_path, "rb").read()
 
 
 def test_unwritable_output_fails_before_running(tmp_path):
