@@ -16,7 +16,7 @@ from .channel import (ChannelParams, ChannelRealization, LensMatrix, SpatialChan
                       lens_transform_matrix, sample_realization, sample_user_channel,
                       steering_vector, to_beamspace, trial_rng)
 from .config import SystemConfig, build_config, load_config_file
-from .power import (AuxState, DualSolution, OptimizerConfig, PowerAllocation,
+from .power import (DualSolution, OptimizerConfig, PowerAllocation,
                     allocate, allocate_batch, mmse_error, mmse_identity, proposition1_check,
                     update_a, update_c, update_p)
 from .precoding import (EquivalentChannel, Precoder, PrecodingError,

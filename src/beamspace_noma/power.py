@@ -20,18 +20,14 @@ per-beam bincounts over row-offset bins. `allocate`, `update_p` and the 1-D
 helpers are one-row views of the batched code.
 
 The budget root returns the multiplier and powers of a one-at-a-time
-bisection bit for bit, but evaluates few of its midpoints. The powers' sum
-S(lam) = sum((n_u / (d_u + lam))**2) is non-increasing in lam even in
-floating point wherever every d_u + lam > 0: each operation rounds
-monotonically and the summation order is fixed. So once two evaluated
-multipliers a < b certify S(a) > budget and a residual above tolerance at b,
-every midpoint outside (a, b) goes the way the bound says, and the walk takes
-those halvings in closed form. Safeguarded Newton steps on S**-0.5, warm
-started from the previous iteration's multiplier, place a and b a fraction
-of the residual zone around the root; the estimate chooses only which
-multipliers are evaluated and never decides a branch. Rows that do not
-certify resume in rounds that evaluate BISECT_DEPTH levels of their halving
-tree per vectorized call.
+bisection bit for bit, but evaluates few of its midpoints. Every bracket the
+bisection opens is dyadic, so its midpoints are integer nodes at a
+power-of-two scale, and the bisection is a walk down a tree of nodes that
+reads row sums from tables of consecutive evaluated nodes. The powers' sum
+falls monotonically in the multiplier even in floating point, so a window
+placed by Newton steps around the root, once its ends certify the budget
+bounds, decides every halving outside it. Rows that do not certify walk
+rounds of tables that hold every node of the next BISECT_DEPTH halvings.
 """
 
 from __future__ import annotations
@@ -60,9 +56,6 @@ DOUBLINGS = 400         # cap on budget-multiplier doublings from 1 before halvi
 NEWTON_STEPS = 8        # cap on Newton steps placing a budget root in (0, 1)
 NEWTON_SETTLED = 2.0 ** -20  # relative budget misfit at which the Newton steps stop
 UNDERSHOOT = 2.0 ** 42  # bound on a settled estimate's shortfall, in zones per misfit**2
-_GRID_FRACTIONS = np.arange(2 ** BISECT_DEPTH + 1) / 2.0 ** BISECT_DEPTH
-_EXACT_NUMERATOR = 2 ** (53 - BISECT_DEPTH)
-_EXACT_DENOMINATOR = 2 ** (1074 - BISECT_DEPTH)
 
 
 @dataclass
@@ -90,17 +83,6 @@ class OptimizerConfig:
     def rate_threshold(self) -> float:
         """Linear SINR floor implied by min_rate: 2^Rmin - 1."""
         return 2.0 ** self.min_rate - 1.0
-
-
-@dataclass
-class AuxState:
-    """Per-user block variables of one iteration."""
-
-    c: np.ndarray        # complex equalizers
-    a: np.ndarray        # positive weights (= 1 + sinr at the update point)
-    e: np.ndarray        # minimized MSE values, in (0, 1]
-    powers: np.ndarray   # powers the blocks were computed at
-    iteration: int
 
 
 @dataclass
@@ -224,43 +206,6 @@ def _powers_at(numer: np.ndarray, denom_base: np.ndarray, lam) -> np.ndarray:
         return np.where(numer > 0, (numer / np.maximum(denom_base + lam, 0.0)) ** 2, 0.0)
 
 
-def _bisection_grid(lo: float, hi: float) -> np.ndarray:
-    """One-row view of `_bisection_grids`."""
-    return _bisection_grids([(lo, hi)])[0]
-
-
-def _bisection_grids(brackets: list[tuple[float, float]]) -> np.ndarray:
-    """Bracket endpoints after BISECT_DEPTH rounds of halving every interval of
-    each row's [lo, hi]: (R, 2**BISECT_DEPTH + 1) ascending values, each new
-    one the (left + right) / 2.0 midpoint of the two it splits.
-
-    With lo = A / den and hi = B / den for integers 0 <= A < B and a power of
-    two den, every grid point is an integer below B * 2**BISECT_DEPTH over
-    den * 2**BISECT_DEPTH. Below 2**53 (and above the subnormal step) all of
-    them are doubles, so no midpoint rounds and the affine grid is the same
-    array; other rows take the midpoints level by level.
-    """
-    lo_width = np.array([(lo, hi - lo) for lo, hi in brackets])
-    grid = lo_width[:, :1] + lo_width[:, 1:] * _GRID_FRACTIONS
-    inexact = [row for row, bracket in enumerate(brackets) if not _dyadic_grid_is_exact(*bracket)]
-    if inexact:
-        span = len(_GRID_FRACTIONS) - 1
-        mids = np.empty((len(inexact), span + 1))
-        mids[:, ::span] = [brackets[row] for row in inexact]
-        while span > 1:
-            half = span // 2
-            mids[:, half::span] = (mids[:, :-1:span] + mids[:, span::span]) / 2.0
-            span = half
-        grid[inexact] = mids
-    return grid
-
-
-def _dyadic_grid_is_exact(lo: float, hi: float) -> bool:
-    (a, den_lo), (b, den_hi) = lo.as_integer_ratio(), hi.as_integer_ratio()
-    den = max(den_lo, den_hi)
-    return a >= 0 and b * (den // den_hi) < _EXACT_NUMERATOR and den < _EXACT_DENOMINATOR
-
-
 def _solve_budget(numer: np.ndarray, denom_base: np.ndarray, total_mw: float,
                   guess: float = math.nan) -> tuple[float, np.ndarray]:
     """One-row view of `_solve_budgets`: the multiplier and (K,) powers."""
@@ -286,25 +231,33 @@ def _solve_budgets(numer: np.ndarray, denom_base: np.ndarray, total_mw: np.ndarr
     and powers are bit-identical to that bisection's.
 
     One evaluation at 0, 1 and a start point settles the slack and doubling
-    checks. A row whose root lies in (0, 1) is then placed by `_newton` and
-    certified in a window [a, b] of the nodes of one dyadic table: S(a) >
-    total and total - S(b) > BUDGET_TOL * total, with S(x) the row sum of the
-    powers at multiplier x. Where every denominator is positive, S is
-    non-increasing in the multiplier even in floating point: each addition,
-    division and square rounds monotonically and the summation order is
-    fixed. So every midpoint at or below a goes right and every one at or
-    above b goes left without meeting the residual stop, and `_walk` takes
-    those halvings in closed form; only midpoints inside the window read
-    evaluated sums. The guess and the Newton estimate only choose which
-    multipliers are evaluated; no branch of the walk depends on them.
+    checks. The bracket that opens next, [0, 1] or the last doubling [2**(j -
+    1), 2**j], is dyadic, and so is each of its halvings: hi - lo = 2**w with
+    lo a multiple of 2**w, so a halving's midpoint is exact wherever it is a
+    double, and where it is not, lo and hi are neighbouring doubles and the
+    midpoint stop ends the bisection. Every multiplier the bisection
+    evaluates is thus a node of a dyadic tree, and `_walk_tables` evaluates
+    tables of consecutive nodes and `_walk`s the tree through them.
+
+    A row whose root lies in (0, 1) is placed by `_newton` and certified in a
+    window of nodes [a, b] (`_certified_walks`): S(a) > total and total -
+    S(b) > BUDGET_TOL * total, with S(x) the row sum of the powers at
+    multiplier x. Where every denominator is positive, S is non-increasing in
+    the multiplier even in floating point: each addition, division and square
+    rounds monotonically and the summation order is fixed. So every midpoint
+    at or below a goes right and every one at or above b goes left without
+    meeting the residual stop, and the walk takes those halvings in closed
+    form; only midpoints inside the window read evaluated sums. The guess and
+    the Newton estimate only choose which multipliers are evaluated; no
+    branch of the walk depends on them.
 
     Rows over budget at 1, rows whose window does not certify or has a
     denominator that is not positive at a, and walks that leave the table
-    resume from their bracket in rounds that evaluate every multiplier the
-    next BISECT_DEPTH halvings can visit (a `_bisection_grids` row) as one
-    (R, 2**BISECT_DEPTH + 1, K) array. Each evaluated row is elementwise the
-    1-D `_powers_at` vector, and a row sum of a C-contiguous array equals the
-    1-D sum.
+    resume from their bracket in rounds (`_round_walks`) whose tables hold
+    every node the next BISECT_DEPTH halvings can visit. Windows and rounds
+    are evaluated as separate (R, T, K) arrays. Each evaluated row is
+    elementwise the 1-D `_powers_at` vector, and a row sum of a C-contiguous
+    array equals the 1-D sum.
     """
     n_rows = len(numer)
     lam, powers = np.zeros(n_rows), np.empty_like(numer)
@@ -341,32 +294,23 @@ def _solve_budgets(numer: np.ndarray, denom_base: np.ndarray, total_mw: np.ndarr
             bracket[3:7] = hi / 2.0, hi, p, float(p.sum())
             brackets.append(bracket)
         if inside:
-            rows = None if len(inside) == n_rows else [bracket[0] for bracket in inside]
+            rows = [bracket[0] for bracket in inside]
             roots = _newton(_take(numer, rows)[:, 0], _take(denom_base, rows)[:, 0],
                             [bracket[1] for bracket in inside],
                             [starts[bracket[0]] for bracket in inside],
                             _take(batch, rows)[:, 2], [floors[bracket[0]] for bracket in inside])
-            brackets += _certified_walks(numer, denom_base, inside, roots, lam, powers)
+            windows, width = _certified_walks(inside, roots)
+            placed = {walk[0][0] for walk in windows}
+            brackets += [bracket for bracket in inside if bracket[0] not in placed]
+            brackets += _walk_tables(numer, denom_base, windows, width, lam, powers)
         while brackets:
-            grids = _bisection_grids([(bracket[3], bracket[4]) for bracket in brackets])
-            rows = [bracket[0] for bracket in brackets]
-            batch = _batch_powers(numer.take(rows, axis=0), denom_base.take(rows, axis=0),
-                                  grids[..., None], all(b[2] + b[3] > 0 for b in brackets))
-            still_open = []
-            for bracket, row_sums, row_batch in zip(brackets, batch.sum(axis=-1).tolist(), batch):
-                if bracket[5] is None:  # hi is the grid's last node
-                    bracket[5:7] = row_batch[-1], row_sums[-1]
-                if (_walk(bracket, 0, row_sums, row_batch, 0, 2 ** BISECT_DEPTH)
-                        or bracket[7] >= MAX_HALVINGS):
-                    lam[bracket[0]], powers[bracket[0]] = bracket[4], bracket[5]
-                else:
-                    still_open.append(bracket)
-            brackets = still_open
+            brackets = _walk_tables(numer, denom_base, _round_walks(brackets),
+                                    2 ** BISECT_DEPTH + 1, lam, powers)
     return lam, powers
 
 
-def _take(array: np.ndarray, rows: list[int] | None) -> np.ndarray:
-    return array if rows is None else array.take(rows, axis=0)
+def _take(array: np.ndarray, rows: list[int]) -> np.ndarray:
+    return array if rows == list(range(len(array))) else array.take(rows, axis=0)
 
 
 def _batch_powers(numer: np.ndarray, denom_base: np.ndarray, lams: np.ndarray,
@@ -420,21 +364,18 @@ def _newton(numer: np.ndarray, denom_base: np.ndarray, totals: list[float], x: l
     return roots
 
 
-def _certified_walks(numer: np.ndarray, denom_base: np.ndarray, brackets: list,
-                     roots: list, lam: np.ndarray, powers: np.ndarray) -> list:
-    """Walk the rows whose roots lie in (0, 1) through windows around the
-    `_newton` estimates; store the multipliers and powers of the rows that
-    finish and return the records of the rest, their brackets replayed as
-    far as the walk went.
+def _certified_walks(brackets: list, roots: list) -> tuple[list, int]:
+    """Place windows around the `_newton` estimates of the rows whose roots
+    lie in (0, 1): return the walks for `_walk_tables` and their common table
+    width. Rows without a root or whose window does not fit get no walk.
 
     A row's table holds the multiples of a power of two `step` <= zone / 2
     from a node below its estimate to one past the residual zone above it,
-    widened by UNDERSHOOT * misfit**2 zones for the estimate's shortfall;
-    every midpoint the walk meets in the window is such a multiple. Nodes
-    below 2**51 keep every midpoint of the walk exact, so node * step is the
-    bisection's own midpoint.
+    widened by UNDERSHOOT * misfit**2 zones for the estimate's shortfall, in
+    the tree [0, 1] of the node multiples of step. Nodes stay below 2**51,
+    so every node a skip lands on has a double as its multiplier.
     """
-    walks = []
+    placed = []
     for bracket, root in zip(brackets, roots):
         if root is None:
             continue
@@ -444,41 +385,82 @@ def _certified_walks(numer: np.ndarray, denom_base: np.ndarray, brackets: list,
         below = (estimate - 0.25 * zone) / step
         above = (estimate + (1.25 + UNDERSHOOT * misfit * misfit) * zone) / step
         if 1.0 <= below and above < 2.0 ** 51 and math.floor(below) * step > -bracket[2]:
-            walks.append((bracket, math.floor(below), math.ceil(above), exponent))
-    width = max([last - first + 1 for _, first, last, _ in walks], default=0)
-    walks = [walk for walk in walks if walk[1] + width - 1 < 2 ** -walk[3]]
+            placed.append((bracket, math.floor(below), math.ceil(above), exponent))
+    width = max([last - first + 1 for _, first, last, _ in placed], default=0)
+    return [(bracket, first, 0, 1 << -exponent, exponent) for bracket, first, _, exponent in placed
+            if first + width - 1 < 2 ** -exponent], width
+
+
+def _round_walks(brackets: list) -> list:
+    """One walk per bracket over every node its next BISECT_DEPTH halvings
+    can visit: for a dyadic bracket with hi - lo = 2**w, the integers
+    lo / 2**(w - BISECT_DEPTH) + i, i in 0 .. 2**BISECT_DEPTH, at scale
+    2**(w - BISECT_DEPTH). A node whose multiplier is not a double splits two
+    neighbouring doubles, so the bisection stops (mid == lo or mid == hi)
+    before the walk reads it.
+    """
+    walks = []
+    for bracket in brackets:
+        lo, hi = bracket[3:5]
+        exponent = math.frexp(hi - lo)[1] - 1 - BISECT_DEPTH
+        first = int(math.ldexp(lo, -exponent))
+        walks.append((bracket, first, first, first + 2 ** BISECT_DEPTH, exponent))
+    return walks
+
+
+def _walk_tables(numer: np.ndarray, denom_base: np.ndarray, walks: list, width: int,
+                 lam: np.ndarray, powers: np.ndarray) -> list:
+    """Evaluate a table of `width` consecutive nodes for every walk and
+    `_walk` each row; store the multipliers and powers of the rows that
+    finish and return the records of the rest, their brackets replayed as far
+    as the walk went.
+
+    A walk (bracket, first, left, right, exponent) holds the nodes first ..
+    first + width - 1 of the bracket's tree [left, right] at multipliers
+    node * 2**exponent. Each row is evaluated as one (width, K) slice, which
+    is elementwise the 1-D `_powers_at` vector of each node. Where the table
+    does not reach an end of the tree, the walk is taken only if that end of
+    the table certifies the bound `_walk` assumes past it; a table that ends
+    at right gives the powers at hi where only a bound was known.
+    """
     if not walks:
-        return brackets
-    rows = None if len(walks) == len(numer) else [walk[0][0] for walk in walks]
-    nodes = np.ldexp(np.array([first for _, first, _, _ in walks], dtype=float)[:, None]
-                     + np.arange(width), np.array([exponent for *_, exponent in walks])[:, None])
-    table = (_take(numer, rows) / (_take(denom_base, rows) + nodes[..., None])) ** 2
-    finished = set()
-    for (bracket, first, _, exponent), row_sums, row_table in zip(
+        return []
+    rows = [walk[0][0] for walk in walks]
+    nodes = np.ldexp(np.array([walk[1] for walk in walks], dtype=float)[:, None]
+                     + np.arange(width), np.array([walk[4] for walk in walks])[:, None])
+    positive = all(bracket[2] + math.ldexp(first, exponent) > 0
+                   for bracket, first, *_, exponent in walks)
+    table = _batch_powers(_take(numer, rows), _take(denom_base, rows), nodes[..., None],
+                          positive)
+    still_open = []
+    for (bracket, first, left, right, exponent), row_sums, row_table in zip(
             walks, table.sum(axis=-1).tolist(), table):
-        total = bracket[1]
-        if (row_sums[0] > total and not total - row_sums[-1] <= BUDGET_TOL * total
-                and (_walk(bracket, first, row_sums, row_table, 0, 1 << -exponent,
-                           math.ldexp(1.0, exponent))
+        total, last = bracket[1], first + width - 1
+        if last == right and bracket[5] is None:
+            bracket[5:7] = row_table[-1], row_sums[-1]
+        if ((first == left or row_sums[0] > total)
+                and (last == right or not total - row_sums[-1] <= BUDGET_TOL * total)
+                and (_walk(bracket, first, row_sums, row_table, left, right, exponent)
                      or bracket[7] >= MAX_HALVINGS)
                 and bracket[5] is not None):
             lam[bracket[0]], powers[bracket[0]] = bracket[4], bracket[5]
-            finished.add(bracket[0])
-    return [bracket for bracket in brackets if bracket[0] not in finished]
+        else:
+            still_open.append(bracket)
+    return still_open
 
 
 def _walk(bracket: list, first: int, sums: list, batch: np.ndarray, left: int, right: int,
-          scale: float = 0.0) -> bool:
+          exponent: int) -> bool:
     """Advance one row's sequential bisection; return whether it stopped.
 
     The bracket [lo, hi] spans the integer tree nodes [left, right]; a node's
-    multiplier is its index times scale, and each halving's midpoint is the
-    middle node. Nodes first .. first + len(sums) - 1 have evaluated powers
-    (rows of batch) and row sums (sums). A node below them is over budget and one
-    above them under budget by more than the residual tolerance: the caller
-    has certified both ends. The walk ends at a stop, at the halving cap or
-    where the next midpoint falls between two nodes, and writes the bracket
-    it reached into the record.
+    multiplier is its index times 2**exponent, and each halving's midpoint is
+    the middle node. Nodes first .. first + len(sums) - 1 have evaluated
+    powers (rows of batch) and row sums (sums). A node below them is over
+    budget and one above them under budget by more than the residual
+    tolerance: the caller has certified both ends. The walk ends at a stop,
+    at the halving cap or where the next midpoint falls between two nodes,
+    and writes the bracket it reached into the record.
 
     When the middle node lies outside the table, every halving down to the
     coarsest table node inside the bracket is decided by the bounds, so they
@@ -501,10 +483,10 @@ def _walk(bracket: list, first: int, sums: list, batch: np.ndarray, left: int, r
                 node, count = coarsest, count + skipped
                 if coarsest - (1 << level) != left:
                     left = coarsest - (1 << level)
-                    lo = left * scale
+                    lo = math.ldexp(left, exponent)
                 if coarsest + (1 << level) != right:
                     right = coarsest + (1 << level)
-                    hi, p, p_sum = right * scale, None, -math.inf
+                    hi, p, p_sum = math.ldexp(right, exponent), None, -math.inf
         mid = (lo + hi) / 2.0
         if mid == lo or mid == hi:
             stopped = True
@@ -580,10 +562,11 @@ def _update_p_rows(lg: LinkGains, c: np.ndarray, a: np.ndarray, eta: float,
     return out_p, out_lam, out_mu, out_rounds, out_violation
 
 
-def update_p(aux: AuxState, grouping: BeamGrouping, precoder: Precoder,
+def update_p(c: np.ndarray, a: np.ndarray, grouping: BeamGrouping, precoder: Precoder,
              config: OptimizerConfig, budget: LinkBudget,
              lg: LinkGains | None = None) -> tuple[np.ndarray, DualSolution]:
-    """Closed-form KKT power update for fixed equalizers and weights.
+    """Closed-form KKT power update for fixed equalizers c and weights a
+    (flat order).
 
     The budget multiplier comes from bisection. When a minimum rate is set,
     per-user multipliers follow a projected dual ascent on the linearized
@@ -594,8 +577,8 @@ def update_p(aux: AuxState, grouping: BeamGrouping, precoder: Precoder,
     """
     lg = lg or link_gains(grouping, precoder)
     total, noise = budget_arrays([budget])
-    p, lam, mu, rounds, violation = _update_p_rows(lg, aux.c[None], aux.a[None],
-                                                   config.rate_threshold, total, noise)
+    p, lam, mu, rounds, violation = _update_p_rows(lg, c[None], a[None], config.rate_threshold,
+                                                   total, noise)
     return p[0], DualSolution(float(lam[0]), mu[0], int(rounds[0]), float(violation[0]))
 
 

@@ -171,12 +171,6 @@ def rate_reports(lg: LinkGains, powers: np.ndarray, xi: np.ndarray) -> list[Rate
             for g, x, r, total in zip(gamma, xi, rates, rates.sum(axis=-1).tolist())]
 
 
-def rate_report(lg: LinkGains, powers: np.ndarray, xi: np.ndarray) -> RateReport:
-    """SINRs, rates and sum rate at (K,) powers from their interference-plus-
-    noise vector xi = interference_vector(lg, powers, noise)."""
-    return rate_reports(lg, powers[None], xi[None])[0]
-
-
 def interference_term(m: int, n: int, grouping: BeamGrouping, precoder: Precoder,
                       powers: np.ndarray, noise_mw: float) -> float:
     """Residual interference plus noise at the m-th user (0-based SIC rank)
@@ -203,7 +197,8 @@ def sum_rate(grouping: BeamGrouping, precoder: Precoder, powers: np.ndarray,
     lg = link_gains(grouping, precoder)
     if powers.shape != lg.users.shape:
         raise ValueError(f"expected {lg.users.shape[0]} powers, got {powers.shape}")
-    return rate_report(lg, powers, interference_vector(lg, powers, budget.noise_mw))
+    xi = interference_vector(lg, powers, budget.noise_mw)
+    return rate_reports(lg, powers[None], xi[None])[0]
 
 
 def energy_efficiency(sum_rate_bpshz: float, n_rf: int, budget: LinkBudget,

@@ -10,7 +10,6 @@ are byte-deterministic for a given master seed.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
 import os
@@ -47,7 +46,6 @@ class ExperimentRecord:
     energy_eff: float
     dropped: bool = False
     drop_reason: str = ""
-    realization_hash: str = ""
     feasible: bool = True
     trace: list[float] | None = None
     user_rates: list[float] | None = None
@@ -103,12 +101,13 @@ def run_trial(config: SystemConfig, trial_index: int) -> list[ExperimentRecord]:
     """Execute every configured scheme at every SNR point on one realization.
 
     The SNR points share the link and differ only in the noise, so each
-    scheme runs once with one budget per SNR point.
+    scheme runs once with one budget per SNR point. A scheme that fails with
+    one of DROP_ERRORS, or whose sum rate at an SNR point is not finite,
+    becomes a recorded drop with the reason.
     """
     rng = trial_rng(config.seed, trial_index)
     realization = sample_realization(config.channel_params(), rng)
     beamspace = to_beamspace(realization.matrix, _lens(config.n_antennas))
-    rhash = hashlib.sha1(realization.matrix.tobytes()).hexdigest()
     budgets = [config.budget(snr_db) for snr_db in config.snr_db]
 
     noma_link = noma_gains = None
@@ -138,22 +137,26 @@ def run_trial(config: SystemConfig, trial_index: int) -> list[ExperimentRecord]:
             rec = ExperimentRecord(trial=trial_index, seed=config.seed,
                                    snr_db=snr_db, scheme=scheme, variant=variant,
                                    k=config.n_users, n_rf=0, sum_rate=math.nan,
-                                   energy_eff=math.nan, realization_hash=rhash)
+                                   energy_eff=math.nan)
             outcome = outcomes[scheme]
             if isinstance(outcome, Exception):
-                rec.dropped = True
-                rec.drop_reason = str(outcome)
+                rec.dropped, rec.drop_reason = True, str(outcome)
                 records.append(rec)
                 continue
             result = outcome[i]
+            sum_rate = result.report.sum_rate if scheme == "noma" else result.sum_rate
+            if not math.isfinite(sum_rate):
+                rec.dropped, rec.drop_reason = True, f"non-finite sum rate {sum_rate!r}"
+                records.append(rec)
+                continue
+            rec.sum_rate = sum_rate
             if scheme == "noma":
                 rec.n_rf = noma_link[0].n_rf
-                rec.sum_rate = result.report.sum_rate
                 rec.feasible = result.feasible
                 rec.trace = list(result.trace)
                 rec.user_rates = [float(r) for r in result.report.rates_by_user]
             else:
-                rec.n_rf, rec.sum_rate = result.n_rf, result.sum_rate
+                rec.n_rf = result.n_rf
             rec.energy_eff = rates.energy_efficiency(rec.sum_rate, rec.n_rf, budget, pm)
             records.append(rec)
     return records

@@ -23,7 +23,6 @@ equivalent channel and the greedy beam claim that scanned the free beams for
 every user; the current code must match them bit for bit.
 """
 
-import hashlib
 import math
 
 import numpy as np
@@ -255,7 +254,6 @@ def reference_trial(config, trial_index):
     """`runner.run_trial` as a loop over SNR points, one budget at a time."""
     realization = sample_realization(config.channel_params(), trial_rng(config.seed, trial_index))
     beamspace = to_beamspace(realization.matrix, _lens(config.n_antennas))
-    rhash = hashlib.sha1(realization.matrix.tobytes()).hexdigest()
     noma_link, noma_error = None, None
     if "noma" in config.schemes or "oma" in config.schemes:
         try:
@@ -269,8 +267,7 @@ def reference_trial(config, trial_index):
             variant = config.variant if scheme in ("noma", "oma") else "na"
             rec = ExperimentRecord(trial=trial_index, seed=config.seed, snr_db=snr_db,
                                    scheme=scheme, variant=variant, k=config.n_users, n_rf=0,
-                                   sum_rate=math.nan, energy_eff=math.nan,
-                                   realization_hash=rhash)
+                                   sum_rate=math.nan, energy_eff=math.nan)
             try:
                 if scheme in ("noma", "oma") and noma_error is not None:
                     raise noma_error

@@ -1,14 +1,14 @@
 """The batched budget bisection against the sequential one, bit for bit."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import oracles
 from beamspace_noma import power
-from beamspace_noma.power import (BISECT_DEPTH, BUDGET_TOL, MAX_HALVINGS, _bisection_grid,
-                                  _solve_budget)
+from beamspace_noma.power import BISECT_DEPTH, BUDGET_TOL, MAX_HALVINGS, _solve_budget
 from oracles import sequential_solve_budget
 
 
@@ -113,24 +113,61 @@ def _halving_grid(lo, hi):
     return np.array(grid)
 
 
-def test_bisection_grid_is_the_midpoint_tree():
+def _is_dyadic(lo, hi):
+    width = Fraction(hi) - Fraction(lo)
+    return (width > 0 and 1 in (width.numerator, width.denominator)
+            and (width.numerator * width.denominator).bit_count() == 1
+            and (Fraction(lo) / width).denominator == 1)
+
+
+def _round_table(monkeypatch, lo, hi):
+    """The multipliers one round evaluates for the bracket [lo, hi]."""
+    evaluated = []
+    real = power._batch_powers
+
+    def capture(numer, denom_base, lams, positive):
+        evaluated.append(lams[0, :, 0].copy())
+        return real(numer, denom_base, lams, positive)
+
+    monkeypatch.setattr(power, "_batch_powers", capture)
+    record = [0, 1.0, 1.0, lo, hi, None, -np.inf, 0]
+    width = 2 ** BISECT_DEPTH + 1
+    power._walk_tables(np.ones((1, 1, 1)), np.ones((1, 1, 1)), power._round_walks([record]),
+                       width, np.zeros(1), np.empty((1, 1)))
+    monkeypatch.undo()
+    assert len(evaluated) == 1 and evaluated[0].shape == (width,)
+    return evaluated[0]
+
+
+def test_round_table_holds_the_midpoint_tree(monkeypatch):
+    # every bracket a bisection from [0, 1] or [2**399, 2**400] passes through
+    # in its first 60 halvings, down to two neighbouring doubles, and brackets
+    # of subnormal width
     rng = np.random.default_rng(7)
-    brackets = [(0.0, 1.0), (0.5, 1.0), (2.0 ** 399, 2.0 ** 400), (0.0, 2.0 ** 400),
-                (0.0, 5e-324), (0.1, 0.3), (1.0, np.nextafter(1.0, 2.0))]
-    # brackets a bisection from [0, 1] reaches after 20..60 halvings
-    for depth in (20, 40, 45, 50, 60):
-        lo, hi = 0.0, 1.0
-        for _ in range(depth):
-            mid = (lo + hi) / 2.0
-            lo, hi = (mid, hi) if rng.random() < 0.5 else (lo, mid)
-        brackets.append((lo, hi))
-    for _ in range(50):
-        lo, hi = sorted(rng.uniform(0, 10.0 ** rng.uniform(-5, 5), size=2))
-        brackets.append((float(lo), float(hi)))
+    brackets = [(0.0, 5e-324), (2.0 ** -1022, 2.0 ** -1022 + 5e-324),
+                (5 * 2.0 ** -1070, 6 * 2.0 ** -1070)]
+    for start in ((0.0, 1.0), (2.0 ** 399, 2.0 ** 400)):
+        for bias in (0.0, 0.5, 1.0, 0.5, 0.5):
+            lo, hi = start
+            for _ in range(61):
+                brackets.append((lo, hi))
+                mid = (lo + hi) / 2.0
+                if mid == lo or mid == hi:
+                    break
+                lo, hi = (mid, hi) if rng.random() < bias else (lo, mid)
     for lo, hi in brackets:
-        grid = _bisection_grid(lo, hi)
-        assert grid.shape == (2 ** BISECT_DEPTH + 1,)
-        assert grid.tobytes() == _halving_grid(lo, hi).tobytes(), (lo, hi)
+        assert _is_dyadic(lo, hi), (lo, hi)
+        table, tree = _round_table(monkeypatch, lo, hi), _halving_grid(lo, hi)
+        step = (Fraction(hi) - Fraction(lo)) / 2 ** BISECT_DEPTH
+        for i, (node, want) in enumerate(zip(table.tolist(), tree.tolist())):
+            if Fraction(node) == Fraction(lo) + i * step:
+                assert node == want, (lo, hi, i)
+            else:
+                # not a double: the halving that reaches it meets a midpoint
+                # equal to an endpoint and stops
+                level = (i & -i).bit_length() - 1
+                assert want in (tree[i - (1 << level)], tree[i + (1 << level)]), (lo, hi, i)
+        assert table[0] == lo and table[-1] == hi
 
 
 def test_powers_at_matches_the_masked_form_on_special_values():
@@ -168,9 +205,8 @@ def _sequential_rows(numer, denom_base, total):
 
 def _random_batch(rng, n_rows, k):
     """Rows of every kind the root meets: slack budgets, roots in (0, 1) and
-    beyond 1 (whose doubling brackets have no exact dyadic grid past 2**48),
-    non-positive denominators, NaN/zero/negative numerators and totals from
-    1e-250 to 1e250."""
+    beyond 1, non-positive denominators, NaN/zero/negative numerators and
+    totals from 1e-250 to 1e250."""
     scale = 10.0 ** rng.uniform(-100, 100, size=(n_rows, 1))
     numer = rng.exponential(size=(n_rows, k)) * 10.0 ** rng.uniform(-3, 1, size=(n_rows, 1))
     denom_base = rng.exponential(size=(n_rows, k)) * 10.0 ** rng.uniform(-3, 1, size=(n_rows, 1))
@@ -195,9 +231,16 @@ def _random_batch(rng, n_rows, k):
     return numer, denom_base, total, guess
 
 
-def test_matches_sequential_on_a_seeded_sweep_of_random_rows():
+def test_matches_sequential_on_a_seeded_sweep_of_random_rows(monkeypatch):
     rng = np.random.default_rng(2024)
-    rows = 0
+    rows, rounds = 0, []
+    real_rounds = power._round_walks
+
+    def round_walks(brackets):
+        rounds.extend((bracket[3], bracket[4]) for bracket in brackets)
+        return real_rounds(brackets)
+
+    monkeypatch.setattr(power, "_round_walks", round_walks)
     while rows < 2000:
         n_rows, k = int(rng.integers(1, 9)), int(rng.integers(1, 65))
         numer, denom_base, total, guess = _random_batch(rng, n_rows, k)
@@ -206,6 +249,8 @@ def test_matches_sequential_on_a_seeded_sweep_of_random_rows():
         assert lam.tobytes() == want_lam.tobytes(), (numer, denom_base, total, guess)
         assert p.shape == want_p.shape and p.tobytes() == want_p.tobytes()
         rows += n_rows
+    assert len(rounds) > 1000
+    assert all(_is_dyadic(lo, hi) for lo, hi in rounds)
 
 
 @pytest.mark.parametrize("case,root", [("inside", 0.3), ("masked", 0.8), ("slack", -1.0),
@@ -230,19 +275,19 @@ def test_full_scale_roots_rarely_resume_the_grid_rounds(monkeypatch):
     lens = lens_transform_matrix(256)
     budgets = [LinkBudget.from_snr(32.0, snr, 32) for snr in range(0, 31, 5)]
     roots, resumed = [], []
-    real_solve, real_grids = power._solve_budgets, power._bisection_grids
+    real_solve, real_rounds = power._solve_budgets, power._round_walks
 
     def solve(numer, *args):
         roots.append(len(numer))
         resumed.append(0)
         return real_solve(numer, *args)
 
-    def grids(brackets):
+    def round_walks(brackets):
         resumed[-1] = max(resumed[-1], len(brackets))
-        return real_grids(brackets)
+        return real_rounds(brackets)
 
     monkeypatch.setattr(power, "_solve_budgets", solve)
-    monkeypatch.setattr(power, "_bisection_grids", grids)
+    monkeypatch.setattr(power, "_round_walks", round_walks)
     for trial in range(2):
         real = sample_realization(params, trial_rng(41, trial))
         grouping, precoder = build_noma_link(lens.matrix @ real.matrix, "strongest")
@@ -264,9 +309,10 @@ def test_newton_estimate_never_changes_the_bits(monkeypatch, zone_factor, shift)
                 (root[0] + shift * root[1], root[1] * zone_factor, root[2])
                 for root in real_newton(*args)]
 
-    def walk(bracket, first, sums, batch, left, right, scale=0.0):
-        stopped = real_walk(bracket, first, sums, batch, left, right, scale)
-        if scale and not stopped and bracket[7] < MAX_HALVINGS:
+    def walk(bracket, first, sums, batch, left, right, exponent):
+        stopped = real_walk(bracket, first, sums, batch, left, right, exponent)
+        # a window's table starts above its tree's first node, a round's at it
+        if first != left and not stopped and bracket[7] < MAX_HALVINGS:
             resumed_walks.append(bracket[7])
         return stopped
 
@@ -292,9 +338,9 @@ def test_window_walk_hits_the_halving_cap(monkeypatch):
     walks = []
     real_walk = power._walk
 
-    def walk(bracket, *args):
-        stopped = real_walk(bracket, *args)
-        walks.append((len(args) == 6, bracket[7], bracket[5] is None))
+    def walk(bracket, first, sums, batch, left, right, exponent):
+        stopped = real_walk(bracket, first, sums, batch, left, right, exponent)
+        walks.append((first != left, bracket[7], bracket[5] is None))
         return stopped
 
     monkeypatch.setattr(power, "_walk", walk)

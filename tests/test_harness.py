@@ -28,20 +28,40 @@ def test_run_trial_single_record(tmp_path):
     assert rec.n_rf >= 1 and math.isfinite(rec.sum_rate)
 
 
-def test_run_trial_is_deterministic(tmp_path):
+def _record_draws(monkeypatch):
+    """Collect every channel matrix `run_trial` draws."""
+    from beamspace_noma import runner
+
+    draws = []
+    real_sample = runner.sample_realization
+
+    def sample(params, rng):
+        realization = real_sample(params, rng)
+        draws.append(realization.matrix.copy())
+        return realization
+
+    monkeypatch.setattr(runner, "sample_realization", sample)
+    return draws
+
+
+def test_run_trial_is_deterministic(tmp_path, monkeypatch):
     config = _small_config(tmp_path)
+    draws = _record_draws(monkeypatch)
     a = run_trial(config, 2)
     b = run_trial(config, 2)
     assert [r.__dict__ for r in a] == [r.__dict__ for r in b]
-    c = run_trial(config, 3)
-    assert a[0].realization_hash != c[0].realization_hash
+    run_trial(config, 3)
+    assert len(draws) == 3
+    assert draws[0].tobytes() == draws[1].tobytes()
+    assert not np.array_equal(draws[0], draws[2])
 
 
-def test_run_trial_cartesian_count(tmp_path):
+def test_run_trial_cartesian_count(tmp_path, monkeypatch):
     config = _small_config(tmp_path, snr_db=[0.0, 10.0, 20.0])
+    draws = _record_draws(monkeypatch)
     records = run_trial(config, 0)
     assert len(records) == 12  # 4 schemes x 3 SNR points
-    assert len({r.realization_hash for r in records}) == 1  # paired sampling
+    assert len(draws) == 1  # paired sampling: one realization serves every record
 
 
 def test_sweep_snr_csv_schema_and_summary(tmp_path):
@@ -319,6 +339,51 @@ def test_all_zero_user_channel_is_a_drop_not_an_abort(tmp_path, monkeypatch):
         rows = list(csv.DictReader(fh))
     assert len(rows) == len(result.records)
     assert {r["dropped"] for r in rows} == {"1"}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_drops_nan_sum_rates_at_200_db(tmp_path, capsys):
+    # at 200 dB two of the four full-scale NOMA allocations end in NaN rates
+    out = tmp_path / "snr200"
+    code = cli_main(["sweep-snr", "--snr", "200", "--trials", "4", "--seed", "3",
+                     "--schemes", "noma", "--out", str(out)])
+    assert code == 0
+    summary_line = capsys.readouterr().out.splitlines()[0]
+    assert "nan" not in summary_line and "(4 trials, 2 dropped)" in summary_line
+    with open(tmp_path / "snr200.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    for row in rows:
+        if row["dropped"] == "1":
+            assert row["drop_reason"] == "non-finite sum rate nan"
+        else:
+            assert math.isfinite(float(row["sum_rate_bpshz"]))
+            assert math.isfinite(float(row["energy_eff_bpshzw"]))
+    (cell,) = json.load(open(tmp_path / "snr200.json"))["summary"]
+    assert cell["dropped"] == 2
+    assert math.isfinite(cell["mean_se"]) and math.isfinite(cell["mean_ee"])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("variant", ["strongest", "svd"])
+def test_overflowing_gains_are_recorded_drops(variant):
+    # the gains overflow at this LoS variance while every ZF certificate
+    # passes, so the baselines' sum rates come out inf or NaN
+    config = SystemConfig(n_antennas=16, n_users=4, seed=1, variant=variant,
+                          los_variance=1e308, snr_db=[10.0])
+    records = run_trial(config, 0)
+    assert len(records) == len(config.schemes)
+    for rec in records:
+        if rec.dropped:
+            assert rec.drop_reason and math.isnan(rec.sum_rate) and rec.n_rf == 0
+        else:
+            assert math.isfinite(rec.sum_rate) and math.isfinite(rec.energy_eff)
+    by_scheme = {rec.scheme: rec for rec in records}
+    for scheme in ("beamspace_mimo", "fully_digital") + (("oma",) * (variant == "strongest")):
+        assert by_scheme[scheme].drop_reason.startswith("non-finite sum rate"), scheme
+    for cell in summarize(records, config.schemes):
+        if cell["dropped"] < cell["trials"]:
+            assert math.isfinite(cell["mean_se"]) and math.isfinite(cell["mean_ee"])
 
 
 @pytest.mark.parametrize("k", [8, 16, 32])

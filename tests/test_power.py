@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from beamspace_noma import (AuxState, BeamGrouping, EquivalentChannel, LinkBudget,
+from beamspace_noma import (BeamGrouping, EquivalentChannel, LinkBudget,
                             OptimizerConfig, Precoder, allocate, interference_term,
                             link_gains, mmse_error, mmse_identity, proposition1_check,
                             sinr, sum_rate, update_a, update_c, update_p)
@@ -97,8 +97,7 @@ def test_update_p_single_user_takes_full_budget():
     p0 = np.array([budget.total_power_mw])
     c = update_c(p0, g, w, budget.noise_mw)
     a = update_a(p0, g, w, budget.noise_mw)
-    aux = AuxState(c=c, a=a, e=1 / a, powers=p0, iteration=1)
-    p, duals = update_p(aux, g, w, config, budget)
+    p, duals = update_p(c, a, g, w, config, budget)
     assert p[0] == pytest.approx(5.0, rel=1e-8)
     assert duals.budget_multiplier > 0
 
@@ -106,9 +105,7 @@ def test_update_p_single_user_takes_full_budget():
 def test_update_p_zero_numerator_gives_zero_power():
     g, w = _single_user()
     budget = LinkBudget(noise_mw=1.0, total_power_mw=4.0)
-    aux = AuxState(c=np.array([0.0 + 0j]), a=np.array([1.0]), e=np.array([1.0]),
-                   powers=np.array([0.0]), iteration=1)
-    p, duals = update_p(aux, g, w, OptimizerConfig(), budget)
+    p, duals = update_p(np.array([0.0 + 0j]), np.array([1.0]), g, w, OptimizerConfig(), budget)
     assert p[0] == 0.0
     assert duals.budget_multiplier == 0.0
 
@@ -120,8 +117,7 @@ def test_update_p_fills_budget_on_multiuser_instance(random_link):
         p = np.full(3, budget.total_power_mw / 3)
         c = update_c(p, grouping, precoder, budget.noise_mw)
         a = update_a(p, grouping, precoder, budget.noise_mw)
-        aux = AuxState(c=c, a=a, e=1 / a, powers=p, iteration=1)
-        p_new, _ = update_p(aux, grouping, precoder, OptimizerConfig(), budget)
+        p_new, _ = update_p(c, a, grouping, precoder, OptimizerConfig(), budget)
         assert abs(p_new.sum() - 1.0) <= 1e-9
         assert np.all(p_new >= 0)
 

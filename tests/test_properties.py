@@ -1,12 +1,15 @@
 """Properties checked over drawn inputs rather than at a few seeds."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamspace_noma import ChannelParams, sample_realization, trial_rng
+from beamspace_noma.power import BUDGET_TOL, DOUBLINGS, _solve_budgets
 
-from oracles import reference_sample_realization
+from oracles import _powers_at, reference_sample_realization, sequential_solve_budget
 
 # interval ends: the usual [-1/2, 1/2], ends on exact zero and past +-1, where
 # mirrored and direct draws meet
@@ -33,3 +36,58 @@ def test_mirrored_steering_rows_equal_the_full_exp(n, k, n_nlos, direction_range
     assert new.matrix.tobytes() == ref.matrix.tobytes()
     assert new.path_gains.tobytes() == ref.path_gains.tobytes()
     assert np.array_equal(new.path_directions, ref.path_directions)
+
+
+# budget roots in (0, 1), past 1 to beyond the doubling cap 2**DOUBLINGS,
+# deep enough to meet the halving cap, and near the subnormal range
+_ROOT_SCALES = (st.integers(-60, 0) | st.integers(1, DOUBLINGS + 2) | st.integers(-300, -61)
+                | st.integers(-1074, -1000))
+_SHAPES = st.floats(1e-3, 1e3)
+_SPECIAL_NUMERATORS = st.sampled_from([0.0, -0.0, -1.0, math.nan])
+
+
+@st.composite
+def _budget_rows(draw, k):
+    """numer, denom_base, total and guess of one root: denominators and root
+    at a drawn power-of-two scale, some denominators shifted negative (the
+    masked rows), numerators at a drawn gain over them, some zero, -0,
+    negative or NaN, and the total the powers take at the root."""
+    scale = draw(_ROOT_SCALES)
+    gain = draw(st.integers(-150, 480))
+    numer = [math.ldexp(x, scale + gain)
+             for x in draw(st.lists(_SHAPES | _SPECIAL_NUMERATORS, min_size=k, max_size=k))]
+    denom_base = [math.ldexp(x, scale) for x in draw(st.lists(_SHAPES, min_size=k, max_size=k))]
+    if draw(st.booleans()):
+        shift = draw(st.floats(0.05, 1.5)) * max(denom_base)
+        denom_base = [d - shift for d in denom_base]
+    # a root close above a masked row's pole moves its sum by more than the
+    # residual tolerance between neighbouring doubles
+    offset = draw(st.floats(1e-3, 4.0) | st.floats(1e-13, 1e-6))
+    root = max(-min(denom_base), 0.0) + math.ldexp(offset, scale)
+    numer, denom_base = np.array(numer), np.array(denom_base)
+    total = float(np.sum(_powers_at(numer, denom_base, root)))
+    guess = draw(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, 0.5, root])
+                 | st.floats(0.5, 2.0).map(lambda f: f * root))
+    return numer, denom_base, total, guess
+
+
+@st.composite
+def _budget_batches(draw):
+    k = draw(st.integers(1, 8))
+    rows = draw(st.lists(_budget_rows(k), min_size=1, max_size=4))
+    return tuple(np.array(column) for column in zip(*rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=_budget_batches())
+def test_budget_root_is_the_sequential_bisection(batch):
+    numer, denom_base, total, guess = batch
+    lam, p = _solve_budgets(numer, denom_base, total, guess)
+    want = [sequential_solve_budget(*row) for row in zip(numer, denom_base, total)]
+    assert lam.tobytes() == np.array([root for root, _ in want]).tobytes()
+    assert p.tobytes() == np.array([powers for _, powers in want]).tobytes()
+    assert np.all(p >= 0)
+    # past the doubling cap the bisection returns hi = 2**DOUBLINGS with the
+    # powers at 2**(DOUBLINGS - 1), which exceed the budget
+    uncapped = lam < 2.0 ** DOUBLINGS
+    assert np.all(p.sum(axis=-1)[uncapped] <= total[uncapped] * (1 + BUDGET_TOL))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from beamspace_noma import (AuxState, ChannelParams, LinkBudget, OptimizerConfig, PrecodingError,
+from beamspace_noma import (ChannelParams, LinkBudget, OptimizerConfig, PrecodingError,
                             SystemConfig, allocate, allocate_batch, beamspace_mimo_single_user,
                             beamspace_mimo_single_user_batch, build_noma_link, fully_digital_zf,
                             fully_digital_zf_batch, lens_transform_matrix, link_gains, mimo_oma,
@@ -104,8 +104,8 @@ def test_rows_stop_at_different_dual_rounds():
         xi = oracles.interference_vector(lg, p, budget.noise_mw)
         c = np.conj(np.sqrt(p) * lg.own) / (p * lg.own_gain + xi)
         a = (p * lg.own_gain + xi) / xi
-        got_p, got = update_p(AuxState(c=c, a=a, e=1 / a, powers=p, iteration=1), grouping,
-                              precoder, OptimizerConfig(min_rate=1.0), budget, lg=lg)
+        got_p, got = update_p(c, a, grouping, precoder, OptimizerConfig(min_rate=1.0), budget,
+                              lg=lg)
         want_p, want = oracles.sequential_update_p(lg, c, a, 1.0, budget)
         assert got_p.tobytes() == want_p.tobytes()
         assert type(got.budget_multiplier) is float and type(got.max_violation) is float
