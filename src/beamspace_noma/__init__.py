@@ -12,18 +12,16 @@ from .beams import (BeamAssignment, BeamGrouping, DegenerateChannelError,
 from .baselines import (SchemeResult, beamspace_mimo_single_user,
                         beamspace_mimo_single_user_batch, fully_digital_zf, fully_digital_zf_batch,
                         mimo_oma, mimo_oma_batch)
-from .channel import (ChannelParams, ChannelRealization, LensMatrix, SpatialChannel,
-                      lens_transform_matrix, sample_realization, sample_user_channel,
-                      steering_vector, to_beamspace, trial_rng)
+from .channel import (ChannelParams, ChannelRealization, LensMatrix, lens_transform_matrix,
+                      sample_realization, steering_vector, to_beamspace, trial_rng)
 from .config import SystemConfig, build_config, load_config_file
 from .power import (DualSolution, OptimizerConfig, PowerAllocation,
-                    allocate, allocate_batch, mmse_error, mmse_identity, proposition1_check,
-                    update_a, update_c, update_p)
-from .precoding import (EquivalentChannel, Precoder, PrecodingError,
-                        equivalent_channel_strongest, equivalent_channel_svd,
-                        make_equivalent, top_left_singular_vector, zf_precoder)
+                    allocate, allocate_batch, mmse_error, proposition1_check, update_p)
+from .precoding import (Precoder, PrecodingError, equivalent_channel_strongest,
+                        equivalent_channel_svd, make_equivalent, top_left_singular_vector,
+                        zf_precoder)
 from .rates import (LinkBudget, LinkGains, PowerModel, RateReport, energy_efficiency,
-                    interference_term, interference_vector, link_gains, sinr, sum_rate)
+                    interference_vector, link_gains, sinr, sum_rate)
 from .runner import ExperimentRecord, SweepResult, build_noma_link, run_trial, summarize, sweep
 
 __version__ = "0.1.0"

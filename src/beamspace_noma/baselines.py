@@ -3,7 +3,8 @@ and OMA sharing on the NOMA grouping. All baselines use equal power splits.
 
 Each scheme has a batch form taking one budget per SNR point: the precoder
 and gains, which do not depend on the noise, are built once and the rates of
-all budgets are rows of one array. The one-budget functions are views of it.
+all budgets are rows of one array. The one-budget views of it serve the
+acceptance suite and the benchmark's tracer, which wraps them by name.
 """
 
 from __future__ import annotations

@@ -46,10 +46,6 @@ class BeamGrouping:
         return len(self.selected)
 
     @property
-    def n_users(self) -> int:
-        return self.reduced.shape[1]
-
-    @property
     def users_flat(self) -> np.ndarray:
         """All user indices, beam by beam in SIC order."""
         return np.concatenate(self.beams)

@@ -70,19 +70,6 @@ class ChannelParams:
 
 
 @dataclass
-class SpatialChannel:
-    """One user's spatial channel with its path records.
-
-    vector equals sum_l path_gains[l] * steering_vector(path_directions[l], N)
-    and is reconstructible from the records to 1e-12 relative error.
-    """
-
-    vector: np.ndarray          # (N,) complex
-    path_gains: np.ndarray      # (L+1,) complex, index 0 = LoS
-    path_directions: np.ndarray  # (L+1,) real
-
-
-@dataclass
 class ChannelRealization:
     """Spatial channels of all K users for one Monte Carlo trial."""
 
@@ -155,20 +142,6 @@ def _complex_gaussian(rng: np.random.Generator, variance: float, size) -> np.nda
     # circular-symmetric CN(0, variance): total variance split over re/im
     scale = np.sqrt(variance / 2.0)
     return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
-
-
-def sample_user_channel(params: ChannelParams, rng: np.random.Generator) -> SpatialChannel:
-    """Draw one user's multipath channel: LoS gain CN(0, los_var), NLoS gains
-    CN(0, nlos_var), directions uniform on the configured range."""
-    n_paths = params.n_nlos + 1
-    lo, hi = params.direction_range
-    directions = rng.uniform(lo, hi, size=n_paths)
-    gains = np.empty(n_paths, dtype=complex)
-    gains[0] = _complex_gaussian(rng, params.los_var, ())
-    if params.n_nlos:
-        gains[1:] = _complex_gaussian(rng, params.nlos_var, params.n_nlos)
-    steer = np.stack([steering_vector(t, params.n_antennas) for t in directions], axis=1)
-    return SpatialChannel(vector=steer @ gains, path_gains=gains, path_directions=directions)
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:

@@ -56,10 +56,12 @@ class SystemConfig:
         if any(k < 1 for k in self.users_sweep):
             raise ValueError(f"user sweep entries must be >= 1, got {self.users_sweep}")
         # the component constructors check antennas, users, paths, variances,
-        # power-model constants, iteration cap and minimum rate
+        # power-model constants, iteration cap, minimum rate and SNR noise powers
         self.channel_params()
         self.power_model()
         self.optimizer_config()
+        for snr_db in self.snr_db:
+            self.budget(snr_db)
         unknown = [s for s in self.schemes if s not in ALL_SCHEMES]
         if unknown:
             raise ValueError(f"unknown schemes {unknown}; expected subset of {ALL_SCHEMES}")

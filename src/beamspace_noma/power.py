@@ -16,8 +16,8 @@ arrays and follows exactly the iterations a lone run would take, leaving the
 batch when it stagnates (and the min-rate dual ascent when it converges).
 Every batched step keeps the bits of the one-row computation: elementwise
 ops, row sums of C-contiguous rows, per-row gemv through stacked matmuls and
-per-beam bincounts over row-offset bins. `allocate`, `update_p` and the 1-D
-helpers are one-row views of the batched code.
+per-beam bincounts over row-offset bins. The one-budget views `allocate` and
+`update_p` stay because the benchmark's tracer wraps them by name.
 
 The budget root returns the multiplier and powers of a one-at-a-time
 bisection bit for bit, but evaluates few of its midpoints. Every bracket the
@@ -110,13 +110,6 @@ class PowerAllocation:
     report: RateReport        # SINRs and rates at the final powers
 
 
-def mmse_identity(gamma: float) -> float:
-    """Minimum MSE achievable at SINR gamma: 1/(1+gamma)."""
-    if gamma < 0:
-        raise ValueError(f"SINR must be >= 0, got {gamma}")
-    return 1.0 / (1.0 + gamma)
-
-
 def proposition1_check(b: float, grid: np.ndarray) -> tuple[float, float]:
     """Evaluate f(a) = -a*b/ln2 + log2(a) + 1/ln2 on a positive grid and
     return (argmax, max); the analytic optimum is a = 1/b, f = -log2(b)."""
@@ -142,22 +135,6 @@ def _mmse(lg: LinkGains, powers: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return xi / (powers * lg.own_gain + xi)
 
 
-def update_c(powers: np.ndarray, grouping: BeamGrouping, precoder: Precoder,
-             noise_mw: float, lg: LinkGains | None = None) -> np.ndarray:
-    """Optimal per-user MMSE equalizers at the given powers (flat order)."""
-    lg = lg or link_gains(grouping, precoder)
-    powers = np.asarray(powers, dtype=float)
-    return _equalizers(lg, powers, interference_vector(lg, powers, noise_mw))
-
-
-def update_a(powers: np.ndarray, grouping: BeamGrouping, precoder: Precoder,
-             noise_mw: float, lg: LinkGains | None = None) -> np.ndarray:
-    """Optimal per-user weights a = 1/e_opt = 1 + sinr (flat order)."""
-    lg = lg or link_gains(grouping, precoder)
-    powers = np.asarray(powers, dtype=float)
-    return 1.0 / _mmse(lg, powers, interference_vector(lg, powers, noise_mw))
-
-
 def mmse_error(powers: np.ndarray, grouping: BeamGrouping, precoder: Precoder,
                noise_mw: float) -> np.ndarray:
     """Minimized per-user MSE values e_opt at the given powers."""
@@ -166,21 +143,10 @@ def mmse_error(powers: np.ndarray, grouping: BeamGrouping, precoder: Precoder,
     return _mmse(lg, powers, interference_vector(lg, powers, noise_mw))
 
 
-def _stationary_denominator(lg: LinkGains, c: np.ndarray, a: np.ndarray,
-                            mu: np.ndarray, eta: float) -> np.ndarray:
-    """Lambda-free part of the KKT denominator tau for every user; c, a and mu
-    are (K,) or (R, K) rows.
-
-    Per user u on beam n: all same-beam users ranked at or after u plus every
-    other beam's users contribute a*|c|^2*|h^H w_n|^2; the min-rate
-    multipliers enter with -mu_u on the own gain and +eta*mu_v on the gains of
-    users whose constraints user u's power tightens.
-    """
-    return _with_rate_multipliers(lg, _base_denominator(lg, c, a), mu, eta)
-
-
 def _base_denominator(lg: LinkGains, c: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """`_stationary_denominator` with every min-rate multiplier zero."""
+    """Lambda-free KKT denominator of (K,) or (R, K) rows c and a at zero
+    min-rate multipliers: for user u on beam n, every user ranked at or after
+    u on beam n or on another beam adds a*|c|^2*|h^H w_n|^2."""
     weights = a * np.abs(c) ** 2
     colsum = np.matmul(weights[..., None, :], lg.gains)[..., 0, :]
     return colsum.take(lg.beam_of, axis=-1) - seg_excl_cumsum(weights * lg.own_gain,
@@ -189,8 +155,9 @@ def _base_denominator(lg: LinkGains, c: np.ndarray, a: np.ndarray) -> np.ndarray
 
 def _with_rate_multipliers(lg: LinkGains, base: np.ndarray, mu: np.ndarray,
                            eta: float) -> np.ndarray:
-    """The denominator `base` of zero multipliers plus the min-rate multiplier
-    terms; a row whose multipliers are all zero gets `base` alone."""
+    """`base` plus the min-rate multiplier terms: -mu_u on the own gain and
+    +eta*mu_v on the gains of users whose constraints u's power tightens. A
+    row whose multipliers are all zero gets `base` alone."""
     colmu = np.matmul(mu[..., None, :], lg.gains)[..., 0, :]
     own_mu = mu * lg.own_gain
     incl = seg_excl_cumsum(own_mu, lg.beam_start) + own_mu
@@ -204,14 +171,6 @@ def _powers_at(numer: np.ndarray, denom_base: np.ndarray, lam) -> np.ndarray:
     non-positive denominator (the clamp to 0 makes that quotient inf)."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.where(numer > 0, (numer / np.maximum(denom_base + lam, 0.0)) ** 2, 0.0)
-
-
-def _solve_budget(numer: np.ndarray, denom_base: np.ndarray, total_mw: float,
-                  guess: float = math.nan) -> tuple[float, np.ndarray]:
-    """One-row view of `_solve_budgets`: the multiplier and (K,) powers."""
-    lam, p = _solve_budgets(numer[None], denom_base[None], np.array([total_mw]),
-                            np.array([guess]))
-    return float(lam[0]), p[0]
 
 
 def _solve_budgets(numer: np.ndarray, denom_base: np.ndarray, total_mw: np.ndarray,

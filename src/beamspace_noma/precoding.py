@@ -3,7 +3,8 @@
 With more users than RF chains the reduced beamspace matrix has no
 pseudo-inverse, so each beam is collapsed to one representative vector:
 either its strongest user's channel or a dominant-singular-vector mix of
-all its users' channels. ZF is then taken on the square equivalent matrix.
+all its users' channels. `make_equivalent` returns the square equivalent
+matrix as a plain array, and `zf_precoder` takes ZF on it.
 
 A channel whose condition number exceeds COND_LIMIT drops the trial. ZF
 builds the Gram inverse anyway, so it first tries to certify the
@@ -40,28 +41,19 @@ class PrecodingError(RuntimeError):
 
 
 @dataclass
-class EquivalentChannel:
-    """Square N_RF x N_RF matrix whose column n represents beam n."""
-
-    matrix: np.ndarray
-    variant: str  # "strongest" | "svd"
-
-
-@dataclass
 class Precoder:
-    """Unit-norm ZF precoding columns w_n plus their source equivalent channel."""
+    """Unit-norm ZF precoding columns w_n."""
 
     matrix: np.ndarray
-    equivalent: EquivalentChannel
     zf_residual: float  # max |(H~^H W~ - I)_ij| before normalization
 
 
-def equivalent_channel_strongest(grouping: BeamGrouping) -> EquivalentChannel:
-    """Represent each beam by its first (strongest) user's reduced channel."""
+def equivalent_channel_strongest(grouping: BeamGrouping) -> np.ndarray:
+    """N_RF x N_RF equivalent channel: column n is beam n's strongest user's."""
     if any(len(members) == 0 for members in grouping.beams):
         raise ValueError("every beam must contain at least one user")
     first = [members[0] for members in grouping.beams]
-    return EquivalentChannel(matrix=grouping.reduced[:, first].copy(), variant="strongest")
+    return grouping.reduced[:, first].copy()
 
 
 def _one_row_closed(b00):
@@ -86,8 +78,6 @@ def top_left_singular_vector(mat: np.ndarray, tol: float = 1e-12,
         raise ValueError("zero matrix has no dominant singular vector")
     b = mat @ mat.conj().T
     r = b.shape[0]
-    if r == 1 and _one_row_closed(b[0, 0]):
-        return np.array([1.0 + 0j]), float(np.sqrt(max(float(b[0, 0].real), 0.0)))
     x = np.ones(r) / np.sqrt(r)
     best_x, best_res, lam = x, np.inf, 0.0
     stall, restarted = 0, False
@@ -126,17 +116,17 @@ def top_left_singular_vector(mat: np.ndarray, tol: float = 1e-12,
     return u, float(np.sqrt(max(lam, 0.0)))
 
 
-def equivalent_channel_svd(grouping: BeamGrouping) -> EquivalentChannel:
-    """Represent beam n by H_n u_n* with u_n the dominant left singular
-    vector of H_n^T, mixing all of the beam's user channels.
+def equivalent_channel_svd(grouping: BeamGrouping) -> np.ndarray:
+    """The square equivalent channel whose column n is H_n u_n*, with u_n the
+    dominant left singular vector of H_n^T, mixing all of the beam's users.
 
     One-member beams are built together from their stacked rows h^T, with
-    the one-row steps of `top_left_singular_vector`: the zero-matrix
-    ValueError, b00 = h^T conj(h) and, where b00 passes its closed form, the
-    column h @ [1-0j]. b00 and the column are stacked matmuls with the
-    one-beam shapes, so they run the same numpy kernels and keep the bits.
-    One-member beams that fail the closed form, and every beam with more
-    members, run the power iteration one by one.
+    the steps `top_left_singular_vector` takes on one row: the zero-matrix
+    ValueError, b00 = h^T conj(h) and, where `_one_row_closed(b00)` says its
+    loop stops at u = [1+0j], the column h @ [1-0j]. b00 and the column are
+    stacked matmuls with the one-beam shapes, so they run the same numpy
+    kernels and keep the bits. One-member beams that fail the closed form,
+    and every beam with more members, run the power iteration one by one.
     """
     if any(len(members) == 0 for members in grouping.beams):
         raise ValueError("every beam must contain at least one user")
@@ -157,7 +147,7 @@ def equivalent_channel_svd(grouping: BeamGrouping) -> EquivalentChannel:
         h_n = grouping.beam_channels(n)
         u, _ = top_left_singular_vector(h_n.T)
         eq[:, n] = h_n @ u.conj()
-    return EquivalentChannel(matrix=eq, variant="svd")
+    return eq
 
 
 def zf_columns(h: np.ndarray, what: str) -> tuple[np.ndarray, float]:
@@ -192,20 +182,20 @@ def zf_columns(h: np.ndarray, what: str) -> tuple[np.ndarray, float]:
     return w_raw / np.linalg.norm(w_raw, axis=0, keepdims=True), residual
 
 
-def zf_precoder(equivalent: EquivalentChannel) -> Precoder:
+def zf_precoder(equivalent: np.ndarray) -> Precoder:
     """Zero-forcing precoder W~ = H~ (H~^H H~)^{-1} with unit-norm columns.
 
     An equivalent channel with a NaN or infinite entry (an SVD mix whose
     power iteration overflowed) raises PrecodingError before ZF, so the trial
     records a drop instead of aborting in the condition check's SVD."""
-    if not np.isfinite(equivalent.matrix).all():
+    if not np.isfinite(equivalent).all():
         raise PrecodingError("equivalent channel has non-finite entries",
                              condition=float("nan"))
-    w, residual = zf_columns(equivalent.matrix, "equivalent channel")
-    return Precoder(matrix=w, equivalent=equivalent, zf_residual=residual)
+    w, residual = zf_columns(equivalent, "equivalent channel")
+    return Precoder(matrix=w, zf_residual=residual)
 
 
-def make_equivalent(grouping: BeamGrouping, variant: str) -> EquivalentChannel:
+def make_equivalent(grouping: BeamGrouping, variant: str) -> np.ndarray:
     """Dispatch on the configured equivalent-channel variant."""
     if variant == "strongest":
         return equivalent_channel_strongest(grouping)

@@ -27,10 +27,10 @@ class LinkBudget:
     total_power_mw: float
 
     def __post_init__(self):
-        if self.noise_mw <= 0:
-            raise ValueError(f"noise power must be > 0, got {self.noise_mw}")
-        if self.total_power_mw <= 0:
-            raise ValueError(f"power budget must be > 0, got {self.total_power_mw}")
+        if not (math.isfinite(self.noise_mw) and self.noise_mw > 0):
+            raise ValueError(f"noise power must be finite and > 0, got {self.noise_mw}")
+        if not (math.isfinite(self.total_power_mw) and self.total_power_mw > 0):
+            raise ValueError(f"power budget must be finite and > 0, got {self.total_power_mw}")
 
     @classmethod
     def from_snr(cls, total_power_mw: float, snr_db: float, n_users: int) -> "LinkBudget":
@@ -38,8 +38,14 @@ class LinkBudget:
         sigma^2 = (P / K) / SNR_linear."""
         if n_users < 1:
             raise ValueError(f"need at least 1 user, got {n_users}")
-        return cls(noise_mw=(total_power_mw / n_users) / 10.0 ** (snr_db / 10.0),
-                   total_power_mw=total_power_mw)
+        try:
+            noise_mw = (total_power_mw / n_users) / 10.0 ** (snr_db / 10.0)
+        except (OverflowError, ZeroDivisionError):  # SNR_linear overflows or underflows to 0
+            noise_mw = math.nan
+        if not (math.isfinite(noise_mw) and noise_mw > 0):
+            raise ValueError(f"SNR {snr_db:g} dB gives no finite, positive noise power "
+                             f"(P / K) / SNR_linear at P = {total_power_mw:g} mW, K = {n_users}")
+        return cls(noise_mw=noise_mw, total_power_mw=total_power_mw)
 
 
 @dataclass
@@ -84,8 +90,7 @@ class LinkGains:
     Flat user order is beam-major with SIC rank ascending inside each beam.
     """
 
-    heff: np.ndarray      # (K, N_RF) complex, row u = h_u^H W
-    gains: np.ndarray     # |heff|^2
+    gains: np.ndarray     # (K, N_RF) |h_u^H w_j|^2
     own: np.ndarray       # (K,) complex own-beam gain h_u^H w_{beam(u)}
     own_gain: np.ndarray  # (K,) |own|^2, read from gains
     beam_of: np.ndarray   # (K,) int
@@ -105,7 +110,7 @@ def link_gains(grouping: BeamGrouping, precoder: Precoder) -> LinkGains:
     bounds = np.concatenate(([0], np.cumsum(sizes)))
     slices = [slice(bounds[i], bounds[i + 1]) for i in range(grouping.n_rf)]
     rows = np.arange(len(users))
-    return LinkGains(heff=heff, gains=gains, own=heff[rows, beam_of],
+    return LinkGains(gains=gains, own=heff[rows, beam_of],
                      own_gain=gains[rows, beam_of], beam_of=beam_of,
                      beam_start=bounds[beam_of], beam_slices=slices, users=users,
                      n_rf=grouping.n_rf)
@@ -169,16 +174,6 @@ def rate_reports(lg: LinkGains, powers: np.ndarray, xi: np.ndarray) -> list[Rate
     return [RateReport(users=lg.users, sinr=g, interference=x, rates=r, sum_rate=total,
                        n_rf=lg.n_rf)
             for g, x, r, total in zip(gamma, xi, rates, rates.sum(axis=-1).tolist())]
-
-
-def interference_term(m: int, n: int, grouping: BeamGrouping, precoder: Precoder,
-                      powers: np.ndarray, noise_mw: float) -> float:
-    """Residual interference plus noise at the m-th user (0-based SIC rank)
-    of beam n: own-beam gain times earlier-ranked powers, plus every other
-    beam's total power through the cross gains, plus noise."""
-    lg = link_gains(grouping, precoder)
-    u = lg.beam_slices[n].start + m
-    return float(interference_vector(lg, powers, noise_mw)[u])
 
 
 def sinr(m: int, n: int, grouping: BeamGrouping, precoder: Precoder,

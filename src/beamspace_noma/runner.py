@@ -102,8 +102,8 @@ def run_trial(config: SystemConfig, trial_index: int) -> list[ExperimentRecord]:
 
     The SNR points share the link and differ only in the noise, so each
     scheme runs once with one budget per SNR point. A scheme that fails with
-    one of DROP_ERRORS, or whose sum rate at an SNR point is not finite,
-    becomes a recorded drop with the reason.
+    one of DROP_ERRORS, or whose sum rate at an SNR point (for NOMA, at any
+    iteration) is not finite, becomes a recorded drop with the reason.
     """
     rng = trial_rng(config.seed, trial_index)
     realization = sample_realization(config.channel_params(), rng)
@@ -145,8 +145,13 @@ def run_trial(config: SystemConfig, trial_index: int) -> list[ExperimentRecord]:
                 continue
             result = outcome[i]
             sum_rate = result.report.sum_rate if scheme == "noma" else result.sum_rate
-            if not math.isfinite(sum_rate):
-                rec.dropped, rec.drop_reason = True, f"non-finite sum rate {sum_rate!r}"
+            reason = "" if math.isfinite(sum_rate) else f"non-finite sum rate {sum_rate!r}"
+            if scheme == "noma" and not reason:
+                reason = next((f"non-finite sum rate {rate!r} at iteration {t}"
+                               for t, rate in enumerate(result.trace, 1)
+                               if not math.isfinite(rate)), "")
+            if reason:
+                rec.dropped, rec.drop_reason = True, reason
                 records.append(rec)
                 continue
             rec.sum_rate = sum_rate

@@ -115,15 +115,13 @@ def test_oma_singletons_equal_noma_with_beam_powers(random_link):
 
 
 def test_oma_identical_users_split_the_single_user_rate():
-    from beamspace_noma import BeamGrouping, EquivalentChannel, Precoder
+    from beamspace_noma import BeamGrouping, Precoder
 
     h = np.array([[1.2 + 0j]])
     pair = BeamGrouping(beams=[np.array([0, 1])],
                         reduced=np.array([[1.2 + 0j, 1.2 + 0j]]),
                         selected=np.array([0]))
-    w = Precoder(matrix=np.eye(1, dtype=complex),
-                 equivalent=EquivalentChannel(np.eye(1, dtype=complex), "strongest"),
-                 zf_residual=0.0)
+    w = Precoder(matrix=np.eye(1, dtype=complex), zf_residual=0.0)
     budget = LinkBudget(noise_mw=0.5, total_power_mw=4.0)
     oma = mimo_oma(pair, w, budget)
     single = np.log2(1 + 1.2**2 * 4.0 / 0.5)

@@ -8,17 +8,19 @@ import pytest
 
 import oracles
 from beamspace_noma import power
-from beamspace_noma.power import BISECT_DEPTH, BUDGET_TOL, MAX_HALVINGS, _solve_budget
+from beamspace_noma.power import BISECT_DEPTH, BUDGET_TOL, MAX_HALVINGS, _solve_budgets
 from oracles import sequential_solve_budget
 
 
 def _assert_same_root(numer, denom_base, total_mw):
+    """Solve the root as a (1, K) row and check it against the sequential
+    bisection; return the multiplier and the (K,) powers."""
     want_lam, want_p = sequential_solve_budget(numer, denom_base, total_mw)
-    lam, p = _solve_budget(numer, denom_base, total_mw)
-    assert lam == want_lam
-    assert p.dtype == want_p.dtype and p.shape == want_p.shape
+    lam, p = _solve_budgets(numer[None], denom_base[None], np.array([total_mw]))
+    assert lam[0] == want_lam
+    assert p.dtype == want_p.dtype and p.shape == (1,) + want_p.shape
     assert p.tobytes() == want_p.tobytes()
-    return lam, p
+    return lam[0], p[0]
 
 
 def _instance(seed, k, negative_denoms=False):
@@ -261,8 +263,9 @@ def test_guess_never_changes_the_bits(case, root):
     want_lam, want_p = sequential_solve_budget(numer, denom_base, total)
     assert want_lam == 0.0 if case == "slack" else abs(want_lam / root - 1.0) < 1e-6
     for guess in (np.nan, 0.0, 1e300, -1.0, np.inf, want_lam, 0.5 * want_lam, 1.5 * want_lam):
-        lam, p = _solve_budget(numer, denom_base, total, guess)
-        assert lam == want_lam and p.tobytes() == want_p.tobytes(), guess
+        lam, p = _solve_budgets(numer[None], denom_base[None], np.array([total]),
+                                np.array([guess]))
+        assert lam[0] == want_lam and p[0].tobytes() == want_p.tobytes(), guess
 
 
 def test_full_scale_roots_rarely_resume_the_grid_rounds(monkeypatch):
@@ -344,8 +347,8 @@ def test_window_walk_hits_the_halving_cap(monkeypatch):
         return stopped
 
     monkeypatch.setattr(power, "_walk", walk)
-    lam, p = _solve_budget(numer, denom_base, total, 9e-66)
-    assert lam == want_lam == 2.0 ** -MAX_HALVINGS and p.tobytes() == want_p.tobytes()
+    lam, p = _solve_budgets(numer[None], denom_base[None], np.array([total]), np.array([9e-66]))
+    assert lam[0] == want_lam == 2.0 ** -MAX_HALVINGS and p[0].tobytes() == want_p.tobytes()
     assert walks == [(True, MAX_HALVINGS, True), (False, MAX_HALVINGS, False)]
 
 
@@ -358,8 +361,9 @@ def test_roots_near_the_subnormal_range(numer, denom, total, guess):
     numer, denom_base = np.array([numer, 0.5 * numer]), np.array([denom, 2.0 * denom])
     want_lam, want_p = sequential_solve_budget(numer, denom_base, total)
     for hint in (guess, np.nan):
-        lam, p = _solve_budget(numer, denom_base, total, hint)
-        assert lam == want_lam and p.tobytes() == want_p.tobytes()
+        lam, p = _solve_budgets(numer[None], denom_base[None], np.array([total]),
+                                np.array([hint]))
+        assert lam[0] == want_lam and p[0].tobytes() == want_p.tobytes()
 
 
 @pytest.mark.parametrize("exponent", range(-176, -150, 3))
@@ -370,8 +374,8 @@ def test_walk_skips_close_to_the_halving_cap(exponent):
     root = 1.7 * 2.0 ** exponent
     total = float(np.sum((numer / (denom_base + root)) ** 2))
     want_lam, want_p = sequential_solve_budget(numer, denom_base, total)
-    lam, p = _solve_budget(numer, denom_base, total, root)
-    assert lam == want_lam and p.tobytes() == want_p.tobytes()
+    lam, p = _solve_budgets(numer[None], denom_base[None], np.array([total]), np.array([root]))
+    assert lam[0] == want_lam and p[0].tobytes() == want_p.tobytes()
 
 
 def test_zero_numerator_user_with_the_lowest_denominator():
@@ -381,5 +385,6 @@ def test_zero_numerator_user_with_the_lowest_denominator():
     numer, denom_base = np.array([0.0, 1.0]), np.array([-0.375, 0.1])
     total = float((1.0 / (0.475 + 1e-12)) ** 2)
     want_lam, want_p = sequential_solve_budget(numer, denom_base, total)
-    lam, p = _solve_budget(numer, denom_base, total, 0.375 + 1e-12)
-    assert lam == want_lam and p.tobytes() == want_p.tobytes()
+    lam, p = _solve_budgets(numer[None], denom_base[None], np.array([total]),
+                            np.array([0.375 + 1e-12]))
+    assert lam[0] == want_lam and p[0].tobytes() == want_p.tobytes()

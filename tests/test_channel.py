@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from beamspace_noma import (ChannelParams, lens_transform_matrix, sample_realization,
-                            sample_user_channel, steering_vector, to_beamspace, trial_rng)
+                            steering_vector, to_beamspace, trial_rng)
 
 
 def test_steering_broadside_is_constant():
@@ -54,16 +54,17 @@ def test_lens_unitarity(n):
 
 def test_single_path_norm_equals_gain():
     params = ChannelParams(n_antennas=8, n_users=1, n_nlos=0)
-    ch = sample_user_channel(params, trial_rng(1, 0))
-    assert np.linalg.norm(ch.vector) == pytest.approx(abs(ch.path_gains[0]), rel=1e-12)
+    real = sample_realization(params, trial_rng(1, 0))
+    assert np.linalg.norm(real.matrix[:, 0]) == pytest.approx(abs(real.path_gains[0, 0]),
+                                                              rel=1e-12)
 
 
 def test_zero_nlos_variance_gives_pure_los():
     params = ChannelParams(n_antennas=8, n_users=1, n_nlos=2, nlos_var=0.0)
-    ch = sample_user_channel(params, trial_rng(2, 0))
-    assert np.all(ch.path_gains[1:] == 0)
-    los = ch.path_gains[0] * steering_vector(ch.path_directions[0], 8)
-    np.testing.assert_allclose(ch.vector, los, atol=1e-15)
+    real = sample_realization(params, trial_rng(2, 0))
+    assert np.all(real.path_gains[0, 1:] == 0)
+    los = real.path_gains[0, 0] * steering_vector(real.path_directions[0, 0], 8)
+    np.testing.assert_allclose(real.matrix[:, 0], los, atol=1e-15)
 
 
 def test_nlos_power_matches_configured_variance():
@@ -87,9 +88,10 @@ def test_channel_reconstructs_from_path_records():
 
 def test_user_channel_reconstructs_too():
     params = ChannelParams(n_antennas=16, n_users=1, n_nlos=2)
-    ch = sample_user_channel(params, trial_rng(6, 0))
-    rebuilt = sum(g * steering_vector(t, 16) for g, t in zip(ch.path_gains, ch.path_directions))
-    assert np.linalg.norm(ch.vector - rebuilt) <= 1e-12 * np.linalg.norm(rebuilt)
+    real = sample_realization(params, trial_rng(6, 0))
+    rebuilt = sum(g * steering_vector(t, 16)
+                  for g, t in zip(real.path_gains[0], real.path_directions[0]))
+    assert np.linalg.norm(real.matrix[:, 0] - rebuilt) <= 1e-12 * np.linalg.norm(rebuilt)
 
 
 def test_same_seed_is_bit_identical():

@@ -147,7 +147,7 @@ def _grouping(reduced, beams):
 def _svd_outcome(fn, grouping):
     with np.errstate(all="ignore"):
         try:
-            eq = fn(grouping).matrix
+            eq = fn(grouping)
         except ValueError as err:
             return ValueError, str(err)
     return eq.shape, eq.flags.c_contiguous, eq.tobytes()

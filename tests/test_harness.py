@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from beamspace_noma import (ChannelParams, PowerModel, SystemConfig, build_config,
+from beamspace_noma import (ChannelParams, LinkBudget, PowerModel, SystemConfig, build_config,
                             load_config_file, run_trial, sweep)
 from beamspace_noma.cli import main as cli_main
 from beamspace_noma.config import parse_int_list, parse_snr_spec
@@ -344,24 +344,31 @@ def test_all_zero_user_channel_is_a_drop_not_an_abort(tmp_path, monkeypatch):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_drops_nan_sum_rates_at_200_db(tmp_path, capsys):
     # at 200 dB two of the four full-scale NOMA allocations end in NaN rates
+    # and the other two pass through NaN iterates on the way, so all four are
+    # drops; OMA on the same links keeps finite rates
     out = tmp_path / "snr200"
     code = cli_main(["sweep-snr", "--snr", "200", "--trials", "4", "--seed", "3",
-                     "--schemes", "noma", "--out", str(out)])
+                     "--schemes", "noma,oma", "--out", str(out)])
     assert code == 0
-    summary_line = capsys.readouterr().out.splitlines()[0]
-    assert "nan" not in summary_line and "(4 trials, 2 dropped)" in summary_line
+    noma_line, oma_line = capsys.readouterr().out.splitlines()[:2]
+    assert "noma" in noma_line and "(4 trials, 4 dropped)" in noma_line
+    assert "nan" not in oma_line and "(4 trials, 0 dropped)" in oma_line
     with open(tmp_path / "snr200.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == 4
+    assert len(rows) == 8
+    reasons = []
     for row in rows:
         if row["dropped"] == "1":
-            assert row["drop_reason"] == "non-finite sum rate nan"
+            reasons.append(row["drop_reason"])
         else:
+            assert row["scheme"] == "oma"
             assert math.isfinite(float(row["sum_rate_bpshz"]))
             assert math.isfinite(float(row["energy_eff_bpshzw"]))
-    (cell,) = json.load(open(tmp_path / "snr200.json"))["summary"]
-    assert cell["dropped"] == 2
-    assert math.isfinite(cell["mean_se"]) and math.isfinite(cell["mean_ee"])
+    assert sorted(reasons) == (["non-finite sum rate nan"] * 2
+                               + ["non-finite sum rate nan at iteration 1"] * 2)
+    noma_cell, oma_cell = json.load(open(tmp_path / "snr200.json"))["summary"]
+    assert noma_cell["dropped"] == 4 and oma_cell["dropped"] == 0
+    assert math.isfinite(oma_cell["mean_se"]) and math.isfinite(oma_cell["mean_ee"])
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -400,7 +407,10 @@ def test_users_sweep_noise_floor_scales_with_cell_user_count(k):
     lambda v: PowerModel(rf_chain_mw=v),
     lambda v: PowerModel(switch_mw=v),
     lambda v: PowerModel(baseband_mw=v),
-], ids=["los_var", "nlos_var", "rf_chain_mw", "switch_mw", "baseband_mw"])
+    lambda v: LinkBudget(noise_mw=v, total_power_mw=1.0),
+    lambda v: LinkBudget(noise_mw=1.0, total_power_mw=v),
+], ids=["los_var", "nlos_var", "rf_chain_mw", "switch_mw", "baseband_mw", "noise_mw",
+        "total_power_mw"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_components_reject_non_finite_physical_inputs(make, value):
     with pytest.raises(ValueError, match="must be finite"):
@@ -427,3 +437,34 @@ def test_cli_rejects_non_finite_physical_inputs_before_touching_outputs(tmp_path
     assert field in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "run.csv"]
     assert earlier.read_bytes() == b"earlier results\n"
+
+
+@pytest.mark.parametrize("snr", ["4000", "-4000", "-3090"])
+def test_cli_rejects_snr_without_a_finite_noise_power_before_touching_outputs(tmp_path, capsys,
+                                                                              snr):
+    # 10**(SNR/10) overflows at 4000 dB and underflows to 0 at -4000 dB; at
+    # -3090 dB it is subnormal and the noise power (P/K)/SNR is inf. These used
+    # to die in LinkBudget.from_snr or record SE 0.000 as a kept result.
+    earlier = tmp_path / "run.csv"
+    earlier.write_bytes(b"earlier results\n")
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["sweep-snr", "--snr", snr, "--trials", "1", "--out", str(tmp_path / "run")])
+    assert exit_info.value.code == 2
+    assert f"SNR {snr} dB" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv"]
+    assert earlier.read_bytes() == b"earlier results\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("los_variance, iteration", [(1e250, 1), (1e200, 2)])
+def test_noma_with_a_non_finite_iterate_is_a_recorded_drop(los_variance, iteration):
+    # the traces were [nan, 0.0, 0.0, 0.0] and [1999.9, nan, 666.3, 666.3]:
+    # the final sum rate is finite, but nothing after the NaN iterate holds
+    config = SystemConfig(n_antennas=16, n_users=4, seed=1, los_variance=los_variance,
+                          snr_db=[10.0])
+    by_scheme = {rec.scheme: rec for rec in run_trial(config, 0)}
+    noma = by_scheme.pop("noma")
+    assert noma.dropped and math.isnan(noma.sum_rate) and noma.n_rf == 0
+    assert noma.drop_reason == f"non-finite sum rate nan at iteration {iteration}"
+    assert noma.trace is None
+    assert not any(rec.dropped for rec in by_scheme.values())

@@ -3,20 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from beamspace_noma import (BeamGrouping, EquivalentChannel, LinkBudget,
-                            OptimizerConfig, Precoder, allocate, interference_term,
-                            link_gains, mmse_error, mmse_identity, proposition1_check,
-                            sinr, sum_rate, update_a, update_c, update_p)
-from beamspace_noma.power import _powers_at, _stationary_denominator
+from beamspace_noma import (BeamGrouping, LinkBudget, OptimizerConfig, Precoder, allocate,
+                            interference_vector, link_gains, mmse_error, proposition1_check,
+                            sinr, sum_rate, update_p)
+from beamspace_noma.power import (_base_denominator, _equalizers, _mmse, _powers_at,
+                                  _with_rate_multipliers)
 
 
 def _single_user(gain=1.0):
     g = BeamGrouping(beams=[np.array([0])],
                      reduced=np.array([[complex(np.sqrt(gain))]]),
                      selected=np.array([0]))
-    w = Precoder(matrix=np.eye(1, dtype=complex),
-                 equivalent=EquivalentChannel(np.eye(1, dtype=complex), "strongest"),
-                 zf_residual=0.0)
+    w = Precoder(matrix=np.eye(1, dtype=complex), zf_residual=0.0)
     return g, w
 
 
@@ -26,10 +24,10 @@ def _mse(c, p, g_own, xi):
 
 
 def test_update_c_reference_point():
-    g, w = _single_user()
-    c = update_c(np.array([1.0]), g, w, noise_mw=1.0)
-    assert c[0] == pytest.approx(0.5, abs=1e-15)
-    assert update_c(np.array([0.0]), g, w, noise_mw=1.0)[0] == 0.0
+    lg = link_gains(*_single_user())
+    for p, want in ((1.0, pytest.approx(0.5, abs=1e-15)), (0.0, 0.0)):
+        powers = np.array([p])
+        assert _equalizers(lg, powers, interference_vector(lg, powers, 1.0))[0] == want
 
 
 def test_update_c_beats_local_grid(random_link, budget):
@@ -37,11 +35,12 @@ def test_update_c_beats_local_grid(random_link, budget):
     rng = np.random.default_rng(0)
     powers = rng.uniform(0.2, 2.0, size=5)
     lg = link_gains(grouping, precoder)
-    c = update_c(powers, grouping, precoder, budget.noise_mw, lg=lg)
+    xi_all = interference_vector(lg, powers, budget.noise_mw)
+    c = _equalizers(lg, powers, xi_all)
     for n, members in enumerate(grouping.beams):
         for m, user in enumerate(members):
             u = list(lg.users).index(user)
-            xi = interference_term(m, n, grouping, precoder, powers, budget.noise_mw)
+            xi = xi_all[lg.beam_slices[n].start + m]
             e_star = _mse(c[u], powers[u], lg.own[u], xi)
             for dr in np.linspace(-1e-2, 1e-2, 9):
                 for di in np.linspace(-1e-2, 1e-2, 9):
@@ -50,30 +49,25 @@ def test_update_c_beats_local_grid(random_link, budget):
 
 
 def test_update_a_reference_points():
-    g, w = _single_user()
+    lg = link_gains(*_single_user())
     # p = 1, gain 1, noise 1 -> sinr 1 -> e = 1/2, a = 2
-    assert update_a(np.array([1.0]), g, w, noise_mw=1.0)[0] == pytest.approx(2.0, abs=1e-12)
-    assert update_a(np.array([0.0]), g, w, noise_mw=1.0)[0] == pytest.approx(1.0, abs=1e-15)
+    for p, want, tol in ((1.0, 2.0, 1e-12), (0.0, 1.0, 1e-15)):
+        powers = np.array([p])
+        a = 1.0 / _mmse(lg, powers, interference_vector(lg, powers, 1.0))
+        assert a[0] == pytest.approx(want, abs=tol)
 
 
 def test_update_a_equals_one_plus_sinr(random_link, budget):
     _, _, grouping, precoder = random_link(seed=52, trial=1, n=16, k=6, min_groups=1)
     rng = np.random.default_rng(1)
     powers = rng.uniform(0.0, 2.0, size=6)
-    a = update_a(powers, grouping, precoder, budget.noise_mw)
     lg = link_gains(grouping, precoder)
+    a = 1.0 / _mmse(lg, powers, interference_vector(lg, powers, budget.noise_mw))
     for n, members in enumerate(grouping.beams):
         for m, user in enumerate(members):
             u = list(lg.users).index(user)
             gamma = sinr(m, n, grouping, precoder, powers, budget.noise_mw)
             assert abs(a[u] - (1 + gamma)) <= 1e-10
-
-
-def test_mmse_identity_values():
-    assert mmse_identity(0.0) == 1.0
-    assert mmse_identity(1.0) == 0.5
-    with pytest.raises(ValueError):
-        mmse_identity(-0.1)
 
 
 def test_mmse_error_matches_identity(random_link, budget):
@@ -87,7 +81,7 @@ def test_mmse_error_matches_identity(random_link, budget):
             for m, user in enumerate(members):
                 u = list(lg.users).index(user)
                 gamma = sinr(m, n, grouping, precoder, powers, budget.noise_mw)
-                assert abs(e[u] - mmse_identity(gamma)) <= 1e-12
+                assert abs(e[u] - 1.0 / (1.0 + gamma)) <= 1e-12
 
 
 def test_update_p_single_user_takes_full_budget():
@@ -95,8 +89,9 @@ def test_update_p_single_user_takes_full_budget():
     budget = LinkBudget(noise_mw=0.4, total_power_mw=5.0)
     config = OptimizerConfig()
     p0 = np.array([budget.total_power_mw])
-    c = update_c(p0, g, w, budget.noise_mw)
-    a = update_a(p0, g, w, budget.noise_mw)
+    lg = link_gains(g, w)
+    xi = interference_vector(lg, p0, budget.noise_mw)
+    c, a = _equalizers(lg, p0, xi), 1.0 / _mmse(lg, p0, xi)
     p, duals = update_p(c, a, g, w, config, budget)
     assert p[0] == pytest.approx(5.0, rel=1e-8)
     assert duals.budget_multiplier > 0
@@ -115,8 +110,9 @@ def test_update_p_fills_budget_on_multiuser_instance(random_link):
         _, _, grouping, precoder = random_link(seed=54, trial=trial, n=16, k=3, min_groups=1)
         budget = LinkBudget.from_snr(1.0, 10.0, n_users=3)
         p = np.full(3, budget.total_power_mw / 3)
-        c = update_c(p, grouping, precoder, budget.noise_mw)
-        a = update_a(p, grouping, precoder, budget.noise_mw)
+        lg = link_gains(grouping, precoder)
+        xi = interference_vector(lg, p, budget.noise_mw)
+        c, a = _equalizers(lg, p, xi), 1.0 / _mmse(lg, p, xi)
         p_new, _ = update_p(c, a, grouping, precoder, OptimizerConfig(), budget)
         assert abs(p_new.sum() - 1.0) <= 1e-9
         assert np.all(p_new >= 0)
@@ -126,10 +122,10 @@ def test_budget_multiplier_monotonically_drains_power(random_link, budget):
     _, _, grouping, precoder = random_link(seed=55, trial=0, n=16, k=5, min_groups=1)
     lg = link_gains(grouping, precoder)
     p0 = np.full(5, 1.0)
-    c = update_c(p0, grouping, precoder, budget.noise_mw, lg=lg)
-    a = update_a(p0, grouping, precoder, budget.noise_mw, lg=lg)
+    xi = interference_vector(lg, p0, budget.noise_mw)
+    c, a = _equalizers(lg, p0, xi), 1.0 / _mmse(lg, p0, xi)
     numer = a * np.real(c * lg.own)
-    denom = _stationary_denominator(lg, c, a, np.zeros(5), 0.0)
+    denom = _with_rate_multipliers(lg, _base_denominator(lg, c, a), np.zeros(5), 0.0)
     totals = [_powers_at(numer, denom, lam).sum() for lam in np.geomspace(1e-4, 1e3, 40)]
     assert np.all(np.diff(totals) <= 1e-12)
 

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from beamspace_noma import (BeamGrouping, EquivalentChannel, LinkBudget, PrecodingError,
-                            SystemConfig, allocate, baselines, equivalent_channel_strongest,
-                            equivalent_channel_svd, precoding, run_trial, sum_rate,
-                            top_left_singular_vector, zf_precoder)
+from beamspace_noma import (BeamGrouping, LinkBudget, PrecodingError, SystemConfig, baselines,
+                            equivalent_channel_strongest, equivalent_channel_svd,
+                            precoding, run_trial, sum_rate, top_left_singular_vector,
+                            zf_precoder)
 from beamspace_noma.precoding import zf_columns
 
 from oracles import reference_top_left_singular_vector, reference_zf_columns
@@ -19,22 +19,21 @@ def _grouping(columns, beams):
 def test_strongest_equivalent_stacks_singletons():
     g = _grouping([[1, 2j], [3, 4]], beams=[[0], [1]])
     eq = equivalent_channel_strongest(g)
-    np.testing.assert_array_equal(eq.matrix, g.reduced)
-    assert eq.variant == "strongest"
+    np.testing.assert_array_equal(eq, g.reduced)
 
 
 def test_strongest_equivalent_ignores_weaker_user():
     g = _grouping([[2, 1], [1, 0.5], [0.1j, 3]], beams=[[0, 1], [2]])
     eq = equivalent_channel_strongest(g)
-    np.testing.assert_array_equal(eq.matrix[:, 0], g.reduced[:, 0])
-    np.testing.assert_array_equal(eq.matrix[:, 1], g.reduced[:, 2])
+    np.testing.assert_array_equal(eq[:, 0], g.reduced[:, 0])
+    np.testing.assert_array_equal(eq[:, 1], g.reduced[:, 2])
 
 
 def test_strongest_equivalent_duplicate_users():
     g = _grouping([[1, 1j], [1, 1j]], beams=[[0, 1]])
     g_single = _grouping([[1, 1j]], beams=[[0]])
     eq = equivalent_channel_strongest(g)
-    np.testing.assert_array_equal(eq.matrix, equivalent_channel_strongest(g_single).matrix)
+    np.testing.assert_array_equal(eq, equivalent_channel_strongest(g_single))
 
 
 def test_power_iteration_diagonal():
@@ -73,16 +72,16 @@ def test_svd_equivalent_singleton_is_phase_scaled_channel():
     eq = equivalent_channel_svd(g)
     for n in range(2):
         h = g.reduced[:, n]
-        ratio = abs(np.vdot(eq.matrix[:, n], h)) / (np.linalg.norm(h) ** 2)
+        ratio = abs(np.vdot(eq[:, n], h)) / (np.linalg.norm(h) ** 2)
         assert ratio == pytest.approx(1.0, abs=1e-10)
-        assert np.linalg.norm(eq.matrix[:, n]) == pytest.approx(np.linalg.norm(h), rel=1e-10)
+        assert np.linalg.norm(eq[:, n]) == pytest.approx(np.linalg.norm(h), rel=1e-10)
 
 
 def test_svd_equivalent_identical_users():
     g = _grouping([[1, 2j], [1, 2j], [0.1, 3]], beams=[[0, 1], [2]])
     eq = equivalent_channel_svd(g)
     h = g.reduced[:, 0]
-    align = abs(np.vdot(eq.matrix[:, 0], h)) / (np.linalg.norm(eq.matrix[:, 0]) * np.linalg.norm(h))
+    align = abs(np.vdot(eq[:, 0], h)) / (np.linalg.norm(eq[:, 0]) * np.linalg.norm(h))
     assert align == pytest.approx(1.0, abs=1e-10)
 
 
@@ -93,20 +92,20 @@ def test_svd_equivalent_norm_is_top_singular_value(random_link):
         for n in range(grouping.n_rf):
             h_n = grouping.beam_channels(n)
             sigma1 = np.linalg.svd(h_n.T, compute_uv=False)[0]  # independent oracle
-            assert np.linalg.norm(eq.matrix[:, n]) == pytest.approx(float(sigma1), rel=1e-9)
+            assert np.linalg.norm(eq[:, n]) == pytest.approx(float(sigma1), rel=1e-9)
 
 
 def test_zf_identity_and_diagonal():
-    eye = EquivalentChannel(matrix=np.eye(3, dtype=complex), variant="strongest")
+    eye = np.eye(3, dtype=complex)
     np.testing.assert_allclose(zf_precoder(eye).matrix, np.eye(3), atol=1e-12)
-    diag = EquivalentChannel(matrix=np.diag([2.0, 3.0]).astype(complex), variant="strongest")
+    diag = np.diag([2.0, 3.0]).astype(complex)
     np.testing.assert_allclose(zf_precoder(diag).matrix, np.eye(2), atol=1e-12)
 
 
 def test_zf_random_well_conditioned():
     rng = np.random.default_rng(5)
     h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) + 4 * np.eye(4)
-    w = zf_precoder(EquivalentChannel(matrix=h, variant="strongest"))
+    w = zf_precoder(h)
     np.testing.assert_allclose(np.linalg.norm(w.matrix, axis=0), np.ones(4), atol=1e-12)
     assert w.zf_residual <= 1e-8
     cross = np.abs(h.conj().T @ w.matrix)
@@ -118,7 +117,7 @@ def test_zf_random_well_conditioned():
 def test_zf_rejects_singular_equivalent():
     h = np.ones((3, 3), dtype=complex)
     with pytest.raises(PrecodingError) as err:
-        zf_precoder(EquivalentChannel(matrix=h, variant="strongest"))
+        zf_precoder(h)
     assert err.value.condition > 1e12
 
 
@@ -138,10 +137,10 @@ def test_phase_invariance_of_equivalent_columns():
     rng = np.random.default_rng(6)
     h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) + 3 * np.eye(3)
     probes = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-    w1 = zf_precoder(EquivalentChannel(matrix=h, variant="strongest")).matrix
+    w1 = zf_precoder(h).matrix
     h2 = h.copy()
     h2[:, 1] *= np.exp(1j * 0.73)
-    w2 = zf_precoder(EquivalentChannel(matrix=h2, variant="strongest")).matrix
+    w2 = zf_precoder(h2).matrix
     np.testing.assert_allclose(np.abs(probes.conj().T @ w1),
                                np.abs(probes.conj().T @ w2), atol=1e-10)
 
@@ -170,7 +169,7 @@ def test_every_zf_user_drops_singular_input_with_its_message():
     with pytest.raises(PrecodingError, match=r"^equivalent channel condition "):
         beamspace_mimo_single_user(beamspace, budget)
     with pytest.raises(PrecodingError, match=r"^equivalent channel condition "):
-        zf_precoder(EquivalentChannel(matrix=same[:2], variant="strongest"))
+        zf_precoder(same[:2])
 
 
 def _unitary(rng, m, n):
@@ -265,17 +264,26 @@ def test_full_scale_links_rarely_fall_back_to_the_svd(monkeypatch):
 
 @pytest.mark.parametrize("part", ["real", "imag", "complex"])
 def test_one_row_singular_vector_matches_the_power_iteration(part):
+    # equivalent_channel_svd answers a one-member beam without the loop
+    # wherever _one_row_closed(b00) holds: the loop must stop at u = [1+0j]
+    # with sigma = sqrt(max(Re b00, 0)) there, bit for bit
     rng = np.random.default_rng({"real": 5, "imag": 6, "complex": 7}[part])
+    closed = 0
     for n in range(1, 65):
         for scale in 10.0 ** np.linspace(-150, 150, 13):
             re, im = rng.standard_normal(n), rng.standard_normal(n)
             row = {"real": re + 0j, "imag": 1j * im, "complex": re + 1j * im}[part] * scale
             for mat in (row, row[None, :]):
+                b00 = (np.atleast_2d(mat) @ np.atleast_2d(mat).conj().T)[0, 0]
+                if not precoding._one_row_closed(b00):
+                    continue
+                closed += 1
                 u, sigma = top_left_singular_vector(mat)
-                u_ref, sigma_ref = reference_top_left_singular_vector(mat)
-                assert (u.dtype, u.shape, u.tobytes()) == (u_ref.dtype, u_ref.shape,
-                                                           u_ref.tobytes())
-                assert np.float64(sigma).tobytes() == np.float64(sigma_ref).tobytes()
+                assert (u.dtype, u.shape, u.tobytes()) == (np.dtype(complex), (1,),
+                                                           np.array([1.0 + 0j]).tobytes())
+                want = np.sqrt(max(float(b00.real), 0.0))
+                assert np.float64(sigma).tobytes() == np.float64(want).tobytes()
+    assert closed == 64 * 13 * 2  # every drawn row, at every scale, takes the closed form
 
 
 @pytest.mark.parametrize("row", [np.zeros(5, complex), np.full((1, 3), 1e-170 + 0j)])

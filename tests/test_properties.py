@@ -3,10 +3,12 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from beamspace_noma import ChannelParams, sample_realization, trial_rng
+from beamspace_noma import (ChannelParams, LinkBudget, OptimizerConfig, PrecodingError,
+                            allocate_batch, build_noma_link, lens_transform_matrix,
+                            sample_realization, trial_rng)
 from beamspace_noma.power import BUDGET_TOL, DOUBLINGS, _solve_budgets
 
 from oracles import _powers_at, reference_sample_realization, sequential_solve_budget
@@ -91,3 +93,28 @@ def test_budget_root_is_the_sequential_bisection(batch):
     # powers at 2**(DOUBLINGS - 1), which exceed the budget
     uncapped = lam < 2.0 ** DOUBLINGS
     assert np.all(p.sum(axis=-1)[uncapped] <= total[uncapped] * (1 + BUDGET_TOL))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(8, 32), k=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       snr_db=st.lists(st.floats(0.0, 30.0), min_size=1, max_size=3),
+       min_rate=st.sampled_from([0.0, 1.0]), variant=st.sampled_from(["strongest", "svd"]))
+def test_allocation_keeps_the_budget_and_climbs_without_a_minimum_rate(n, k, seed, snr_db,
+                                                                       min_rate, variant):
+    real = sample_realization(ChannelParams(n_antennas=n, n_users=k), trial_rng(seed, 0))
+    try:
+        grouping, precoder = build_noma_link(lens_transform_matrix(n).matrix @ real.matrix,
+                                             variant)
+    except PrecodingError:
+        reject()
+    budgets = [LinkBudget.from_snr(32.0, snr, k) for snr in snr_db]
+    # a row whose minimum rate cannot be met runs all OUTER_CAP dual rounds in
+    # every iteration, up to 0.3 s each here, so rmin = 1 runs two iterations
+    config = OptimizerConfig(max_iters=20 if min_rate == 0.0 else 2, min_rate=min_rate)
+    allocations = allocate_batch(grouping, precoder, budgets, config)
+    for alloc, budget in zip(allocations, budgets):
+        assert np.all(np.array(alloc.budget_trace) <= budget.total_power_mw)
+        assert np.all(alloc.powers >= 0)
+        if min_rate == 0.0:
+            # the bound of test_allocate_trace_is_monotone_and_budget_feasible
+            assert np.all(np.diff(alloc.trace) >= -1e-8)

@@ -1,16 +1,13 @@
 import numpy as np
 import pytest
 
-from beamspace_noma import (BeamGrouping, EquivalentChannel, LinkBudget, PowerModel,
-                            Precoder, energy_efficiency, interference_term, link_gains,
-                            sinr, sum_rate, zf_precoder)
+from beamspace_noma import (BeamGrouping, LinkBudget, PowerModel, Precoder,
+                            energy_efficiency, interference_vector, link_gains, sinr,
+                            sum_rate, zf_precoder)
 
 
 def _identity_precoder(n):
-    return Precoder(matrix=np.eye(n, dtype=complex),
-                    equivalent=EquivalentChannel(matrix=np.eye(n, dtype=complex),
-                                                 variant="strongest"),
-                    zf_residual=0.0)
+    return Precoder(matrix=np.eye(n, dtype=complex), zf_residual=0.0)
 
 
 def _hand_instance():
@@ -26,15 +23,17 @@ def test_interference_single_user_is_noise(budget):
     g = BeamGrouping(beams=[np.array([0])], reduced=np.array([[2.0 + 0j]]),
                      selected=np.array([0]))
     w = _identity_precoder(1)
-    assert interference_term(0, 0, g, w, np.array([3.0]), budget.noise_mw) == budget.noise_mw
+    xi = interference_vector(link_gains(g, w), np.array([3.0]), budget.noise_mw)
+    assert xi[0] == budget.noise_mw
 
 
 def test_first_user_with_zf_sees_only_noise(random_link, budget):
     _, _, grouping, precoder = random_link(seed=41, trial=0, n=32, k=6, min_groups=1)
     powers = np.full(6, budget.total_power_mw / 6)
     lg = link_gains(grouping, precoder)
+    xi_all = interference_vector(lg, powers, budget.noise_mw)
     for n in range(grouping.n_rf):
-        xi = interference_term(0, n, grouping, precoder, powers, budget.noise_mw)
+        xi = xi_all[lg.beam_slices[n].start]
         assert xi == pytest.approx(budget.noise_mw, rel=1e-9)
 
 
@@ -42,15 +41,13 @@ def test_hand_expanded_interference_terms():
     grouping, w = _hand_instance()
     powers = np.array([2.0, 1.0, 3.0])
     noise = 0.5
+    xi = interference_vector(link_gains(grouping, w), powers, noise)  # flat order 0, 1, 2
     # user 0: beam 0 rank 0 -> only beam 1 leaks: |0.1|^2 * 3 + noise
-    assert interference_term(0, 0, grouping, w, powers, noise) == pytest.approx(
-        0.01 * 3.0 + 0.5, abs=1e-15)
+    assert xi[0] == pytest.approx(0.01 * 3.0 + 0.5, abs=1e-15)
     # user 1: beam 0 rank 1 -> own-beam 0.8^2 * 2 + cross |0.2|^2 * 3 + noise
-    assert interference_term(1, 0, grouping, w, powers, noise) == pytest.approx(
-        0.64 * 2.0 + 0.04 * 3.0 + 0.5, abs=1e-15)
+    assert xi[1] == pytest.approx(0.64 * 2.0 + 0.04 * 3.0 + 0.5, abs=1e-15)
     # user 2: beam 1 rank 0 -> cross |0.1|^2 * (2 + 1) + noise
-    assert interference_term(0, 1, grouping, w, powers, noise) == pytest.approx(
-        0.01 * 3.0 + 0.5, abs=1e-15)
+    assert xi[2] == pytest.approx(0.01 * 3.0 + 0.5, abs=1e-15)
     assert sinr(1, 0, grouping, w, powers, noise) == pytest.approx(
         0.64 * 1.0 / (0.64 * 2.0 + 0.04 * 3.0 + 0.5), abs=1e-15)
 
@@ -131,12 +128,13 @@ def test_sic_removal_never_hurts(random_link, budget):
         powers = rng.uniform(0.1, 2.0, size=6)
         lg = link_gains(grouping, precoder)
         flat = list(lg.users)
+        xi_all = interference_vector(lg, powers, budget.noise_mw)
         for n, members in enumerate(grouping.beams):
             for m, user in enumerate(members):
                 u = flat.index(user)
                 with_sic = sinr(m, n, grouping, precoder, powers, budget.noise_mw)
                 cancelled = sum(powers[flat.index(v)] for v in members[m + 1:])
-                xi = interference_term(m, n, grouping, precoder, powers, budget.noise_mw)
+                xi = xi_all[lg.beam_slices[n].start + m]
                 without = lg.own_gain[u] * powers[u] / (xi + lg.own_gain[u] * cancelled)
                 assert with_sic >= without - 1e-15
 

@@ -12,7 +12,7 @@ from beamspace_noma import (ChannelParams, LinkBudget, OptimizerConfig, Precodin
                             beamspace_mimo_single_user_batch, build_noma_link, fully_digital_zf,
                             fully_digital_zf_batch, lens_transform_matrix, link_gains, mimo_oma,
                             mimo_oma_batch, run_trial, sample_realization, trial_rng, update_p)
-from beamspace_noma.power import _stationary_denominator
+from beamspace_noma.power import _base_denominator, _with_rate_multipliers
 
 # Seven points above the default sweep: below 10 dB a min-rate of 1 bps/Hz is
 # infeasible for most users, so every iteration runs the 200-round dual cap
@@ -129,11 +129,12 @@ def test_stationary_denominator_rows_match_one_row_calls(eta):
     mu = np.vstack([np.zeros(6), rng.exponential(size=6), np.zeros(6)])
     mu[2, 4] = 0.5
     with np.errstate(invalid="ignore"):
-        got = _stationary_denominator(lg, c, a, mu, eta)
+        got = _with_rate_multipliers(lg, _base_denominator(lg, c, a), mu, eta)
         for row in range(3):
             want = oracles._stationary_denominator(lg, c[row], a[row], mu[row], eta)
             assert got[row].tobytes() == want.tobytes()
-            one = _stationary_denominator(lg, c[row], a[row], mu[row], eta)
+            one = _with_rate_multipliers(lg, _base_denominator(lg, c[row], a[row]), mu[row],
+                                         eta)
             assert one.tobytes() == want.tobytes()
 
 
