@@ -3,8 +3,9 @@ and OMA sharing on the NOMA grouping. All baselines use equal power splits.
 
 Each scheme has a batch form taking one budget per SNR point: the precoder
 and gains, which do not depend on the noise, are built once and the rates of
-all budgets are rows of one array. The one-budget views of it serve the
-acceptance suite and the benchmark's tracer, which wraps them by name.
+all budgets are rows of one array; `mimo_oma_batch` takes the NOMA link's
+`LinkGains`. The one-budget views serve the acceptance suite and the
+benchmark's tracer, which wraps them by name; `mimo_oma` builds the gains.
 """
 
 from __future__ import annotations
@@ -115,21 +116,19 @@ def beamspace_mimo_single_user_batch(beamspace: np.ndarray,
 
 def mimo_oma(grouping: BeamGrouping, precoder: Precoder, budget: LinkBudget) -> SchemeResult:
     """One-budget view of `mimo_oma_batch`."""
-    return mimo_oma_batch(grouping, precoder, [budget])[0]
+    return mimo_oma_batch(link_gains(grouping, precoder), [budget])[0]
 
 
-def mimo_oma_batch(grouping: BeamGrouping, precoder: Precoder, budgets: Sequence[LinkBudget],
-                   lg: LinkGains | None = None) -> list[SchemeResult]:
+def mimo_oma_batch(lg: LinkGains, budgets: Sequence[LinkBudget]) -> list[SchemeResult]:
     """Orthogonal sharing on the NOMA grouping: conflicting users split their
     beam's time/frequency evenly, each enjoying the full per-beam power
     P/N_RF during its share; other beams always transmit at P/N_RF. One
-    result per budget; `lg` reuses the NOMA link's gains."""
-    lg = lg or link_gains(grouping, precoder)
+    result per budget."""
     total, noise = budget_arrays(budgets)
     per_beam = total[:, None] / lg.n_rf
     inter = (lg.gains.sum(axis=1) - lg.own_gain) * per_beam
     gamma = lg.own_gain * per_beam / (inter + noise[:, None])
-    share = 1.0 / np.array([len(grouping.beams[b]) for b in lg.beam_of])
+    share = 1.0 / np.bincount(lg.beam_of)[lg.beam_of]
     rates = share * np.log2(1.0 + gamma)
     return [SchemeResult(scheme="oma", sum_rate=total_rate, n_rf=lg.n_rf,
                          served=len(lg.users), rates=r, users=lg.users)

@@ -50,17 +50,22 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    return {
+    overrides = {
         "seed": args.seed,
         "trials": args.trials,
-        "snr_db": parse_snr_spec(args.snr) if args.snr else None,
-        "users_sweep": parse_int_list(args.users) if args.users else None,
         "schemes": parse_schemes(args.schemes) if args.schemes else None,
         "variant": args.variant,
         "min_rate": args.rmin,
         "max_iters": args.iters,
         "out": args.out,
     }
+    for key, flag, spec, parse in (("snr_db", "--snr", args.snr, parse_snr_spec),
+                                   ("users_sweep", "--users", args.users, parse_int_list)):
+        try:
+            overrides[key] = parse(spec) if spec else None
+        except ValueError as exc:
+            raise ValueError(f"{flag}: {exc}") from None
+    return overrides
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from .rates import LinkBudget, PowerModel
 ALL_SCHEMES = ("noma", "oma", "beamspace_mimo", "fully_digital")
 ONE_USER_PER_CHAIN = ("beamspace_mimo", "fully_digital")  # schemes that need K <= N
 VARIANTS = ("strongest", "svd")
+MAX_SNR_POINTS = 1000  # points a start:stop:step SNR range may expand to
 
 
 @dataclass
@@ -55,6 +57,11 @@ class SystemConfig:
                              f"got {self.total_power_mw}")
         if any(k < 1 for k in self.users_sweep):
             raise ValueError(f"user sweep entries must be >= 1, got {self.users_sweep}")
+        # a repeated entry doubles its records and understates the standard errors
+        for name in ("schemes", "snr_db", "users_sweep"):
+            repeated = [v for v, count in Counter(getattr(self, name)).items() if count > 1]
+            if repeated:
+                raise ValueError(f"{name} repeats {repeated}; list each entry once")
         # the component constructors check antennas, users, paths, variances,
         # power-model constants, iteration cap, minimum rate and SNR noise powers
         self.channel_params()
@@ -74,9 +81,8 @@ class SystemConfig:
             raise ValueError(f"schemes {one_per_chain} need n_users <= n_antennas, "
                              f"got n_users={self.n_users}, n_antennas={self.n_antennas}")
 
-    def channel_params(self, n_users: int | None = None) -> ChannelParams:
-        return ChannelParams(n_antennas=self.n_antennas,
-                             n_users=self.n_users if n_users is None else n_users,
+    def channel_params(self) -> ChannelParams:
+        return ChannelParams(n_antennas=self.n_antennas, n_users=self.n_users,
                              n_nlos=self.n_nlos, los_var=self.los_variance,
                              nlos_var=self.nlos_variance)
 
@@ -102,8 +108,15 @@ def parse_snr_spec(spec: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError(f"SNR spec must be start:stop:step, got {spec!r}")
         start, stop, step = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (start, stop, step)):
+            raise ValueError(f"SNR range start, stop and step must be finite, got {spec!r}")
         if step <= 0:
             raise ValueError(f"SNR step must be > 0, got {step}")
+        size = (stop + step / 2.0 - start) / step  # np.arange's length before rounding up
+        if size > MAX_SNR_POINTS:
+            count = math.ceil(size) if math.isfinite(size) else size
+            raise ValueError(f"SNR range {spec!r} has {count} points; "
+                             f"at most {MAX_SNR_POINTS} are allowed")
         return [float(v) for v in np.arange(start, stop + step / 2.0, step)]
     return [float(p) for p in spec.split(",") if p.strip()]
 
@@ -144,7 +157,10 @@ def load_config_file(path: str) -> dict:
             if key not in _PARSERS:
                 known = ", ".join(sorted(_PARSERS))
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r} (known: {known})")
-            values[key] = _PARSERS[key](value.strip())
+            try:
+                values[key] = _PARSERS[key](value.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
     return values
 
 

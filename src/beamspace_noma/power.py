@@ -16,8 +16,10 @@ arrays and follows exactly the iterations a lone run would take, leaving the
 batch when it stagnates (and the min-rate dual ascent when it converges).
 Every batched step keeps the bits of the one-row computation: elementwise
 ops, row sums of C-contiguous rows, per-row gemv through stacked matmuls and
-per-beam bincounts over row-offset bins. The one-budget views `allocate` and
-`update_p` stay because the benchmark's tracer wraps them by name.
+per-beam bincounts over row-offset bins. `allocate_batch` sees the link only
+through its `LinkGains`; the one-budget views `allocate` and `update_p` build
+them from (grouping, precoder) and stay because the benchmark's tracer wraps
+them by name.
 
 The budget root returns the multiplier and powers of a one-at-a-time
 bisection bit for bit, but evaluates few of its midpoints. Every bracket the
@@ -522,8 +524,7 @@ def _update_p_rows(lg: LinkGains, c: np.ndarray, a: np.ndarray, eta: float,
 
 
 def update_p(c: np.ndarray, a: np.ndarray, grouping: BeamGrouping, precoder: Precoder,
-             config: OptimizerConfig, budget: LinkBudget,
-             lg: LinkGains | None = None) -> tuple[np.ndarray, DualSolution]:
+             config: OptimizerConfig, budget: LinkBudget) -> tuple[np.ndarray, DualSolution]:
     """Closed-form KKT power update for fixed equalizers c and weights a
     (flat order).
 
@@ -534,7 +535,7 @@ def update_p(c: np.ndarray, a: np.ndarray, grouping: BeamGrouping, precoder: Pre
     shrink, until every violation is within tolerance or the round cap is
     hit, in which case the least-violating iterate is returned.
     """
-    lg = lg or link_gains(grouping, precoder)
+    lg = link_gains(grouping, precoder)
     total, noise = budget_arrays([budget])
     p, lam, mu, rounds, violation = _update_p_rows(lg, c[None], a[None], config.rate_threshold,
                                                    total, noise)
@@ -545,12 +546,11 @@ def allocate(grouping: BeamGrouping, precoder: Precoder, budget: LinkBudget,
              config: OptimizerConfig | None = None) -> PowerAllocation:
     """Run the iterative c/a/p optimization from an equal power split; the
     one-budget view of `allocate_batch`."""
-    return allocate_batch(grouping, precoder, [budget], config)[0]
+    return allocate_batch(link_gains(grouping, precoder), [budget], config or OptimizerConfig())[0]
 
 
-def allocate_batch(grouping: BeamGrouping, precoder: Precoder, budgets: Sequence[LinkBudget],
-                   config: OptimizerConfig | None = None,
-                   lg: LinkGains | None = None) -> list[PowerAllocation]:
+def allocate_batch(lg: LinkGains, budgets: Sequence[LinkBudget],
+                   config: OptimizerConfig) -> list[PowerAllocation]:
     """Run the iterative c/a/p optimization for every budget on one link.
 
     The budgets (one per SNR point) form the rows of (S, K) arrays, and each
@@ -560,8 +560,6 @@ def allocate_batch(grouping: BeamGrouping, precoder: Precoder, budgets: Sequence
     stagnation. The feasibility flag reports whether the final rates meet the
     minimum-rate floor; it is never silently relaxed.
     """
-    config = config or OptimizerConfig()
-    lg = lg or link_gains(grouping, precoder)
     eta = config.rate_threshold
     total, noise = budget_arrays(budgets)
     n_rows, k = len(total), len(lg.users)

@@ -81,15 +81,15 @@ def build_noma_link(beamspace: np.ndarray, variant: str) -> tuple[beams.BeamGrou
 
 
 def _scheme_results(scheme: str, config: SystemConfig, budgets: list[rates.LinkBudget],
-                    spatial: np.ndarray, beamspace: np.ndarray, noma_link, noma_gains) -> list:
+                    spatial: np.ndarray, beamspace: np.ndarray, noma_link) -> list:
     """One scheme at every SNR point: a PowerAllocation (noma) or SchemeResult
-    per budget."""
+    per budget. NOMA and OMA re-raise a `noma_link` that is an exception."""
+    if scheme in ("noma", "oma") and isinstance(noma_link, Exception):
+        raise noma_link
     if scheme == "noma":
-        grouping, precoder = noma_link
-        return power.allocate_batch(grouping, precoder, budgets, config.optimizer_config(),
-                                    lg=noma_gains)
+        return power.allocate_batch(noma_link, budgets, config.optimizer_config())
     if scheme == "oma":
-        return baselines.mimo_oma_batch(*noma_link, budgets, lg=noma_gains)
+        return baselines.mimo_oma_batch(noma_link, budgets)
     if scheme == "beamspace_mimo":
         return baselines.beamspace_mimo_single_user_batch(beamspace, budgets)
     if scheme == "fully_digital":
@@ -101,33 +101,30 @@ def run_trial(config: SystemConfig, trial_index: int) -> list[ExperimentRecord]:
     """Execute every configured scheme at every SNR point on one realization.
 
     The SNR points share the link and differ only in the noise, so each
-    scheme runs once with one budget per SNR point. A scheme that fails with
-    one of DROP_ERRORS, or whose sum rate at an SNR point (for NOMA, at any
-    iteration) is not finite, becomes a recorded drop with the reason.
+    scheme runs once with one budget per SNR point. NOMA and OMA share one link
+    value, its `LinkGains` or the DROP_ERRORS exception that failed its build.
+    A scheme failing with one of DROP_ERRORS is dropped at every SNR point; a
+    non-finite sum rate (for NOMA, at any iteration) drops that SNR point.
     """
     rng = trial_rng(config.seed, trial_index)
     realization = sample_realization(config.channel_params(), rng)
     beamspace = to_beamspace(realization.matrix, _lens(config.n_antennas))
     budgets = [config.budget(snr_db) for snr_db in config.snr_db]
 
-    noma_link = noma_gains = None
-    noma_error: Exception | None = None
+    noma_link = None
     if "noma" in config.schemes or "oma" in config.schemes:
         try:
-            noma_link = build_noma_link(beamspace, config.variant)
-            noma_gains = rates.link_gains(*noma_link)
+            noma_link = rates.link_gains(*build_noma_link(beamspace, config.variant))
         except DROP_ERRORS as err:
-            noma_error = err
+            noma_link = err
 
-    outcomes: dict[str, list | Exception] = {}
+    outcomes: dict[str, list | str] = {}  # results per SNR point, or the drop reason
     for scheme in config.schemes:
         try:
-            if scheme in ("noma", "oma") and noma_error is not None:
-                raise noma_error
             outcomes[scheme] = _scheme_results(scheme, config, budgets, realization.matrix,
-                                               beamspace, noma_link, noma_gains)
+                                               beamspace, noma_link)
         except DROP_ERRORS as err:
-            outcomes[scheme] = err
+            outcomes[scheme] = str(err)
 
     records = []
     pm = config.power_model()
@@ -138,32 +135,28 @@ def run_trial(config: SystemConfig, trial_index: int) -> list[ExperimentRecord]:
                                    snr_db=snr_db, scheme=scheme, variant=variant,
                                    k=config.n_users, n_rf=0, sum_rate=math.nan,
                                    energy_eff=math.nan)
+            records.append(rec)
             outcome = outcomes[scheme]
-            if isinstance(outcome, Exception):
-                rec.dropped, rec.drop_reason = True, str(outcome)
-                records.append(rec)
+            if isinstance(outcome, str):
+                rec.dropped, rec.drop_reason = True, outcome
                 continue
             result = outcome[i]
-            sum_rate = result.report.sum_rate if scheme == "noma" else result.sum_rate
-            reason = "" if math.isfinite(sum_rate) else f"non-finite sum rate {sum_rate!r}"
+            report = result.report if scheme == "noma" else result  # sum_rate and n_rf
+            reason = ("" if math.isfinite(report.sum_rate)
+                      else f"non-finite sum rate {report.sum_rate!r}")
             if scheme == "noma" and not reason:
                 reason = next((f"non-finite sum rate {rate!r} at iteration {t}"
                                for t, rate in enumerate(result.trace, 1)
                                if not math.isfinite(rate)), "")
             if reason:
                 rec.dropped, rec.drop_reason = True, reason
-                records.append(rec)
                 continue
-            rec.sum_rate = sum_rate
+            rec.sum_rate, rec.n_rf = report.sum_rate, report.n_rf
             if scheme == "noma":
-                rec.n_rf = noma_link[0].n_rf
                 rec.feasible = result.feasible
                 rec.trace = list(result.trace)
-                rec.user_rates = [float(r) for r in result.report.rates_by_user]
-            else:
-                rec.n_rf = result.n_rf
+                rec.user_rates = [float(r) for r in report.rates_by_user]
             rec.energy_eff = rates.energy_efficiency(rec.sum_rate, rec.n_rf, budget, pm)
-            records.append(rec)
     return records
 
 
@@ -245,7 +238,7 @@ def _pad_trace(trace: list[float], length: int) -> list[float]:
     return trace + [trace[-1]] * (length - len(trace))
 
 
-def sweep(config: SystemConfig, mode: str = "snr") -> SweepResult:
+def sweep(config: SystemConfig, mode: str) -> SweepResult:
     """Run a full experiment and emit `<out>.csv` plus `<out>.json`.
 
     Modes: 'snr' sweeps the configured SNR points; 'users' additionally sweeps

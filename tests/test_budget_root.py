@@ -271,8 +271,9 @@ def test_guess_never_changes_the_bits(case, root):
 def test_full_scale_roots_rarely_resume_the_grid_rounds(monkeypatch):
     # the default sweep's link and SNR points: nearly every root should finish
     # in its certified window, or the speedup has decayed into the rounds
-    from beamspace_noma import (ChannelParams, LinkBudget, allocate_batch, build_noma_link,
-                                lens_transform_matrix, sample_realization, trial_rng)
+    from beamspace_noma import (ChannelParams, LinkBudget, OptimizerConfig, allocate_batch,
+                                build_noma_link, lens_transform_matrix, link_gains,
+                                sample_realization, trial_rng)
 
     params = ChannelParams(n_antennas=256, n_users=32)
     lens = lens_transform_matrix(256)
@@ -294,7 +295,7 @@ def test_full_scale_roots_rarely_resume_the_grid_rounds(monkeypatch):
     for trial in range(2):
         real = sample_realization(params, trial_rng(41, trial))
         grouping, precoder = build_noma_link(lens.matrix @ real.matrix, "strongest")
-        allocate_batch(grouping, precoder, budgets)
+        allocate_batch(link_gains(grouping, precoder), budgets, OptimizerConfig())
     assert sum(roots) >= 200
     assert sum(resumed) <= 0.1 * sum(roots)
 

@@ -208,6 +208,27 @@ def test_config_file_rejects_unknown_keys(tmp_path):
         load_config_file(str(cfg))
 
 
+def test_config_file_value_error_names_the_file_line_and_key(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("n_antennas = 16\ntrials = abc\n")
+    with pytest.raises(ValueError) as err:
+        load_config_file(str(cfg))
+    assert str(err.value) == (f"{cfg}:2: bad value for 'trials': "
+                              "invalid literal for int() with base 10: 'abc'")
+
+
+@pytest.mark.parametrize("flag, spec, message", [
+    ("--snr", "abc", "--snr: could not convert string to float: 'abc'"),
+    ("--users", "8,x", "--users: invalid literal for int() with base 10: 'x'"),
+])
+def test_cli_value_error_names_the_flag(tmp_path, capsys, flag, spec, message):
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["sweep-users", flag, spec, "--out", str(tmp_path / "run")])
+    assert exit_info.value.code == 2
+    assert f"sim: error: {message}\n" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_end_to_end(tmp_path, capsys):
     out = tmp_path / "cli_run"
     code = cli_main(["sweep-snr", "--trials", "2", "--seed", "3", "--snr", "10",
@@ -236,6 +257,36 @@ def test_cli_fairness_defaults(tmp_path):
     assert payload["mode"] == "fairness"
     assert payload["min_rate"] == 1.0
     assert payload["summary"][0]["snr_db"] == 20.0
+
+
+def _desk_cfg(tmp_path):
+    cfg = tmp_path / "desk.cfg"
+    cfg.write_text("n_antennas = 16\nn_users = 4\nmax_iters = 3\ntrials = 1\n")
+    return str(cfg)
+
+
+def test_cli_sweep_users_defaults(tmp_path):
+    out = tmp_path / "users"
+    code = cli_main(["sweep-users", "--users", "2,4", "--out", str(out),
+                     "--config", _desk_cfg(tmp_path)])
+    assert code == 0
+    payload = json.load(open(str(out) + ".json"))
+    assert payload["mode"] == "users"
+    summary = payload["summary"]
+    assert {cell["snr_db"] for cell in summary} == {10.0}
+    assert sorted({cell["k"] for cell in summary}) == [2, 4]
+    assert len(summary) == 2 * 4  # every scheme at both user counts
+
+
+def test_cli_convergence_defaults(tmp_path):
+    out = tmp_path / "conv"
+    code = cli_main(["convergence", "--out", str(out), "--config", _desk_cfg(tmp_path)])
+    assert code == 0
+    payload = json.load(open(str(out) + ".json"))
+    assert payload["mode"] == "convergence"
+    assert [(cell["scheme"], cell["snr_db"]) for cell in payload["summary"]] == [("noma", 10.0)]
+    trace = payload["convergence_trace"]
+    assert len(trace) == 3 and all(math.isfinite(v) for v in trace)
 
 
 def test_config_rejects_negative_antennas(tmp_path):
@@ -453,6 +504,55 @@ def test_cli_rejects_snr_without_a_finite_noise_power_before_touching_outputs(tm
     assert f"SNR {snr} dB" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv"]
     assert earlier.read_bytes() == b"earlier results\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["sweep-snr", "--snr", "10", "--schemes", "oma,oma,fully_digital"],
+     "schemes repeats ['oma']"),
+    (["sweep-snr", "--snr", "10,10"], "snr_db repeats [10.0]"),
+    (["sweep-snr", "--snr=-0.0,0"], "snr_db repeats [-0.0]"),
+    (["sweep-users", "--users", "8,8"], "users_sweep repeats [8]"),
+    (["sweep-snr", "--snr", "0:30:1e-10"], "has 300000000001 points; at most 1000"),
+    (["sweep-snr", "--snr", "0:30:1e-4"], "has 300001 points; at most 1000"),
+    (["sweep-snr", "--snr", "nan:30:5"], "must be finite"),
+    (["sweep-snr", "--snr", "0:inf:5"], "must be finite"),
+])
+def test_cli_rejects_sweeps_it_cannot_count_before_touching_outputs(tmp_path, capsys, args,
+                                                                    message):
+    # repeats used to double their records and shrink the standard errors; a
+    # tiny range step used to die in np.arange with an ArrayMemoryError
+    earlier = tmp_path / "run.csv"
+    earlier.write_bytes(b"earlier results\n")
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(args + ["--trials", "2", "--out", str(tmp_path / "run")])
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv"]
+    assert earlier.read_bytes() == b"earlier results\n"
+
+
+@pytest.mark.parametrize("field, values", [
+    ("schemes", ["oma", "noma", "oma"]),
+    ("snr_db", [0.0, 10.0, -0.0]),
+    ("users_sweep", [8, 16, 8]),
+])
+def test_config_rejects_repeated_sweep_entries(tmp_path, field, values):
+    with pytest.raises(ValueError, match=f"^{field} repeats"):
+        _small_config(tmp_path, **{field: values})
+
+
+def test_snr_range_is_counted_before_it_is_built(monkeypatch):
+    def no_arange(*args, **kwargs):
+        raise AssertionError("np.arange called")
+
+    assert len(parse_snr_spec("0:999:1")) == 1000
+    monkeypatch.setattr(np, "arange", no_arange)
+    with pytest.raises(ValueError, match="'0:1000:1' has 1001 points"):
+        parse_snr_spec("0:1000:1")
+    with pytest.raises(ValueError, match="has inf points"):
+        parse_snr_spec("-1e308:1e308:1e-300")
+    with pytest.raises(ValueError, match="must be finite"):
+        parse_snr_spec("0:30:nan")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

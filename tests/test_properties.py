@@ -7,7 +7,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from beamspace_noma import (ChannelParams, LinkBudget, OptimizerConfig, PrecodingError,
-                            allocate_batch, build_noma_link, lens_transform_matrix,
+                            allocate_batch, build_noma_link, lens_transform_matrix, link_gains,
                             sample_realization, trial_rng)
 from beamspace_noma.power import BUDGET_TOL, DOUBLINGS, _solve_budgets
 
@@ -111,7 +111,7 @@ def test_allocation_keeps_the_budget_and_climbs_without_a_minimum_rate(n, k, see
     # a row whose minimum rate cannot be met runs all OUTER_CAP dual rounds in
     # every iteration, up to 0.3 s each here, so rmin = 1 runs two iterations
     config = OptimizerConfig(max_iters=20 if min_rate == 0.0 else 2, min_rate=min_rate)
-    allocations = allocate_batch(grouping, precoder, budgets, config)
+    allocations = allocate_batch(link_gains(grouping, precoder), budgets, config)
     for alloc, budget in zip(allocations, budgets):
         assert np.all(np.array(alloc.budget_trace) <= budget.total_power_mw)
         assert np.all(alloc.powers >= 0)

@@ -62,7 +62,7 @@ def _assert_same_allocation(got, want):
 
 def _check_allocations(grouping, precoder, budgets, max_iters, min_rate):
     config = OptimizerConfig(max_iters=max_iters, min_rate=min_rate)
-    got = allocate_batch(grouping, precoder, budgets, config)
+    got = allocate_batch(link_gains(grouping, precoder), budgets, config)
     assert len(got) == len(budgets)
     want = [oracles.sequential_allocate(grouping, precoder, budget, max_iters, min_rate)
             for budget in budgets]
@@ -104,8 +104,7 @@ def test_rows_stop_at_different_dual_rounds():
         xi = oracles.interference_vector(lg, p, budget.noise_mw)
         c = np.conj(np.sqrt(p) * lg.own) / (p * lg.own_gain + xi)
         a = (p * lg.own_gain + xi) / xi
-        got_p, got = update_p(c, a, grouping, precoder, OptimizerConfig(min_rate=1.0), budget,
-                              lg=lg)
+        got_p, got = update_p(c, a, grouping, precoder, OptimizerConfig(min_rate=1.0), budget)
         want_p, want = oracles.sequential_update_p(lg, c, a, 1.0, budget)
         assert got_p.tobytes() == want_p.tobytes()
         assert type(got.budget_multiplier) is float and type(got.max_violation) is float
@@ -175,12 +174,12 @@ def test_baselines_match_per_budget_calls(n, k, seed):
             want = reference(channel, budget)
             _assert_same_scheme(got, want)
             _assert_same_scheme(one(channel, budget), want)
-    for got_all in (mimo_oma_batch(grouping, precoder, budgets),
-                    mimo_oma_batch(grouping, precoder, budgets, lg=lg)):
-        for got, budget in zip(got_all, budgets):
-            want = oracles.reference_mimo_oma(grouping, precoder, budget)
-            _assert_same_scheme(got, want)
-            _assert_same_scheme(mimo_oma(grouping, precoder, budget), want)
+    got_all = mimo_oma_batch(lg, budgets)
+    assert len(got_all) == len(budgets)
+    for got, budget in zip(got_all, budgets):
+        want = oracles.reference_mimo_oma(grouping, precoder, budget)
+        _assert_same_scheme(got, want)
+        _assert_same_scheme(mimo_oma(grouping, precoder, budget), want)
 
 
 def test_singular_channel_raises_the_per_budget_error():
