@@ -9,9 +9,8 @@ Monte Carlo harness.
 
 from .beams import (BeamAssignment, BeamGrouping, DegenerateChannelError,
                     OrderReport, group_users, reorder, select_beams, verify_order)
-from .baselines import (SchemeResult, beamspace_mimo_single_user,
-                        beamspace_mimo_single_user_batch, fully_digital_zf, fully_digital_zf_batch,
-                        mimo_oma, mimo_oma_batch)
+from .baselines import (beamspace_mimo_single_user, beamspace_mimo_single_user_batch,
+                        fully_digital_zf, fully_digital_zf_batch, mimo_oma, mimo_oma_batch)
 from .channel import (ChannelParams, ChannelRealization, LensMatrix, lens_transform_matrix,
                       sample_realization, steering_vector, to_beamspace, trial_rng)
 from .config import SystemConfig, build_config, load_config_file

@@ -53,16 +53,16 @@ def _overrides(args: argparse.Namespace) -> dict:
     overrides = {
         "seed": args.seed,
         "trials": args.trials,
-        "schemes": parse_schemes(args.schemes) if args.schemes else None,
         "variant": args.variant,
         "min_rate": args.rmin,
         "max_iters": args.iters,
         "out": args.out,
     }
     for key, flag, spec, parse in (("snr_db", "--snr", args.snr, parse_snr_spec),
-                                   ("users_sweep", "--users", args.users, parse_int_list)):
+                                   ("users_sweep", "--users", args.users, parse_int_list),
+                                   ("schemes", "--schemes", args.schemes, parse_schemes)):
         try:
-            overrides[key] = parse(spec) if spec else None
+            overrides[key] = parse(spec) if spec is not None else None
         except ValueError as exc:
             raise ValueError(f"{flag}: {exc}") from None
     return overrides

@@ -43,8 +43,6 @@ class SystemConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not self.snr_db:
-            raise ValueError("SNR sweep must be non-empty")
         bad_snr = [s for s in self.snr_db if not math.isfinite(s)]
         if bad_snr:
             raise ValueError(f"SNR points must be finite, got {bad_snr}")
@@ -57,8 +55,11 @@ class SystemConfig:
                              f"got {self.total_power_mw}")
         if any(k < 1 for k in self.users_sweep):
             raise ValueError(f"user sweep entries must be >= 1, got {self.users_sweep}")
-        # a repeated entry doubles its records and understates the standard errors
+        # an empty list leaves nothing to run; a repeated entry doubles its
+        # records and understates the standard errors
         for name in ("schemes", "snr_db", "users_sweep"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be non-empty")
             repeated = [v for v, count in Counter(getattr(self, name)).items() if count > 1]
             if repeated:
                 raise ValueError(f"{name} repeats {repeated}; list each entry once")
@@ -112,21 +113,32 @@ def parse_snr_spec(spec: str) -> list[float]:
             raise ValueError(f"SNR range start, stop and step must be finite, got {spec!r}")
         if step <= 0:
             raise ValueError(f"SNR step must be > 0, got {step}")
+        if stop < start:
+            raise ValueError(f"SNR range {spec!r} runs down: stop {stop:g} is below "
+                             f"start {start:g}")
         size = (stop + step / 2.0 - start) / step  # np.arange's length before rounding up
         if size > MAX_SNR_POINTS:
             count = math.ceil(size) if math.isfinite(size) else size
             raise ValueError(f"SNR range {spec!r} has {count} points; "
                              f"at most {MAX_SNR_POINTS} are allowed")
         return [float(v) for v in np.arange(start, stop + step / 2.0, step)]
-    return [float(p) for p in spec.split(",") if p.strip()]
+    return _parse_list(spec, float)
+
+
+def _parse_list(spec: str, parse) -> list:
+    """The non-empty entries of a comma list, each through `parse`."""
+    values = [parse(p) for p in spec.split(",") if p.strip()]
+    if not values:
+        raise ValueError(f"expected at least one comma-separated entry, got {spec!r}")
+    return values
 
 
 def parse_int_list(spec: str) -> list[int]:
-    return [int(p) for p in spec.split(",") if p.strip()]
+    return _parse_list(spec, int)
 
 
 def parse_schemes(spec: str) -> list[str]:
-    return [p.strip() for p in spec.split(",") if p.strip()]
+    return _parse_list(spec, str.strip)
 
 
 _PARSERS = {

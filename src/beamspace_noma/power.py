@@ -102,7 +102,6 @@ class PowerAllocation:
     """Final powers with the optimization trace and dual variables."""
 
     powers: np.ndarray        # flat (beam-major, SIC order), mW
-    users: np.ndarray         # original user ids for each flat slot
     trace: list[float]        # sum rate after each iteration
     budget_trace: list[float]  # total transmit power after each iteration
     budget_multiplier: float
@@ -598,7 +597,7 @@ def allocate_batch(lg: LinkGains, budgets: Sequence[LinkBudget],
     for row, report in enumerate(rate_reports(lg, p, xi_rows)):
         feasible = bool(np.all(report.rates >= config.min_rate - RATE_SLACK)
                         and p[row].sum() <= total[row] + 1e-9)
-        out.append(PowerAllocation(powers=p[row], users=lg.users, trace=traces[row],
+        out.append(PowerAllocation(powers=p[row], trace=traces[row],
                                    budget_trace=budget_traces[row],
                                    budget_multiplier=float(lam[row]),
                                    rate_multipliers=mu[row], feasible=feasible,

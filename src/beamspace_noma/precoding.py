@@ -28,6 +28,8 @@ import numpy as np
 from .beams import BeamGrouping
 
 COND_LIMIT = 1e12
+# power-iteration stop: residual ||M M^H x - lam x|| at most this times ||M||_F^2
+POWER_ITER_TOL = 1e-12
 # ||H^H H||_1 ||(H^H H)^-1||_1 below which ZF skips the SVD: cond(H) <= 1e4 sqrt(2n)
 CERT_LIMIT = 1e8
 
@@ -63,7 +65,7 @@ def _one_row_closed(b00):
     return (b00.imag == 0) & np.isfinite(b00.real)
 
 
-def top_left_singular_vector(mat: np.ndarray, tol: float = 1e-12,
+def top_left_singular_vector(mat: np.ndarray,
                              max_iters: int = 10_000) -> tuple[np.ndarray, float]:
     """Dominant left singular pair of a complex matrix via power iteration.
 
@@ -89,7 +91,7 @@ def top_left_singular_vector(mat: np.ndarray, tol: float = 1e-12,
             best_x, best_res, stall = x, res, 0
         else:
             stall += 1
-        if res <= tol * scale**2:
+        if res <= POWER_ITER_TOL * scale**2:
             best_x, best_res = x, res
             break
         if stall > 50 and not restarted:

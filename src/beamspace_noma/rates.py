@@ -66,9 +66,11 @@ class PowerModel:
 
 @dataclass
 class RateReport:
-    """Per-user link metrics in the grouping's flat (beam-major, SIC) order."""
+    """Per-user link metrics of one scheme at one budget, in the order of
+    `users`: user order for fully digital ZF, the grouping's flat
+    (beam-major, SIC) order for the other schemes."""
 
-    users: np.ndarray         # original user indices, flat order
+    users: np.ndarray         # original user indices
     sinr: np.ndarray
     interference: np.ndarray  # denominator terms incl. noise
     rates: np.ndarray         # bps/Hz
@@ -156,24 +158,28 @@ def interference_vector(lg: LinkGains, powers: np.ndarray, noise_mw) -> np.ndarr
     return xi.reshape(powers.shape)
 
 
-def _sinr_and_rates(lg: LinkGains, powers: np.ndarray, xi: np.ndarray):
-    gamma = lg.own_gain * powers / xi
-    return gamma, np.log2(1.0 + gamma)
+def reports(users: np.ndarray, n_rf: int, desired: np.ndarray, interference: np.ndarray,
+            share: float | np.ndarray = 1.0) -> list[RateReport]:
+    """One report per row of (S, K) desired-signal powers and their
+    interference-plus-noise terms: sinr = desired / interference and
+    rates = share * log2(1 + sinr), share being each user's resource fraction."""
+    gamma = desired / interference
+    rates = share * np.log2(1.0 + gamma)
+    return [RateReport(users=users, sinr=g, interference=x, rates=r, sum_rate=total,
+                       n_rf=n_rf)
+            for g, x, r, total in zip(gamma, interference, rates, rates.sum(axis=-1).tolist())]
 
 
 def sum_rates(lg: LinkGains, powers: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """The sum rates of `rate_reports`, bit for bit, without building reports:
     (S,) for (S, K) powers and their interference-plus-noise rows xi."""
-    return _sinr_and_rates(lg, powers, xi)[1].sum(axis=-1)
+    return np.log2(1.0 + lg.own_gain * powers / xi).sum(axis=-1)
 
 
 def rate_reports(lg: LinkGains, powers: np.ndarray, xi: np.ndarray) -> list[RateReport]:
     """One report per row of (S, K) powers and their interference-plus-noise
     rows xi = interference_vector(lg, powers, noise)."""
-    gamma, rates = _sinr_and_rates(lg, powers, xi)
-    return [RateReport(users=lg.users, sinr=g, interference=x, rates=r, sum_rate=total,
-                       n_rf=lg.n_rf)
-            for g, x, r, total in zip(gamma, xi, rates, rates.sum(axis=-1).tolist())]
+    return reports(lg.users, lg.n_rf, lg.own_gain * powers, xi)
 
 
 def sinr(m: int, n: int, grouping: BeamGrouping, precoder: Precoder,

@@ -82,8 +82,9 @@ def build_noma_link(beamspace: np.ndarray, variant: str) -> tuple[beams.BeamGrou
 
 def _scheme_results(scheme: str, config: SystemConfig, budgets: list[rates.LinkBudget],
                     spatial: np.ndarray, beamspace: np.ndarray, noma_link) -> list:
-    """One scheme at every SNR point: a PowerAllocation (noma) or SchemeResult
-    per budget. NOMA and OMA re-raise a `noma_link` that is an exception."""
+    """One scheme at every SNR point: a PowerAllocation (noma), whose `report`
+    holds its rates, or a RateReport per budget. NOMA and OMA re-raise a
+    `noma_link` that is an exception."""
     if scheme in ("noma", "oma") and isinstance(noma_link, Exception):
         raise noma_link
     if scheme == "noma":

@@ -29,7 +29,7 @@ import numpy as np
 
 from beamspace_noma import (BeamGrouping, ChannelRealization, DualSolution,
                             ExperimentRecord, PowerAllocation,
-                            RateReport, SchemeResult, build_noma_link,
+                            RateReport, build_noma_link,
                             equivalent_channel_strongest, energy_efficiency, link_gains,
                             sample_realization, to_beamspace, trial_rng, zf_precoder)
 from beamspace_noma.power import (BUDGET_TOL, OUTER_CAP, RATE_SLACK, STAGNATION_PATIENCE,
@@ -191,7 +191,7 @@ def sequential_allocate(grouping, precoder, budget, max_iters, min_rate):
             break
     feasible = bool(np.all(report.rates >= min_rate - RATE_SLACK)
                     and p.sum() <= budget.total_power_mw + 1e-9)
-    return PowerAllocation(powers=p, users=lg.users, trace=trace, budget_trace=budget_trace,
+    return PowerAllocation(powers=p, trace=trace, budget_trace=budget_trace,
                            budget_multiplier=lam, rate_multipliers=mu, feasible=feasible,
                            iterations_used=iterations, report=report)
 
@@ -203,9 +203,10 @@ def reference_fully_digital_zf(spatial, budget):
     per_user = budget.total_power_mw / k
     desired = np.diag(g) * per_user
     interf = (g.sum(axis=1) - np.diag(g)) * per_user + budget.noise_mw
-    rates = np.log2(1.0 + desired / interf)
-    return SchemeResult(scheme="fully_digital", sum_rate=float(rates.sum()), n_rf=n,
-                        served=k, rates=rates, users=np.arange(k))
+    gamma = desired / interf
+    rates = np.log2(1.0 + gamma)
+    return RateReport(users=np.arange(k), sinr=gamma, interference=interf, rates=rates,
+                      sum_rate=float(rates.sum()), n_rf=n)
 
 
 def reference_claim_beams(beamspace):
@@ -234,20 +235,19 @@ def reference_beamspace_mimo(beamspace, budget):
     grouping = BeamGrouping(beams=beams, reduced=beamspace[selected, :], selected=selected)
     lg = link_gains(grouping, zf_precoder(equivalent_channel_strongest(grouping)))
     powers = np.full(k, budget.total_power_mw / k)
-    report = rate_report(lg, powers, interference_vector(lg, powers, budget.noise_mw))
-    return SchemeResult(scheme="beamspace_mimo", sum_rate=report.sum_rate, n_rf=k,
-                        served=k, rates=report.rates, users=report.users)
+    return rate_report(lg, powers, interference_vector(lg, powers, budget.noise_mw))
 
 
 def reference_mimo_oma(grouping, precoder, budget):
     lg = link_gains(grouping, precoder)
     per_beam = budget.total_power_mw / lg.n_rf
     inter = (lg.gains.sum(axis=1) - lg.own_gain) * per_beam
-    gamma = lg.own_gain * per_beam / (inter + budget.noise_mw)
+    xi = inter + budget.noise_mw
+    gamma = lg.own_gain * per_beam / xi
     share = 1.0 / np.array([len(grouping.beams[b]) for b in lg.beam_of])
     rates = share * np.log2(1.0 + gamma)
-    return SchemeResult(scheme="oma", sum_rate=float(rates.sum()), n_rf=lg.n_rf,
-                        served=len(lg.users), rates=rates, users=lg.users)
+    return RateReport(users=lg.users, sinr=gamma, interference=xi, rates=rates,
+                      sum_rate=float(rates.sum()), n_rf=lg.n_rf)
 
 
 def reference_trial(config, trial_index):

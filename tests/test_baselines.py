@@ -15,7 +15,7 @@ def test_fully_digital_single_user_is_matched_filter():
     result = fully_digital_zf(h, budget)
     expected = np.log2(1 + np.linalg.norm(h) ** 2 * 3.0 / 0.5)
     assert result.sum_rate == pytest.approx(expected, rel=1e-12)
-    assert result.n_rf == 8 and result.served == 1
+    assert result.n_rf == 8 and len(result.users) == 1
 
 
 def test_fully_digital_orthogonal_users_reduce_to_matched_filters():

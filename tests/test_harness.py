@@ -516,6 +516,13 @@ def test_cli_rejects_snr_without_a_finite_noise_power_before_touching_outputs(tm
     (["sweep-snr", "--snr", "0:30:1e-4"], "has 300001 points; at most 1000"),
     (["sweep-snr", "--snr", "nan:30:5"], "must be finite"),
     (["sweep-snr", "--snr", "0:inf:5"], "must be finite"),
+    # these exited 0 with a header-only CSV, or with an error naming no flag
+    (["sweep-snr", "--schemes=,"],
+     "sim: error: --schemes: expected at least one comma-separated entry, got ','\n"),
+    (["sweep-users", "--users=,"],
+     "sim: error: --users: expected at least one comma-separated entry, got ','\n"),
+    (["sweep-snr", "--snr=5:0:1"],
+     "sim: error: --snr: SNR range '5:0:1' runs down: stop 0 is below start 5\n"),
 ])
 def test_cli_rejects_sweeps_it_cannot_count_before_touching_outputs(tmp_path, capsys, args,
                                                                     message):
@@ -553,6 +560,35 @@ def test_snr_range_is_counted_before_it_is_built(monkeypatch):
         parse_snr_spec("-1e308:1e308:1e-300")
     with pytest.raises(ValueError, match="must be finite"):
         parse_snr_spec("0:30:nan")
+
+
+@pytest.mark.parametrize("field", ["snr_db", "users_sweep", "schemes"])
+def test_config_rejects_an_empty_sweep_or_scheme_list(tmp_path, field):
+    with pytest.raises(ValueError, match=f"^{field} must be non-empty"):
+        _small_config(tmp_path, **{field: []})
+
+
+@pytest.mark.parametrize("line, message", [
+    ("users_sweep =",
+     "bad value for 'users_sweep': expected at least one comma-separated entry, got ''"),
+    ("schemes = ,",
+     "bad value for 'schemes': expected at least one comma-separated entry, got ','"),
+    ("snr_db = 5:0:1", "bad value for 'snr_db': SNR range '5:0:1' runs down: "
+                       "stop 0 is below start 5"),
+])
+def test_config_file_rejects_an_empty_or_descending_sweep_naming_the_line(tmp_path, capsys,
+                                                                          line, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"n_antennas = 16\n{line}\n")
+    earlier = tmp_path / "run.csv"
+    earlier.write_bytes(b"earlier results\n")
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["sweep-users", "--trials", "1", "--config", str(cfg),
+                  "--out", str(tmp_path / "run")])
+    assert exit_info.value.code == 2
+    assert f"sim: error: {cfg}:2: {message}\n" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg", "run.csv"]
+    assert earlier.read_bytes() == b"earlier results\n"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
