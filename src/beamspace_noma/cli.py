@@ -1,36 +1,40 @@
-"""Command line front end: `sim <mode>` with config-file and flag overrides."""
+"""Command line front end: `sim <mode>` with config-file and flag overrides.
+
+Each flag parses like its config key, through `config.parse_field`. A value
+that does not parse or describe a run, a config file that cannot be read or
+repeats a key, and a swept user count that a scheme cannot serve all exit with
+status 2 before any output is written.
+"""
 
 from __future__ import annotations
 
 import argparse
 import sys
 
-from .config import build_config, load_config_file, parse_int_list, parse_schemes, parse_snr_spec
+from .config import ALL_SCHEMES, VARIANTS, build_config, load_config_file, parse_field
 from .runner import sweep
 
-# applied only when neither the config file nor a flag sets the field
-MODE_DEFAULTS = {
-    "sweep-snr": {},
-    "sweep-users": {"snr_db": [10.0]},
-    "convergence": {"snr_db": [10.0], "schemes": ["noma"]},
-    "fairness": {"snr_db": [20.0], "schemes": ["noma"], "min_rate": 1.0},
+# sim mode -> (runner.sweep mode, help, defaults under the config file and flags)
+MODES = {
+    "sweep-snr": ("snr", "spectrum/energy efficiency against SNR", {}),
+    "sweep-users": ("users", "spectrum/energy efficiency against user count", {"snr_db": [10.0]}),
+    "convergence": ("convergence", "mean sum-rate trace of the power allocation",
+                    {"snr_db": [10.0], "schemes": ["noma"]}),
+    "fairness": ("fairness", "per-user rates under a minimum-rate constraint",
+                 {"snr_db": [20.0], "schemes": ["noma"], "min_rate": 1.0}),
 }
-MODE_NAMES = {"sweep-snr": "snr", "sweep-users": "users",
-              "convergence": "convergence", "fairness": "fairness"}
-
-
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--trials", type=int, help="Monte Carlo trials per sweep point")
-    parser.add_argument("--snr", help="SNR points in dB, start:stop:step or comma list")
-    parser.add_argument("--users", help="comma list of user counts for the user sweep")
-    parser.add_argument("--schemes", help="comma list from noma,oma,beamspace_mimo,fully_digital")
-    parser.add_argument("--variant", choices=["strongest", "svd"],
-                        help="equivalent-channel construction")
-    parser.add_argument("--rmin", type=float, help="per-user minimum rate in bps/Hz")
-    parser.add_argument("--iters", type=int, help="power-allocation iteration cap")
-    parser.add_argument("--out", help="output base path (writes <out>.csv and <out>.json)")
+# flag -> (SystemConfig field, help)
+FLAGS = {
+    "--seed": ("seed", "master seed"),
+    "--trials": ("trials", "Monte Carlo trials per sweep point"),
+    "--snr": ("snr_db", "SNR points in dB, start:stop:step or comma list"),
+    "--users": ("users_sweep", "comma list of user counts for the user sweep"),
+    "--schemes": ("schemes", f"comma list from {','.join(ALL_SCHEMES)}"),
+    "--variant": ("variant", f"equivalent-channel construction: {' or '.join(VARIANTS)}"),
+    "--rmin": ("min_rate", "per-user minimum rate in bps/Hz"),
+    "--iters": ("max_iters", "power-allocation iteration cap"),
+    "--out": ("out", "output base path (writes <out>.csv and <out>.json)"),
+}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -39,48 +43,31 @@ def make_parser() -> argparse.ArgumentParser:
         description="Beamspace MIMO-NOMA link simulator: SNR/user sweeps, "
                     "power-allocation convergence, and fairness runs.")
     sub = parser.add_subparsers(dest="mode", required=True)
-    for name, desc in [
-        ("sweep-snr", "spectrum/energy efficiency against SNR"),
-        ("sweep-users", "spectrum/energy efficiency against user count"),
-        ("convergence", "mean sum-rate trace of the power allocation"),
-        ("fairness", "per-user rates under a minimum-rate constraint"),
-    ]:
-        _add_common_flags(sub.add_parser(name, help=desc))
+    for name, (_, desc, _) in MODES.items():
+        mode = sub.add_parser(name, help=desc)
+        mode.add_argument("--config", help="flat key = value config file")
+        for flag, (_, text) in FLAGS.items():
+            mode.add_argument(flag, help=text)
     return parser
-
-
-def _overrides(args: argparse.Namespace) -> dict:
-    overrides = {
-        "seed": args.seed,
-        "trials": args.trials,
-        "variant": args.variant,
-        "min_rate": args.rmin,
-        "max_iters": args.iters,
-        "out": args.out,
-    }
-    for key, flag, spec, parse in (("snr_db", "--snr", args.snr, parse_snr_spec),
-                                   ("users_sweep", "--users", args.users, parse_int_list),
-                                   ("schemes", "--schemes", args.schemes, parse_schemes)):
-        try:
-            overrides[key] = parse(spec) if spec is not None else None
-        except ValueError as exc:
-            raise ValueError(f"{flag}: {exc}") from None
-    return overrides
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
+    sweep_mode, _, defaults = MODES[args.mode]
     try:
         file_values = load_config_file(args.config) if args.config else {}
-        overrides = _overrides(args)
-        for key, value in MODE_DEFAULTS[args.mode].items():
-            if key not in file_values and overrides.get(key) is None:
-                overrides[key] = value
-        config = build_config(file_values, overrides)
-    except ValueError as exc:  # a bad value: exit with usage before any output is written
+        flags = {name: parse_field(name, text, flag) for flag, (name, _) in FLAGS.items()
+                 if (text := getattr(args, flag[2:])) is not None}
+        config = build_config({**defaults, **file_values}, flags)
+        if sweep_mode == "users":  # each swept cell validates its user count
+            for k in config.users_sweep:
+                config.with_users(k)
+    except OSError as exc:  # the config file cannot be read
+        parser.error(f"--config: {exc}")
+    except ValueError as exc:
         parser.error(str(exc))
-    result = sweep(config, MODE_NAMES[args.mode])
+    result = sweep(config, sweep_mode)
     for cell in result.summary:
         print(f"snr={cell['snr_db']:g} dB  k={cell['k']}  {cell['scheme']:<15} "
               f"SE {cell['mean_se']:.3f} +/- {cell['stderr_se']:.3f} bps/Hz  "

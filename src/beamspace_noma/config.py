@@ -137,26 +137,28 @@ def parse_int_list(spec: str) -> list[int]:
     return _parse_list(spec, int)
 
 
-def parse_schemes(spec: str) -> list[str]:
-    return _parse_list(spec, str.strip)
+# one parser per field annotation (a string under `from __future__ import annotations`)
+_TYPE_PARSERS = {"int": int, "float": float, "str": str.strip,
+                 "list[float]": parse_snr_spec, "list[int]": parse_int_list,
+                 "list[str]": lambda spec: _parse_list(spec, str.strip)}
+FIELD_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(SystemConfig)}
 
 
-_PARSERS = {
-    "n_antennas": int, "n_users": int, "n_nlos": int, "trials": int,
-    "seed": int, "max_iters": int, "workers": int,
-    "total_power_mw": float, "los_variance": float, "nlos_variance": float,
-    "min_rate": float, "rf_chain_mw": float, "switch_mw": float, "baseband_mw": float,
-    "snr_db": parse_snr_spec, "users_sweep": parse_int_list, "schemes": parse_schemes,
-    "variant": str.strip, "out": str.strip,
-}
+def parse_field(name: str, text: str, where: str):
+    """`text` through field `name`'s parser; a parse error is prefixed with `where`."""
+    try:
+        return FIELD_PARSERS[name](text)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def load_config_file(path: str) -> dict:
     """Read a flat key = value config file into typed SystemConfig fields.
 
-    Blank lines and '#' comments are ignored; unknown keys are an error.
+    Blank lines and '#' comments are ignored; unknown and repeated keys are errors.
     """
     values: dict = {}
+    first_line: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -166,23 +168,23 @@ def load_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _PARSERS:
-                known = ", ".join(sorted(_PARSERS))
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r} (known: {known})")
-            try:
-                values[key] = _PARSERS[key](value.strip())
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from None
+            if key not in FIELD_PARSERS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r} "
+                                 f"(known: {', '.join(sorted(FIELD_PARSERS))})")
+            if key in first_line:
+                raise ValueError(f"{path}:{lineno}: key {key!r} repeats; "
+                                 f"line {first_line[key]} sets it first")
+            first_line[key] = lineno
+            values[key] = parse_field(key, value.strip(),
+                                      f"{path}:{lineno}: bad value for {key!r}")
     return values
 
 
 def build_config(file_values: dict | None = None, overrides: dict | None = None) -> SystemConfig:
     """Defaults, then config-file values, then explicit overrides (CLI flags)."""
-    merged: dict = {}
-    merged.update(file_values or {})
-    merged.update({k: v for k, v in (overrides or {}).items() if v is not None})
-    valid = {f.name for f in fields(SystemConfig)}
-    unknown = set(merged) - valid
+    merged = {**(file_values or {}),
+              **{k: v for k, v in (overrides or {}).items() if v is not None}}
+    unknown = set(merged) - FIELD_PARSERS.keys()
     if unknown:
         raise ValueError(f"unknown config fields {sorted(unknown)}")
     return SystemConfig(**merged)

@@ -523,6 +523,13 @@ def test_cli_rejects_snr_without_a_finite_noise_power_before_touching_outputs(tm
      "sim: error: --users: expected at least one comma-separated entry, got ','\n"),
     (["sweep-snr", "--snr=5:0:1"],
      "sim: error: --snr: SNR range '5:0:1' runs down: stop 0 is below start 5\n"),
+    # these ended in a traceback with status 1: the swept K = 300 exceeds the
+    # default N = 256, and the config file cannot be read ({tmp} is tmp_path)
+    (["sweep-users", "--users", "8,300"], "need n_users <= n_antennas"),
+    (["sweep-snr", "--config", "{tmp}/missing.cfg"],
+     "sim: error: --config: [Errno 2] No such file or directory: '{tmp}/missing.cfg'\n"),
+    (["sweep-snr", "--config", "{tmp}"],
+     "sim: error: --config: [Errno 21] Is a directory: '{tmp}'\n"),
 ])
 def test_cli_rejects_sweeps_it_cannot_count_before_touching_outputs(tmp_path, capsys, args,
                                                                     message):
@@ -531,9 +538,10 @@ def test_cli_rejects_sweeps_it_cannot_count_before_touching_outputs(tmp_path, ca
     earlier = tmp_path / "run.csv"
     earlier.write_bytes(b"earlier results\n")
     with pytest.raises(SystemExit) as exit_info:
-        cli_main(args + ["--trials", "2", "--out", str(tmp_path / "run")])
+        cli_main([a.replace("{tmp}", str(tmp_path)) for a in args]
+                 + ["--trials", "2", "--out", str(tmp_path / "run")])
     assert exit_info.value.code == 2
-    assert message in capsys.readouterr().err
+    assert message.replace("{tmp}", str(tmp_path)) in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv"]
     assert earlier.read_bytes() == b"earlier results\n"
 
@@ -575,6 +583,8 @@ def test_config_rejects_an_empty_sweep_or_scheme_list(tmp_path, field):
      "bad value for 'schemes': expected at least one comma-separated entry, got ','"),
     ("snr_db = 5:0:1", "bad value for 'snr_db': SNR range '5:0:1' runs down: "
                        "stop 0 is below start 5"),
+    # a repeated key used to keep its last value silently
+    ("n_antennas = 8", "key 'n_antennas' repeats; line 1 sets it first"),
 ])
 def test_config_file_rejects_an_empty_or_descending_sweep_naming_the_line(tmp_path, capsys,
                                                                           line, message):

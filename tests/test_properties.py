@@ -10,6 +10,7 @@ from beamspace_noma import (ChannelParams, LinkBudget, OptimizerConfig, Precodin
                             allocate_batch, build_noma_link, lens_transform_matrix, link_gains,
                             sample_realization, trial_rng)
 from beamspace_noma.power import BUDGET_TOL, DOUBLINGS, _solve_budgets
+from beamspace_noma.precoding import zf_columns
 
 from oracles import _powers_at, reference_sample_realization, sequential_solve_budget
 
@@ -118,3 +119,34 @@ def test_allocation_keeps_the_budget_and_climbs_without_a_minimum_rate(n, k, see
         if min_rate == 0.0:
             # the bound of test_allocate_trace_is_monotone_and_budget_feasible
             assert np.all(np.diff(alloc.trace) >= -1e-8)
+
+
+def _complex_orthonormal(rng, rows, cols):
+    q, _ = np.linalg.qr(rng.standard_normal((rows, cols))
+                        + 1j * rng.standard_normal((rows, cols)))
+    return q
+
+
+# cond(H) from 1 to 1e6 spans the Gram-inverse certificate (cond below ~1e4)
+# and the SVD fallback, and keeps the residual below 1/2, so r / (1 - r) is finite
+@settings(max_examples=300, deadline=None)
+@given(m=st.integers(1, 32), n=st.integers(1, 8), log_cond=st.floats(0.0, 6.0),
+       log_scale=st.floats(-6.0, 6.0), seed=st.integers(0, 2**32 - 1))
+def test_zf_leakage_stays_within_the_residual(m, n, log_cond, log_scale, seed):
+    m = max(m, n)
+    rng = np.random.default_rng(seed)
+    singular = 10.0 ** log_scale * np.geomspace(1.0, 10.0 ** log_cond, n)
+    h = (_complex_orthonormal(rng, m, n) * rng.permutation(singular)
+         @ _complex_orthonormal(rng, n, n).conj().T)
+    w, r = zf_columns(h, "h")
+    assert 0.0 <= r < 0.5
+    assert np.allclose(np.linalg.norm(w, axis=0), 1.0)
+    # |h_i^H w_j| = |E_ij| / |1 + E_jj| for the unnormalized residual E, |E| <= r;
+    # the slack covers the rounding of the two length-m products, the one
+    # behind r and the one here, and of the normalization, for users i and j
+    gains = np.abs(h.conj().T @ w)
+    user_norms = np.linalg.norm(h, axis=0)
+    slack = 8 * m * np.finfo(float).eps * (user_norms[:, None] + user_norms[None, :])
+    bound = r / (1 - r) * np.diag(gains)[None, :] + slack
+    off = ~np.eye(n, dtype=bool)
+    assert np.all(gains[off] <= bound[off])
