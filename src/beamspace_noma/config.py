@@ -159,24 +159,28 @@ def load_config_file(path: str) -> dict:
     """
     values: dict = {}
     first_line: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in FIELD_PARSERS:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r} "
-                                 f"(known: {', '.join(sorted(FIELD_PARSERS))})")
-            if key in first_line:
-                raise ValueError(f"{path}:{lineno}: key {key!r} repeats; "
-                                 f"line {first_line[key]} sets it first")
-            first_line[key] = lineno
-            values[key] = parse_field(key, value.strip(),
-                                      f"{path}:{lineno}: bad value for {key!r}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in FIELD_PARSERS:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r} "
+                             f"(known: {', '.join(sorted(FIELD_PARSERS))})")
+        if key in first_line:
+            raise ValueError(f"{path}:{lineno}: key {key!r} repeats; "
+                             f"line {first_line[key]} sets it first")
+        first_line[key] = lineno
+        values[key] = parse_field(key, value.strip(),
+                                  f"{path}:{lineno}: bad value for {key!r}")
     return values
 
 

@@ -2,9 +2,11 @@
 CSV/JSON emission.
 
 Every scheme and SNR point inside a trial consumes the identical channel
-realization, so scheme comparisons are paired. Trials are independent and may
-run in a worker pool; records are sorted before writing so the output files
-are byte-deterministic for a given master seed.
+realization, so scheme comparisons are paired. NOMA and OMA also share one
+beam grouping and ZF precoder, built the first time either runs; a failed
+build is not cached, so it drops both schemes with the same reason. Trials
+are independent and may run in a worker pool; records are sorted before
+writing so the output files are byte-deterministic for a given master seed.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -83,14 +85,12 @@ def build_noma_link(beamspace: np.ndarray, variant: str) -> tuple[beams.BeamGrou
 def _scheme_results(scheme: str, config: SystemConfig, budgets: list[rates.LinkBudget],
                     spatial: np.ndarray, beamspace: np.ndarray, noma_link) -> list:
     """One scheme at every SNR point: a PowerAllocation (noma), whose `report`
-    holds its rates, or a RateReport per budget. NOMA and OMA re-raise a
-    `noma_link` that is an exception."""
-    if scheme in ("noma", "oma") and isinstance(noma_link, Exception):
-        raise noma_link
+    holds its rates, or a RateReport per budget. `noma_link()` returns the
+    `LinkGains` that NOMA and OMA share."""
     if scheme == "noma":
-        return power.allocate_batch(noma_link, budgets, config.optimizer_config())
+        return power.allocate_batch(noma_link(), budgets, config.optimizer_config())
     if scheme == "oma":
-        return baselines.mimo_oma_batch(noma_link, budgets)
+        return baselines.mimo_oma_batch(noma_link(), budgets)
     if scheme == "beamspace_mimo":
         return baselines.beamspace_mimo_single_user_batch(beamspace, budgets)
     if scheme == "fully_digital":
@@ -102,46 +102,33 @@ def run_trial(config: SystemConfig, trial_index: int) -> list[ExperimentRecord]:
     """Execute every configured scheme at every SNR point on one realization.
 
     The SNR points share the link and differ only in the noise, so each
-    scheme runs once with one budget per SNR point. NOMA and OMA share one link
-    value, its `LinkGains` or the DROP_ERRORS exception that failed its build.
-    A scheme failing with one of DROP_ERRORS is dropped at every SNR point; a
-    non-finite sum rate (for NOMA, at any iteration) drops that SNR point.
+    scheme runs once with one budget per SNR point and fills its own record
+    at each point. A scheme failing with one of DROP_ERRORS, its link build
+    included, is dropped at every SNR point; a non-finite sum rate (for NOMA,
+    at any iteration) drops that SNR point.
     """
     rng = trial_rng(config.seed, trial_index)
     realization = sample_realization(config.channel_params(), rng)
     beamspace = to_beamspace(realization.matrix, _lens(config.n_antennas))
     budgets = [config.budget(snr_db) for snr_db in config.snr_db]
+    noma_link = cache(lambda: rates.link_gains(*build_noma_link(beamspace, config.variant)))
 
-    noma_link = None
-    if "noma" in config.schemes or "oma" in config.schemes:
-        try:
-            noma_link = rates.link_gains(*build_noma_link(beamspace, config.variant))
-        except DROP_ERRORS as err:
-            noma_link = err
-
-    outcomes: dict[str, list | str] = {}  # results per SNR point, or the drop reason
-    for scheme in config.schemes:
-        try:
-            outcomes[scheme] = _scheme_results(scheme, config, budgets, realization.matrix,
-                                               beamspace, noma_link)
-        except DROP_ERRORS as err:
-            outcomes[scheme] = str(err)
-
-    records = []
+    records = [ExperimentRecord(trial=trial_index, seed=config.seed, snr_db=snr_db,
+                                scheme=scheme, k=config.n_users, n_rf=0,
+                                variant=config.variant if scheme in ("noma", "oma") else "na",
+                                sum_rate=math.nan, energy_eff=math.nan)
+               for snr_db in config.snr_db for scheme in config.schemes]
     pm = config.power_model()
-    for i, (snr_db, budget) in enumerate(zip(config.snr_db, budgets)):
-        for scheme in config.schemes:
-            variant = config.variant if scheme in ("noma", "oma") else "na"
-            rec = ExperimentRecord(trial=trial_index, seed=config.seed,
-                                   snr_db=snr_db, scheme=scheme, variant=variant,
-                                   k=config.n_users, n_rf=0, sum_rate=math.nan,
-                                   energy_eff=math.nan)
-            records.append(rec)
-            outcome = outcomes[scheme]
-            if isinstance(outcome, str):
-                rec.dropped, rec.drop_reason = True, outcome
-                continue
-            result = outcome[i]
+    for j, scheme in enumerate(config.schemes):
+        own = records[j::len(config.schemes)]  # this scheme's record at each SNR point
+        try:
+            results = _scheme_results(scheme, config, budgets, realization.matrix,
+                                      beamspace, noma_link)
+        except DROP_ERRORS as err:
+            for rec in own:
+                rec.dropped, rec.drop_reason = True, str(err)
+            continue
+        for rec, result, budget in zip(own, results, budgets):
             report = result.report if scheme == "noma" else result  # sum_rate and n_rf
             reason = ("" if math.isfinite(report.sum_rate)
                       else f"non-finite sum rate {report.sum_rate!r}")
@@ -234,8 +221,6 @@ def write_csv(records: list[ExperimentRecord], path: str) -> None:
 
 
 def _pad_trace(trace: list[float], length: int) -> list[float]:
-    if not trace:
-        return [math.nan] * length
     return trace + [trace[-1]] * (length - len(trace))
 
 

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from beamspace_noma import (ChannelParams, LinkBudget, PowerModel, SystemConfig, build_config,
-                            load_config_file, run_trial, sweep)
+from beamspace_noma import (ChannelParams, LinkBudget, PowerModel, PrecodingError, SystemConfig,
+                            build_config, load_config_file, run_trial, sweep)
 from beamspace_noma.cli import main as cli_main
 from beamspace_noma.config import parse_int_list, parse_snr_spec
 from beamspace_noma.runner import CSV_COLUMNS, ExperimentRecord, summarize, write_csv
@@ -392,6 +392,54 @@ def test_all_zero_user_channel_is_a_drop_not_an_abort(tmp_path, monkeypatch):
     assert {r["dropped"] for r in rows} == {"1"}
 
 
+def _count_link_builds(monkeypatch, error=None):
+    """Record every `build_noma_link` call `run_trial` makes; raise `error` in each."""
+    from beamspace_noma import runner
+
+    builds = []
+    real_build = runner.build_noma_link
+
+    def build(beamspace, variant):
+        builds.append(variant)
+        if error is not None:
+            raise error
+        return real_build(beamspace, variant)
+
+    monkeypatch.setattr(runner, "build_noma_link", build)
+    return builds
+
+
+@pytest.mark.parametrize("schemes, builds_per_trial", [
+    (["noma", "oma", "beamspace_mimo", "fully_digital"], 1),
+    (["oma", "fully_digital", "noma"], 1),
+    (["noma"], 1),
+    (["oma"], 1),
+    (["beamspace_mimo", "fully_digital"], 0),
+])
+def test_noma_link_is_built_once_per_trial_and_only_for_noma_or_oma(tmp_path, monkeypatch,
+                                                                    schemes, builds_per_trial):
+    builds = _count_link_builds(monkeypatch)
+    config = _small_config(tmp_path, schemes=schemes, snr_db=[0.0, 10.0])
+    for trial in range(3):
+        assert not any(rec.dropped for rec in run_trial(config, trial))
+    assert len(builds) == 3 * builds_per_trial
+
+
+def test_failed_link_build_drops_noma_and_oma_at_every_snr_point(tmp_path, monkeypatch):
+    builds = _count_link_builds(monkeypatch, PrecodingError("ill-conditioned link"))
+    config = _small_config(tmp_path, snr_db=[0.0, 10.0, 20.0])
+    records = run_trial(config, 0)
+    assert len(builds) == 2  # a failed build is not cached: OMA builds again
+    assert [(r.snr_db, r.scheme) for r in records] == [
+        (snr_db, scheme) for snr_db in config.snr_db for scheme in config.schemes]
+    for rec in records:
+        if rec.scheme in ("noma", "oma"):
+            assert rec.dropped and rec.drop_reason == "ill-conditioned link"
+            assert rec.n_rf == 0 and math.isnan(rec.sum_rate)
+        else:
+            assert not rec.dropped and math.isfinite(rec.sum_rate)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_drops_nan_sum_rates_at_200_db(tmp_path, capsys):
     # at 200 dB two of the four full-scale NOMA allocations end in NaN rates
@@ -530,6 +578,9 @@ def test_cli_rejects_snr_without_a_finite_noise_power_before_touching_outputs(tm
      "sim: error: --config: [Errno 2] No such file or directory: '{tmp}/missing.cfg'\n"),
     (["sweep-snr", "--config", "{tmp}"],
      "sim: error: --config: [Errno 21] Is a directory: '{tmp}'\n"),
+    # the decode error used to name no file ({tmp}/bin.cfg holds the bytes ff fe)
+    (["sweep-snr", "--config", "{tmp}/bin.cfg"],
+     "sim: error: {tmp}/bin.cfg: not UTF-8 text: 'utf-8' codec can't decode byte 0xff"),
 ])
 def test_cli_rejects_sweeps_it_cannot_count_before_touching_outputs(tmp_path, capsys, args,
                                                                     message):
@@ -537,12 +588,13 @@ def test_cli_rejects_sweeps_it_cannot_count_before_touching_outputs(tmp_path, ca
     # tiny range step used to die in np.arange with an ArrayMemoryError
     earlier = tmp_path / "run.csv"
     earlier.write_bytes(b"earlier results\n")
+    (tmp_path / "bin.cfg").write_bytes(b"\xff\xfe")
     with pytest.raises(SystemExit) as exit_info:
         cli_main([a.replace("{tmp}", str(tmp_path)) for a in args]
                  + ["--trials", "2", "--out", str(tmp_path / "run")])
     assert exit_info.value.code == 2
     assert message.replace("{tmp}", str(tmp_path)) in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bin.cfg", "run.csv"]
     assert earlier.read_bytes() == b"earlier results\n"
 
 

@@ -1,14 +1,16 @@
 """Properties checked over drawn inputs rather than at a few seeds."""
 
 import math
+from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from beamspace_noma import (ChannelParams, LinkBudget, OptimizerConfig, PrecodingError,
-                            allocate_batch, build_noma_link, lens_transform_matrix, link_gains,
-                            sample_realization, trial_rng)
+                            SystemConfig, allocate_batch, build_noma_link, lens_transform_matrix,
+                            link_gains, run_trial, runner, sample_realization, trial_rng)
 from beamspace_noma.power import BUDGET_TOL, DOUBLINGS, _solve_budgets
 from beamspace_noma.precoding import zf_columns
 
@@ -150,3 +152,44 @@ def test_zf_leakage_stays_within_the_residual(m, n, log_cond, log_scale, seed):
     bound = r / (1 - r) * np.diag(gains)[None, :] + slack
     off = ~np.eye(n, dtype=bool)
     assert np.all(gains[off] <= bound[off])
+
+
+@st.composite
+def _permuted_users(draw):
+    n = draw(st.integers(16, 256))
+    k = draw(st.integers(2, min(n, 32)))
+    return n, k, np.array(draw(st.permutations(range(k))))
+
+
+# Beam selection, grouping, the order repair and the single-user beam claim
+# break exact ties by the lower user index, which a permutation moves; the
+# continuous draws here have no exact norm or gain ties. Only the rounding of
+# sums taken in another user order differs, hence the tolerance.
+@settings(max_examples=40, deadline=None)
+@given(case=_permuted_users(), seed=st.integers(0, 2**32 - 1),
+       variant=st.sampled_from(["strongest", "svd"]))
+def test_records_are_equivariant_under_user_permutation(case, seed, variant):
+    n, k, perm = case
+    config = SystemConfig(n_antennas=n, n_users=k, seed=seed, variant=variant,
+                          snr_db=[0.0, 10.0, 20.0, 30.0])
+    real_sample = runner.sample_realization
+
+    def permuted(params, rng):  # moved user j is user perm[j] of the unpermuted draw
+        realization = real_sample(params, rng)
+        return replace(realization, matrix=realization.matrix[:, perm],
+                       path_gains=realization.path_gains[perm],
+                       path_directions=realization.path_directions[perm])
+
+    base = run_trial(config, 0)
+    with patch.object(runner, "sample_realization", permuted):
+        moved = run_trial(config, 0)
+    assert len(moved) == len(base)
+    for a, b in zip(base, moved):
+        assert ((b.scheme, b.snr_db, b.dropped, b.drop_reason, b.n_rf)
+                == (a.scheme, a.snr_db, a.dropped, a.drop_reason, a.n_rf))
+        np.testing.assert_allclose([b.sum_rate, b.energy_eff], [a.sum_rate, a.energy_eff],
+                                   rtol=1e-9)
+        assert (b.trace is None) == (a.trace is None)
+        if a.trace is not None:
+            np.testing.assert_allclose(b.trace, a.trace, rtol=1e-9)
+            np.testing.assert_allclose(b.user_rates, np.array(a.user_rates)[perm], rtol=1e-9)
