@@ -55,18 +55,6 @@ class BeamGrouping:
         return self.reduced[:, self.beams[n]]
 
 
-@dataclass
-class OrderReport:
-    """Per-beam check that equivalent gains |h_{m}^H w_n| decay with SIC rank."""
-
-    violations: list[int]           # beams whose gains are not non-increasing
-    permutations: list[np.ndarray]  # per-beam reordering that restores the decay
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 def select_beams(beamspace: np.ndarray) -> BeamAssignment:
     """Assign every user its maximum-magnitude beam.
 
@@ -101,29 +89,26 @@ def group_users(assignment: BeamAssignment, beamspace: np.ndarray) -> BeamGroupi
     return BeamGrouping(beams=beams, reduced=reduced, selected=assignment.selected)
 
 
-def verify_order(grouping: BeamGrouping, precoder) -> OrderReport:
+def verify_order(grouping: BeamGrouping, precoder) -> dict[int, np.ndarray]:
     """Check that per-beam equivalent gains are non-increasing in SIC rank.
 
-    Returns, for each violating beam, the permutation (gain descending, user
-    index breaking ties) that restores the assumed decoding order; whether to
-    re-sort is the caller's decision.
+    Returns the repairs: each violating beam mapped to the permutation (gain
+    descending, user index breaking ties) that restores the assumed decoding
+    order. Whether to re-sort is the caller's decision.
     """
-    violations, perms = [], []
+    repairs = {}
     for n, members in enumerate(grouping.beams):
         if len(members) == 1:  # a lone user has no order to violate
-            perms.append(np.zeros(1, np.intp))
             continue
         g = np.abs(grouping.reduced[:, members].conj().T @ precoder.matrix[:, n])
-        perm = np.lexsort((members, -g))
-        perms.append(perm)
         if np.any(np.diff(g) > 0):
-            violations.append(n)
-    return OrderReport(violations=violations, permutations=perms)
+            repairs[n] = np.lexsort((members, -g))
+    return repairs
 
 
-def reorder(grouping: BeamGrouping, report: OrderReport) -> BeamGrouping:
-    """Apply the report's permutations to the violating beams."""
+def reorder(grouping: BeamGrouping, repairs: dict[int, np.ndarray]) -> BeamGrouping:
+    """Apply `verify_order`'s repairs; every other beam keeps its order."""
     beams = [m.copy() for m in grouping.beams]
-    for n in report.violations:
-        beams[n] = beams[n][report.permutations[n]]
+    for n, perm in repairs.items():
+        beams[n] = beams[n][perm]
     return BeamGrouping(beams=beams, reduced=grouping.reduced, selected=grouping.selected)

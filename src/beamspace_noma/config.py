@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 
@@ -16,6 +17,18 @@ ALL_SCHEMES = ("noma", "oma", "beamspace_mimo", "fully_digital")
 ONE_USER_PER_CHAIN = ("beamspace_mimo", "fully_digital")  # schemes that need K <= N
 VARIANTS = ("strongest", "svd")
 MAX_SNR_POINTS = 1000  # points a start:stop:step SNR range may expand to
+
+
+def _plain(name: str, kind: str, value):
+    """`value` as the plain Python numbers of a field annotated `kind` (int,
+    float or a list of either); 2.5 for an int raises a ValueError naming `name`."""
+    if kind.startswith("list["):
+        return [_plain(name, kind[5:-1], v) for v in value]
+    if isinstance(value, numbers.Integral) or (isinstance(value, numbers.Real) and (
+            kind == "float" or float(value).is_integer())):
+        return int(value) if kind == "int" else float(value)
+    raise ValueError(f"{name} must be {'an integer' if kind == 'int' else 'a number'}, "
+                     f"got {value!r}")
 
 
 @dataclass
@@ -43,6 +56,10 @@ class SystemConfig:
     workers: int = 1
 
     def __post_init__(self):
+        # numbers are stored plain, so numpy scalars never reach the CSV
+        for f in fields(self):
+            if f.type in ("int", "float", "list[int]", "list[float]"):
+                setattr(self, f.name, _plain(f.name, f.type, getattr(self, f.name)))
         bad_snr = [s for s in self.snr_db if not math.isfinite(s)]
         if bad_snr:
             raise ValueError(f"SNR points must be finite, got {bad_snr}")
@@ -184,10 +201,9 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def build_config(file_values: dict | None = None, overrides: dict | None = None) -> SystemConfig:
+def build_config(file_values: dict, overrides: dict) -> SystemConfig:
     """Defaults, then config-file values, then explicit overrides (CLI flags)."""
-    merged = {**(file_values or {}),
-              **{k: v for k, v in (overrides or {}).items() if v is not None}}
+    merged = {**file_values, **overrides}
     unknown = set(merged) - FIELD_PARSERS.keys()
     if unknown:
         raise ValueError(f"unknown config fields {sorted(unknown)}")

@@ -542,10 +542,10 @@ def update_p(c: np.ndarray, a: np.ndarray, grouping: BeamGrouping, precoder: Pre
 
 
 def allocate(grouping: BeamGrouping, precoder: Precoder, budget: LinkBudget,
-             config: OptimizerConfig | None = None) -> PowerAllocation:
+             config: OptimizerConfig) -> PowerAllocation:
     """Run the iterative c/a/p optimization from an equal power split; the
     one-budget view of `allocate_batch`."""
-    return allocate_batch(link_gains(grouping, precoder), [budget], config or OptimizerConfig())[0]
+    return allocate_batch(link_gains(grouping, precoder), [budget], config)[0]
 
 
 def allocate_batch(lg: LinkGains, budgets: Sequence[LinkBudget],
@@ -570,9 +570,9 @@ def allocate_batch(lg: LinkGains, budgets: Sequence[LinkBudget],
     xi, latest = xi_rows, sum_rates(lg, p, xi_rows).tolist()
     traces: list[list[float]] = [[] for _ in range(n_rows)]
     budget_traces: list[list[float]] = [[] for _ in range(n_rows)]
-    stall, iterations = [0] * n_rows, [0] * n_rows
+    stall = [0] * n_rows
     live = np.arange(n_rows)
-    for t in range(1, config.max_iters + 1):
+    for _ in range(config.max_iters):
         p_live = p[live]
         c = _equalizers(lg, p_live, xi)
         a = 1.0 / _mmse(lg, p_live, xi)
@@ -584,7 +584,6 @@ def allocate_batch(lg: LinkGains, budgets: Sequence[LinkBudget],
         keep = []
         for row, rate, used in zip(live.tolist(), sum_rates(lg, p_live, xi).tolist(),
                                    p_live.sum(axis=-1).tolist()):
-            iterations[row] = t
             stall[row] = stall[row] + 1 if rate - latest[row] < STAGNATION_TOL else 0
             latest[row] = rate
             traces[row].append(rate)
@@ -601,5 +600,5 @@ def allocate_batch(lg: LinkGains, budgets: Sequence[LinkBudget],
                                    budget_trace=budget_traces[row],
                                    budget_multiplier=float(lam[row]),
                                    rate_multipliers=mu[row], feasible=feasible,
-                                   iterations_used=iterations[row], report=report))
+                                   iterations_used=len(traces[row]), report=report))
     return out

@@ -30,6 +30,7 @@ from .beams import BeamGrouping
 COND_LIMIT = 1e12
 # power-iteration stop: residual ||M M^H x - lam x|| at most this times ||M||_F^2
 POWER_ITER_TOL = 1e-12
+POWER_ITER_CAP = 10_000  # iterations before the best iterate is returned
 # ||H^H H||_1 ||(H^H H)^-1||_1 below which ZF skips the SVD: cond(H) <= 1e4 sqrt(2n)
 CERT_LIMIT = 1e8
 
@@ -65,8 +66,7 @@ def _one_row_closed(b00):
     return (b00.imag == 0) & np.isfinite(b00.real)
 
 
-def top_left_singular_vector(mat: np.ndarray,
-                             max_iters: int = 10_000) -> tuple[np.ndarray, float]:
+def top_left_singular_vector(mat: np.ndarray) -> tuple[np.ndarray, float]:
     """Dominant left singular pair of a complex matrix via power iteration.
 
     Iterates on M M^H from a fixed real positive start, with one seeded random
@@ -83,7 +83,7 @@ def top_left_singular_vector(mat: np.ndarray,
     x = np.ones(r) / np.sqrt(r)
     best_x, best_res, lam = x, np.inf, 0.0
     stall, restarted = 0, False
-    for _ in range(max_iters):
+    for _ in range(POWER_ITER_CAP):
         y = b @ x
         lam = float(np.real(x.conj() @ y))
         res = float(np.linalg.norm(y - lam * x))

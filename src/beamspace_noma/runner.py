@@ -69,15 +69,16 @@ def _lens(n_antennas: int) -> LensMatrix:
 def build_noma_link(beamspace: np.ndarray, variant: str) -> tuple[beams.BeamGrouping, precoding.Precoder]:
     """Grouping and ZF precoder with one bounded order-repair pass.
 
-    Users are first ranked by reduced-channel norm; if the resulting
-    equivalent gains violate the assumed SIC decay, each offending beam is
-    re-sorted once and the precoder rebuilt once (no further iteration).
+    Users are first ranked by reduced-channel norm; `beams.verify_order` maps
+    each beam whose equivalent gains violate the assumed SIC decay to the
+    permutation that restores it. Those beams are re-sorted once and the
+    precoder rebuilt once (no further iteration).
     """
     grouping = beams.group_users(beams.select_beams(beamspace), beamspace)
     precoder = precoding.zf_precoder(precoding.make_equivalent(grouping, variant))
-    report = beams.verify_order(grouping, precoder)
-    if not report.ok:
-        grouping = beams.reorder(grouping, report)
+    repairs = beams.verify_order(grouping, precoder)
+    if repairs:
+        grouping = beams.reorder(grouping, repairs)
         precoder = precoding.zf_precoder(precoding.make_equivalent(grouping, variant))
     return grouping, precoder
 
@@ -203,20 +204,14 @@ def _check_writable(*paths: str) -> None:
             pass
 
 
-def _format(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_csv(records: list[ExperimentRecord], path: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for r in records:
-            writer.writerow([r.trial, r.seed, _format(r.snr_db), r.scheme,
-                             r.variant, r.k, r.n_rf, _format(r.sum_rate),
-                             _format(r.energy_eff), int(r.dropped),
+            writer.writerow([r.trial, r.seed, repr(r.snr_db), r.scheme,
+                             r.variant, r.k, r.n_rf, repr(r.sum_rate),
+                             repr(r.energy_eff), int(r.dropped),
                              r.drop_reason.replace(",", ";")])
 
 

@@ -34,7 +34,6 @@ from beamspace_noma import (BeamGrouping, ChannelRealization, DualSolution,
                             sample_realization, to_beamspace, trial_rng, zf_precoder)
 from beamspace_noma.power import (BUDGET_TOL, OUTER_CAP, RATE_SLACK, STAGNATION_PATIENCE,
                                   STAGNATION_TOL, VIOLATION_TOL)
-from beamspace_noma.beams import OrderReport
 from beamspace_noma.precoding import COND_LIMIT, PrecodingError, zf_columns
 from beamspace_noma.runner import DROP_ERRORS, _lens
 
@@ -351,14 +350,15 @@ def reference_top_left_singular_vector(mat, tol=1e-12, max_iters=10_000):
 
 
 def reference_verify_order(grouping, precoder):
-    """SIC-order check that evaluates the gains of every beam, one-member ones too."""
-    violations, perms = [], []
+    """SIC-order check that evaluates the gains and the permutation of every
+    beam, one-member ones too, and keeps those of the violating beams."""
+    repairs = {}
     for n, members in enumerate(grouping.beams):
         g = np.abs(grouping.reduced[:, members].conj().T @ precoder.matrix[:, n])
-        perms.append(np.lexsort((members, -g)))
+        perm = np.lexsort((members, -g))
         if np.any(np.diff(g) > 0):
-            violations.append(n)
-    return OrderReport(violations=violations, permutations=perms)
+            repairs[n] = perm
+    return repairs
 
 
 def reference_sample_realization(params, rng):

@@ -2,6 +2,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamspace_noma import (BeamGrouping, ChannelParams, DegenerateChannelError,
                             LinkBudget, beamspace_mimo_single_user, build_noma_link,
@@ -96,23 +98,23 @@ def test_verify_order_singletons_and_identical_users():
     hb = _beamspace_with_peaks([1, 5, 8])
     g = group_users(select_beams(hb), hb)
     w = zf_precoder(equivalent_channel_strongest(g))
-    assert verify_order(g, w).ok
+    assert verify_order(g, w) == {}
     hb2 = _beamspace_with_peaks([4, 4])
     hb2[:, 1] = hb2[:, 0]
     g2 = group_users(select_beams(hb2), hb2)
     w2 = zf_precoder(equivalent_channel_strongest(g2))
-    assert verify_order(g2, w2).ok
+    assert verify_order(g2, w2) == {}
 
 
 def test_verify_order_matches_direct_comparison(random_link):
     for trial in range(8):
         _, _, grouping, precoder = random_link(seed=23, trial=trial, n=16, k=6, min_groups=1)
-        report = verify_order(grouping, precoder)
+        repairs = verify_order(grouping, precoder)
         for n, members in enumerate(grouping.beams):
             gains = [abs(np.vdot(grouping.reduced[:, u], precoder.matrix[:, n]))
                      for u in members]
             violated = any(gains[i] < gains[i + 1] for i in range(len(gains) - 1))
-            assert (n in report.violations) == violated
+            assert (n in repairs) == violated
 
 
 def test_reorder_restores_gain_decay():
@@ -122,11 +124,11 @@ def test_reorder_restores_gain_decay():
     g = group_users(select_beams(hb), hb)
     swapped = BeamGrouping(beams=[g.beams[0][::-1]], reduced=g.reduced, selected=g.selected)
     w = zf_precoder(equivalent_channel_strongest(swapped))
-    report = verify_order(swapped, w)
-    assert report.violations == [0]
-    fixed = reorder(swapped, report)
+    repairs = verify_order(swapped, w)
+    assert list(repairs) == [0]
+    fixed = reorder(swapped, repairs)
     w2 = zf_precoder(equivalent_channel_strongest(fixed))
-    assert verify_order(fixed, w2).ok
+    assert verify_order(fixed, w2) == {}
 
 
 def test_conflict_free_grouping_matches_single_user_pipeline():
@@ -157,6 +159,7 @@ def _random_grouping(rng, sizes):
 @pytest.mark.parametrize("shape", ["all_singleton", "one_beam", "mixed"])
 def test_verify_order_matches_the_gain_check_of_every_beam(shape):
     rng = np.random.default_rng({"all_singleton": 11, "one_beam": 12, "mixed": 13}[shape])
+    repaired = 0
     for _ in range(200):
         n = int(rng.integers(1, 17))
         if shape == "all_singleton":
@@ -169,10 +172,31 @@ def test_verify_order_matches_the_gain_check_of_every_beam(shape):
         precoders = [zf_precoder(equivalent_channel_strongest(grouping)),
                      SimpleNamespace(matrix=rng.standard_normal((len(sizes),) * 2) + 0j)]
         for precoder in precoders:
-            report = verify_order(grouping, precoder)
+            repairs = verify_order(grouping, precoder)
             expected = reference_verify_order(grouping, precoder)
-            assert report.violations == expected.violations
-            assert len(report.permutations) == len(expected.permutations)
-            for perm, ref in zip(report.permutations, expected.permutations):
+            assert list(repairs) == list(expected)  # the same beams, in beam order
+            for n, ref in expected.items():
+                perm = repairs[n]
                 assert (perm.dtype, perm.shape, perm.tobytes()) == (ref.dtype, ref.shape,
                                                                     ref.tobytes())
+            repaired += len(repairs)
+    # lone users never need a repair; the other shapes must exercise one
+    assert (repaired > 0) == (shape != "all_singleton")
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=16),
+       seed=st.integers(0, 2**32 - 1), zf=st.booleans())
+def test_one_repair_pass_restores_the_order_under_the_same_precoder(sizes, seed, zf):
+    rng = np.random.default_rng(seed)
+    grouping = _random_grouping(rng, sizes)
+    precoder = (zf_precoder(equivalent_channel_strongest(grouping)) if zf
+                else SimpleNamespace(matrix=rng.standard_normal((len(sizes),) * 2) + 0j))
+    repairs = verify_order(grouping, precoder)
+    fixed = reorder(grouping, repairs)
+    assert verify_order(fixed, precoder) == {}
+    assert fixed.reduced is grouping.reduced and fixed.selected is grouping.selected
+    for n, (before, after) in enumerate(zip(grouping.beams, fixed.beams)):
+        # only the reported beams change, and each keeps its member set
+        assert np.array_equal(before, after) == (n not in repairs)
+        assert np.array_equal(np.sort(before), np.sort(after))

@@ -309,6 +309,29 @@ def test_config_rejects_nonpositive_power(tmp_path):
         _small_config(tmp_path, total_power_mw=0.0)
 
 
+def test_numpy_scalar_config_writes_the_csv_of_plain_numbers(tmp_path):
+    common = dict(trials=1, schemes=["noma", "oma"])
+    plain = _small_config(tmp_path, snr_db=[0.0, 10.0], total_power_mw=32.0,
+                          out=str(tmp_path / "plain"), **common)
+    scalars = _small_config(tmp_path, snr_db=list(np.arange(0.0, 11.0, 10.0)),
+                            total_power_mw=np.float64(32.0), n_users=np.int64(4),
+                            min_rate=np.float64(0.0), out=str(tmp_path / "numpy"), **common)
+    assert [type(v) for v in scalars.snr_db] == [float, float]
+    assert (type(scalars.total_power_mw), type(scalars.n_users)) == (float, int)
+    want = open(sweep(plain, "snr").csv_path, "rb").read()
+    got = open(sweep(scalars, "snr").csv_path, "rb").read()
+    assert b"np." not in got
+    assert got == want
+
+
+@pytest.mark.parametrize("field, value", [
+    ("trials", 2.5), ("seed", math.nan), ("n_users", np.float64(4.5)), ("users_sweep", [8, 16.5]),
+])
+def test_config_rejects_a_non_integral_int_field(tmp_path, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        _small_config(tmp_path, **{field: value})
+
+
 @pytest.mark.parametrize("min_rate", [math.nan, math.inf, -math.inf, 1024.0, 2000.0])
 def test_config_rejects_min_rate_without_a_finite_sinr_floor(tmp_path, min_rate):
     # 2**min_rate overflows from 1024 on; NaN and inf give no usable SINR floor
