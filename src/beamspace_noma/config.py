@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 
@@ -81,12 +82,13 @@ class SystemConfig:
             if repeated:
                 raise ValueError(f"{name} repeats {repeated}; list each entry once")
         # the component constructors check antennas, users, paths, variances,
-        # power-model constants, iteration cap, minimum rate and SNR noise powers
+        # power-model constants, iteration cap, minimum rate, SNR noise powers and out
         self.channel_params()
         self.power_model()
         self.optimizer_config()
         for snr_db in self.snr_db:
             self.budget(snr_db)
+        self.output_paths()
         unknown = [s for s in self.schemes if s not in ALL_SCHEMES]
         if unknown:
             raise ValueError(f"unknown schemes {unknown}; expected subset of {ALL_SCHEMES}")
@@ -113,6 +115,14 @@ class SystemConfig:
 
     def optimizer_config(self) -> OptimizerConfig:
         return OptimizerConfig(max_iters=self.max_iters, min_rate=self.min_rate)
+
+    def output_paths(self) -> tuple[str, str]:
+        """`<out>` minus a trailing `.csv`, plus `.csv` and `.json`; a base naming no file fails."""
+        base = self.out.removesuffix(".csv")
+        if os.path.basename(base) in ("", ".", ".."):
+            raise ValueError(f"out must name a file (the run writes <out>.csv and "
+                             f"<out>.json), got {self.out!r}")
+        return base + ".csv", base + ".json"
 
     def with_users(self, n_users: int) -> "SystemConfig":
         return replace(self, n_users=n_users)

@@ -18,8 +18,8 @@ Every batched step keeps the bits of the one-row computation: elementwise
 ops, row sums of C-contiguous rows, per-row gemv through stacked matmuls and
 per-beam bincounts over row-offset bins. `allocate_batch` sees the link only
 through its `LinkGains`; the one-budget views `allocate` and `update_p` build
-them from (grouping, precoder) and stay because the benchmark's tracer wraps
-them by name.
+them from (grouping, precoder); the benchmark's tracer wraps both by name and
+the acceptance suite calls `allocate`.
 
 The budget root returns the multiplier and powers of a one-at-a-time
 bisection bit for bit, but evaluates few of its midpoints. Every bracket the
@@ -180,9 +180,10 @@ def _solve_budgets(numer: np.ndarray, denom_base: np.ndarray, total_mw: np.ndarr
     that row's budget; numer and denom_base are (R, K), total_mw is (R,) and
     guess, if given, holds (R,) estimates of the multipliers (a warm start).
 
-    Returns the feasible side of each bracket, so sum(p) <= total always; the
-    remaining residual is at most BUDGET_TOL * total (or the budget is slack
-    at multiplier zero, which complementary slackness permits).
+    Returns the feasible side of each bracket, within BUDGET_TOL * total of
+    the budget (or slack at multiplier zero, as complementary slackness
+    permits), except past the doubling cap: there lam = 2**DOUBLINGS, sum(p) >
+    total and `allocate_batch`'s budget check reports the row infeasible.
 
     Every row follows the path of a one-at-a-time bisection: the slack check
     at zero, doubling from one until the budget is met, then halvings of

@@ -92,7 +92,6 @@ def top_left_singular_vector(mat: np.ndarray) -> tuple[np.ndarray, float]:
         else:
             stall += 1
         if res <= POWER_ITER_TOL * scale**2:
-            best_x, best_res = x, res
             break
         if stall > 50 and not restarted:
             # stagnation: one random restart, then keep the better run

@@ -7,6 +7,7 @@ beam grouping and ZF precoder, built the first time either runs; a failed
 build is not cached, so it drops both schemes with the same reason. Trials
 are independent and may run in a worker pool; records are sorted before
 writing so the output files are byte-deterministic for a given master seed.
+Both output files are opened, under temp names, before the first trial.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache, lru_cache
+from typing import TextIO
 
 import numpy as np
 
@@ -190,33 +192,14 @@ def summarize(records: list[ExperimentRecord], scheme_order: list[str]) -> list[
     return out
 
 
-def _output_paths(out_base: str) -> tuple[str, str]:
-    base = out_base[:-4] if out_base.endswith(".csv") else out_base
-    return base + ".csv", base + ".json"
-
-
-def _check_writable(*paths: str) -> None:
-    for path in paths:
-        parent = os.path.dirname(path)
-        if parent:
-            os.makedirs(parent, exist_ok=True)
-        with open(path, "w", encoding="utf-8"):
-            pass
-
-
-def write_csv(records: list[ExperimentRecord], path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for r in records:
-            writer.writerow([r.trial, r.seed, repr(r.snr_db), r.scheme,
-                             r.variant, r.k, r.n_rf, repr(r.sum_rate),
-                             repr(r.energy_eff), int(r.dropped),
-                             r.drop_reason.replace(",", ";")])
-
-
-def _pad_trace(trace: list[float], length: int) -> list[float]:
-    return trace + [trace[-1]] * (length - len(trace))
+def write_csv(records: list[ExperimentRecord], fh: TextIO) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for r in records:
+        writer.writerow([r.trial, r.seed, repr(r.snr_db), r.scheme,
+                         r.variant, r.k, r.n_rf, repr(r.sum_rate),
+                         repr(r.energy_eff), int(r.dropped),
+                         r.drop_reason.replace(",", ";")])
 
 
 def sweep(config: SystemConfig, mode: str) -> SweepResult:
@@ -225,60 +208,51 @@ def sweep(config: SystemConfig, mode: str) -> SweepResult:
     Modes: 'snr' sweeps the configured SNR points; 'users' additionally sweeps
     the user counts; 'convergence' records the mean per-iteration sum-rate
     trace; 'fairness' dumps per-user rates under the active minimum rate.
-    Both files are written to temp files and moved into place at the end, so
-    a failed run leaves earlier outputs at the same path intact.
+    Both files are opened under temp names before the first trial (so an
+    unwritable destination fails there) and moved into place at the end, so a
+    failed run leaves earlier outputs at the same path intact.
     """
     if mode not in ("snr", "users", "convergence", "fairness"):
         raise ValueError(f"unknown sweep mode {mode!r}")
     # building every cell's config first validates each swept user count
     cells = [config.with_users(k) for k in config.users_sweep] if mode == "users" else [config]
-    csv_path, json_path = _output_paths(config.out)
-    temps = [f"{path}.{os.getpid()}.tmp" for path in (csv_path, json_path)]
+    paths = config.output_paths()
+    temps = [f"{path}.{os.getpid()}.tmp" for path in paths]
     try:
-        # fails before the run on an unwritable destination; old outputs stay
-        _check_writable(*temps)
-        records, summary = _run_and_write(config, mode, cells, *temps)
-        os.replace(temps[0], csv_path)
-        os.replace(temps[1], json_path)
+        os.makedirs(os.path.dirname(paths[0]) or ".", exist_ok=True)
+        with (open(temps[0], "w", newline="", encoding="utf-8") as csv_fh,
+              open(temps[1], "w", encoding="utf-8") as json_fh):
+            records = [rec for cell in cells for rec in _run_cell(cell)]
+            rank = {s: i for i, s in enumerate(config.schemes)}
+            records.sort(key=lambda r: (r.trial, r.snr_db, r.k, rank.get(r.scheme, 99)))
+            summary = summarize(records, config.schemes)
+            payload: dict = {
+                "mode": mode,
+                "seed": config.seed,
+                "trials": config.trials,
+                "variant": config.variant,
+                "summary": summary,
+            }
+            kept_noma = [r for r in records if r.scheme == "noma" and not r.dropped]
+            if mode == "convergence":  # traces that stop early repeat their last value
+                traces = [r.trace + r.trace[-1:] * (config.max_iters - len(r.trace))
+                          for r in kept_noma if r.trace]
+                if traces:
+                    payload["convergence_trace"] = [float(v) for v in np.mean(traces, axis=0)]
+            if mode == "fairness":
+                payload["min_rate"] = config.min_rate
+                payload["fairness"] = [
+                    {"trial": r.trial, "snr_db": r.snr_db, "feasible": r.feasible,
+                     "user_rates": r.user_rates}
+                    for r in kept_noma
+                ]
+            write_csv(records, csv_fh)
+            json.dump(payload, json_fh, indent=2)
+            json_fh.write("\n")
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
     finally:
         for temp in temps:
             if os.path.exists(temp):
                 os.remove(temp)
-    return SweepResult(records=records, summary=summary,
-                       csv_path=csv_path, json_path=json_path)
-
-
-def _run_and_write(config: SystemConfig, mode: str, cells: list[SystemConfig],
-                   csv_path: str, json_path: str) -> tuple[list[ExperimentRecord], list[dict]]:
-    """Run every cell, then write the sorted records and the JSON payload."""
-    records = [rec for cell in cells for rec in _run_cell(cell)]
-
-    rank = {s: i for i, s in enumerate(config.schemes)}
-    records.sort(key=lambda r: (r.trial, r.snr_db, r.k, rank.get(r.scheme, 99)))
-    summary = summarize(records, config.schemes)
-
-    payload: dict = {
-        "mode": mode,
-        "seed": config.seed,
-        "trials": config.trials,
-        "variant": config.variant,
-        "summary": summary,
-    }
-    if mode == "convergence":
-        traces = [_pad_trace(r.trace, config.max_iters) for r in records
-                  if r.scheme == "noma" and not r.dropped and r.trace]
-        if traces:
-            payload["convergence_trace"] = [float(v) for v in np.mean(traces, axis=0)]
-    if mode == "fairness":
-        payload["min_rate"] = config.min_rate
-        payload["fairness"] = [
-            {"trial": r.trial, "snr_db": r.snr_db, "feasible": r.feasible,
-             "user_rates": r.user_rates}
-            for r in records if r.scheme == "noma" and not r.dropped
-        ]
-
-    write_csv(records, csv_path)
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    return records, summary
+    return SweepResult(records, summary, *paths)

@@ -21,6 +21,10 @@ The front-end references (`reference_sample_realization`,
 every antenna row, the per-beam grouping loop, the one-beam-at-a-time SVD
 equivalent channel and the greedy beam claim that scanned the free beams for
 every user; the current code must match them bit for bit.
+
+`reference_payload` is the JSON document `runner.sweep` wrote when it padded
+the convergence traces with a helper of its own; `sweep` must write it byte
+for byte.
 """
 
 import math
@@ -402,3 +406,31 @@ def reference_equivalent_channel_svd(grouping):
         u, _ = reference_top_left_singular_vector(h_n.T)
         cols.append(h_n @ u.conj())
     return np.stack(cols, axis=1)
+
+
+def _pad_trace(trace, length):
+    return trace + [trace[-1]] * (length - len(trace))
+
+
+def reference_payload(config, mode, records, summary):
+    """The JSON payload of a `sweep` run in `mode` over its sorted records."""
+    payload = {
+        "mode": mode,
+        "seed": config.seed,
+        "trials": config.trials,
+        "variant": config.variant,
+        "summary": summary,
+    }
+    if mode == "convergence":
+        traces = [_pad_trace(r.trace, config.max_iters) for r in records
+                  if r.scheme == "noma" and not r.dropped and r.trace]
+        if traces:
+            payload["convergence_trace"] = [float(v) for v in np.mean(traces, axis=0)]
+    if mode == "fairness":
+        payload["min_rate"] = config.min_rate
+        payload["fairness"] = [
+            {"trial": r.trial, "snr_db": r.snr_db, "feasible": r.feasible,
+             "user_rates": r.user_rates}
+            for r in records if r.scheme == "noma" and not r.dropped
+        ]
+    return payload

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from beamspace_noma import (ChannelParams, LinkBudget, PowerModel, PrecodingError, SystemConfig,
                             build_config, load_config_file, run_trial, sweep)
 from beamspace_noma.cli import main as cli_main
@@ -138,6 +139,79 @@ def test_worker_pool_matches_sequential(tmp_path):
     assert open(seq.json_path, "rb").read() == open(par.json_path, "rb").read()
 
 
+def _assert_json_is_reference(result, config, mode):
+    want = json.dumps(oracles.reference_payload(config, mode, result.records, result.summary),
+                      indent=2) + "\n"
+    with open(result.json_path, encoding="utf-8") as fh:
+        assert fh.read() == want
+
+
+@pytest.mark.parametrize("mode", ["snr", "users", "convergence", "fairness"])
+def test_sweep_writes_the_reference_json_bytes(tmp_path, mode):
+    # at 0 dB two of these four traces stagnate before max_iters and are padded
+    config = _small_config(tmp_path, n_antennas=8, n_users=2, users_sweep=[1, 2], trials=4,
+                           snr_db=[0.0, 10.0], max_iters=30,
+                           min_rate=1.0 if mode == "fairness" else 0.0)
+    result = sweep(config, mode)
+    if mode == "convergence":
+        lengths = [len(r.trace) for r in result.records if r.scheme == "noma"]
+        assert min(lengths) < config.max_iters == max(lengths)
+    _assert_json_is_reference(result, config, mode)
+
+
+@pytest.mark.parametrize("failed_build", [True, False])
+def test_convergence_json_without_a_kept_trace_has_no_trace_key(tmp_path, monkeypatch,
+                                                                 failed_build):
+    # every NOMA record drops, or none of the kept ones ran an iteration
+    if failed_build:
+        _count_link_builds(monkeypatch, PrecodingError("ill-conditioned link"))
+    config = _small_config(tmp_path, schemes=["noma"], max_iters=5 if failed_build else 0)
+    result = sweep(config, "convergence")
+    assert all(rec.dropped is failed_build for rec in result.records)
+    assert "convergence_trace" not in json.load(open(result.json_path))
+    _assert_json_is_reference(result, config, "convergence")
+
+
+@pytest.mark.parametrize("out", ["", "dir/", ".csv", "dir/.csv", ".", "dir/.."])
+def test_config_rejects_an_out_that_names_no_file(tmp_path, out):
+    with pytest.raises(ValueError, match=f"^out must name a file .* got {out!r}$"):
+        _small_config(tmp_path, out=out)
+
+
+@pytest.mark.parametrize("out, paths", [
+    ("run", ("run.csv", "run.json")),
+    ("dir/run.csv", ("dir/run.csv", "dir/run.json")),
+    ("run.csv.csv", ("run.csv.csv", "run.csv.json")),
+    ("run.json", ("run.json.csv", "run.json.json")),
+])
+def test_output_paths_drop_one_trailing_csv(tmp_path, out, paths):
+    assert _small_config(tmp_path, out=out).output_paths() == paths
+
+
+@pytest.mark.parametrize("argv, cfg_line", [
+    (["--out="], None), (["--out", "dir/"], None), (["--out", ".csv"], None), ([], "out ="),
+])
+def test_cli_rejects_an_out_that_names_no_file(tmp_path, monkeypatch, capsys, argv, cfg_line):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    earlier = {name: f"earlier {name}\n".encode() for name in (
+        "results.csv", ".csv", ".json", "dir/.csv", "dir/.json")}
+    for name, data in earlier.items():
+        (tmp_path / name).write_bytes(data)
+    if cfg_line is not None:
+        (tmp_path / "run.cfg").write_text(cfg_line + "\n")
+        argv = ["--config", "run.cfg"]
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["sweep-snr", "--trials", "1", "--snr", "10", "--schemes", "oma"] + argv)
+    assert exit_info.value.code == 2
+    assert "sim: error: out must name a file" in capsys.readouterr().err
+    for name, data in earlier.items():
+        assert (tmp_path / name).read_bytes() == data
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [".csv", ".json", "dir", "results.csv"] + ["run.cfg"] * (cfg_line is not None))
+    assert sorted(p.name for p in (tmp_path / "dir").iterdir()) == [".csv", ".json"]
+
+
 def test_unwritable_output_fails_before_running(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("x")
@@ -164,7 +238,8 @@ def test_csv_sanitizes_drop_reason(tmp_path):
                            k=2, n_rf=0, sum_rate=math.nan, energy_eff=math.nan,
                            dropped=True, drop_reason="bad, very bad")
     path = tmp_path / "drops.csv"
-    write_csv([rec], str(path))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        write_csv([rec], fh)
     rows = list(csv.reader(open(path, newline="")))
     assert rows[1][-1] == "bad; very bad"
     assert rows[1][CSV_COLUMNS.index("sum_rate_bpshz")] == "nan"

@@ -1,7 +1,9 @@
 """The SNR-batched power allocation, baselines and trial against the
 one-budget-at-a-time references in oracles.py, bit for bit."""
 
+import math
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ from beamspace_noma import (ChannelParams, LinkBudget, OptimizerConfig, Precodin
                             beamspace_mimo_single_user_batch, build_noma_link, fully_digital_zf,
                             fully_digital_zf_batch, lens_transform_matrix, link_gains, mimo_oma,
                             mimo_oma_batch, run_trial, sample_realization, trial_rng, update_p)
-from beamspace_noma.power import _base_denominator, _with_rate_multipliers
+from beamspace_noma.power import (OUTER_CAP, _base_denominator, _update_p_rows,
+                                  _with_rate_multipliers)
+from beamspace_noma.rates import budget_arrays
 
 # Seven points above the default sweep: below 10 dB a min-rate of 1 bps/Hz is
 # infeasible for most users, so every iteration runs the 200-round dual cap
@@ -113,6 +117,35 @@ def test_rows_stop_at_different_dual_rounds():
         assert _bits(got.max_violation) == _bits(want.max_violation)
         rounds.add(got.rounds)
     assert len(rounds) > 1
+
+
+@pytest.mark.parametrize("min_rate, some_row_converges", [(1.0, True), (3.0, False)])
+def test_stacked_dual_ascent_rows_match_the_sequential_ascent(min_rate, some_row_converges):
+    # the rows leave the ascent at different rounds or run its cap; the last
+    # row's NaN noise makes every violation NaN, so it returns its round-1
+    # iterate. LinkBudget rejects a NaN noise, so that budget is a namespace
+    _, _, grouping, precoder = _link(16, 6, 3)
+    lg = link_gains(grouping, precoder)
+    budgets = _budgets(6, snr_db=[0.0, 10.0, 30.0])
+    budgets.append(SimpleNamespace(total_power_mw=32.0, noise_mw=math.nan))
+    c, a = [], []
+    for budget in budgets[:3] + budgets[1:2]:  # the NaN row steps from the 10 dB split
+        p = np.full(6, budget.total_power_mw / 6)
+        xi = oracles.interference_vector(lg, p, budget.noise_mw)
+        c.append(np.conj(np.sqrt(p) * lg.own) / (p * lg.own_gain + xi))
+        a.append((p * lg.own_gain + xi) / xi)
+    eta = OptimizerConfig(min_rate=min_rate).rate_threshold
+    p, lam, mu, rounds, violation = _update_p_rows(lg, np.array(c), np.array(a), eta,
+                                                   *budget_arrays(budgets))
+    for row, budget in enumerate(budgets):
+        want_p, want = oracles.sequential_update_p(lg, c[row], a[row], min_rate, budget)
+        assert p[row].tobytes() == want_p.tobytes()
+        assert _bits(lam[row]) == _bits(want.budget_multiplier)
+        assert mu[row].tobytes() == want.rate_multipliers.tobytes()
+        assert rounds[row] == want.rounds
+        assert _bits(violation[row]) == _bits(want.max_violation)
+    assert rounds[-1] == OUTER_CAP and math.isnan(violation[-1])
+    assert any(rounds < OUTER_CAP) is some_row_converges
 
 
 @pytest.mark.parametrize("eta", [0.0, 1.0, np.inf])
