@@ -2,8 +2,8 @@
 
 Each flag parses like its config key, through `config.parse_field`. A value
 that does not parse or describe a run, a config file that cannot be read or
-repeats a key, and a swept user count that a scheme cannot serve all exit with
-status 2 before any output is written.
+repeats a key, a swept user count that a scheme cannot serve, and an `--out`
+whose files cannot be made all exit with status 2 before any output is written.
 """
 
 from __future__ import annotations
@@ -67,7 +67,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--config: {exc}")
     except ValueError as exc:
         parser.error(str(exc))
-    result = sweep(config, sweep_mode)
+    try:
+        result = sweep(config, sweep_mode)
+    except OSError as exc:  # the output files cannot be made
+        parser.error(f"--out: {exc}")
     for cell in result.summary:
         print(f"snr={cell['snr_db']:g} dB  k={cell['k']}  {cell['scheme']:<15} "
               f"SE {cell['mean_se']:.3f} +/- {cell['stderr_se']:.3f} bps/Hz  "

@@ -4,10 +4,11 @@ CSV/JSON emission.
 Every scheme and SNR point inside a trial consumes the identical channel
 realization, so scheme comparisons are paired. NOMA and OMA also share one
 beam grouping and ZF precoder, built the first time either runs; a failed
-build is not cached, so it drops both schemes with the same reason. Trials
-are independent and may run in a worker pool; records are sorted before
-writing so the output files are byte-deterministic for a given master seed.
-Both output files are opened, under temp names, before the first trial.
+build is not cached, so it drops both schemes with the same reason. `sweep`
+maps one list of (user-count cell, trial) jobs through a single worker pool,
+or a plain loop at `workers=1`; records are sorted before writing so the
+output files are byte-deterministic for a given master seed. Both output
+files are opened, under temp names, before the first trial.
 """
 
 from __future__ import annotations
@@ -85,22 +86,6 @@ def build_noma_link(beamspace: np.ndarray, variant: str) -> tuple[beams.BeamGrou
     return grouping, precoder
 
 
-def _scheme_results(scheme: str, config: SystemConfig, budgets: list[rates.LinkBudget],
-                    spatial: np.ndarray, beamspace: np.ndarray, noma_link) -> list:
-    """One scheme at every SNR point: a PowerAllocation (noma), whose `report`
-    holds its rates, or a RateReport per budget. `noma_link()` returns the
-    `LinkGains` that NOMA and OMA share."""
-    if scheme == "noma":
-        return power.allocate_batch(noma_link(), budgets, config.optimizer_config())
-    if scheme == "oma":
-        return baselines.mimo_oma_batch(noma_link(), budgets)
-    if scheme == "beamspace_mimo":
-        return baselines.beamspace_mimo_single_user_batch(beamspace, budgets)
-    if scheme == "fully_digital":
-        return baselines.fully_digital_zf_batch(spatial, budgets)
-    raise ValueError(f"unknown scheme {scheme!r}")
-
-
 def run_trial(config: SystemConfig, trial_index: int) -> list[ExperimentRecord]:
     """Execute every configured scheme at every SNR point on one realization.
 
@@ -115,6 +100,14 @@ def run_trial(config: SystemConfig, trial_index: int) -> list[ExperimentRecord]:
     beamspace = to_beamspace(realization.matrix, _lens(config.n_antennas))
     budgets = [config.budget(snr_db) for snr_db in config.snr_db]
     noma_link = cache(lambda: rates.link_gains(*build_noma_link(beamspace, config.variant)))
+    # scheme -> its results at every SNR point: a PowerAllocation (noma), whose
+    # `report` holds its rates, or a RateReport per budget
+    batch = {
+        "noma": lambda: power.allocate_batch(noma_link(), budgets, config.optimizer_config()),
+        "oma": lambda: baselines.mimo_oma_batch(noma_link(), budgets),
+        "beamspace_mimo": lambda: baselines.beamspace_mimo_single_user_batch(beamspace, budgets),
+        "fully_digital": lambda: baselines.fully_digital_zf_batch(realization.matrix, budgets),
+    }
 
     records = [ExperimentRecord(trial=trial_index, seed=config.seed, snr_db=snr_db,
                                 scheme=scheme, k=config.n_users, n_rf=0,
@@ -125,8 +118,7 @@ def run_trial(config: SystemConfig, trial_index: int) -> list[ExperimentRecord]:
     for j, scheme in enumerate(config.schemes):
         own = records[j::len(config.schemes)]  # this scheme's record at each SNR point
         try:
-            results = _scheme_results(scheme, config, budgets, realization.matrix,
-                                      beamspace, noma_link)
+            results = batch[scheme]()
         except DROP_ERRORS as err:
             for rec in own:
                 rec.dropped, rec.drop_reason = True, str(err)
@@ -149,17 +141,6 @@ def run_trial(config: SystemConfig, trial_index: int) -> list[ExperimentRecord]:
                 rec.user_rates = [float(r) for r in report.rates_by_user]
             rec.energy_eff = rates.energy_efficiency(rec.sum_rate, rec.n_rf, budget, pm)
     return records
-
-
-def _run_cell(config: SystemConfig) -> list[ExperimentRecord]:
-    """All trials for one configuration, optionally across worker processes."""
-    indices = range(config.trials)
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            chunks = list(pool.map(run_trial, [config] * config.trials, indices))
-    else:
-        chunks = [run_trial(config, t) for t in indices]
-    return [rec for chunk in chunks for rec in chunk]
 
 
 def _stderr(values: np.ndarray) -> float:
@@ -222,7 +203,13 @@ def sweep(config: SystemConfig, mode: str) -> SweepResult:
         os.makedirs(os.path.dirname(paths[0]) or ".", exist_ok=True)
         with (open(temps[0], "w", newline="", encoding="utf-8") as csv_fh,
               open(temps[1], "w", encoding="utf-8") as json_fh):
-            records = [rec for cell in cells for rec in _run_cell(cell)]
+            jobs = [(cell, t) for cell in cells for t in range(cell.trials)]
+            if config.workers > 1:
+                with ProcessPoolExecutor(max_workers=config.workers) as pool:
+                    chunks = list(pool.map(run_trial, *zip(*jobs)))
+            else:
+                chunks = [run_trial(cell, t) for cell, t in jobs]
+            records = [rec for chunk in chunks for rec in chunk]
             rank = {s: i for i, s in enumerate(config.schemes)}
             records.sort(key=lambda r: (r.trial, r.snr_db, r.k, rank.get(r.scheme, 99)))
             summary = summarize(records, config.schemes)

@@ -133,10 +133,13 @@ def test_sweep_is_byte_deterministic(tmp_path):
 
 
 def test_worker_pool_matches_sequential(tmp_path):
-    seq = sweep(_small_config(tmp_path, out=str(tmp_path / "seq")), "snr")
-    par = sweep(_small_config(tmp_path, out=str(tmp_path / "par"), workers=2), "snr")
-    assert open(seq.csv_path, "rb").read() == open(par.csv_path, "rb").read()
-    assert open(seq.json_path, "rb").read() == open(par.json_path, "rb").read()
+    # one pool serves every trial of every user-count cell in a users sweep
+    for mode, kw in [("snr", {}), ("users", {"users_sweep": [2, 4], "trials": 2})]:
+        seq = sweep(_small_config(tmp_path, out=str(tmp_path / f"{mode}-seq"), **kw), mode)
+        par = sweep(_small_config(tmp_path, out=str(tmp_path / f"{mode}-par"), workers=2, **kw),
+                    mode)
+        assert open(seq.csv_path, "rb").read() == open(par.csv_path, "rb").read()
+        assert open(seq.json_path, "rb").read() == open(par.json_path, "rb").read()
 
 
 def _assert_json_is_reference(result, config, mode):
@@ -218,6 +221,21 @@ def test_unwritable_output_fails_before_running(tmp_path):
     config = _small_config(tmp_path, out=str(blocker / "sub" / "run"), trials=1000)
     with pytest.raises(OSError):
         sweep(config, "snr")
+
+
+def test_cli_reports_an_out_under_a_plain_file(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("x")
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(["sweep-snr", "--trials", "1", "--snr", "10", "--schemes", "oma",
+                  "--out", str(blocker / "run")])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("sim: error:")]
+    assert len(errors) == 1 and errors[0].startswith("sim: error: --out: ")
+    assert str(blocker) in errors[0] and "Traceback" not in err
+    assert blocker.read_text() == "x"
+    assert list(tmp_path.iterdir()) == [blocker]
 
 
 def test_summary_excludes_dropped_but_counts_them():
@@ -516,11 +534,23 @@ def _count_link_builds(monkeypatch, error=None):
 ])
 def test_noma_link_is_built_once_per_trial_and_only_for_noma_or_oma(tmp_path, monkeypatch,
                                                                     schemes, builds_per_trial):
+    from beamspace_noma import baselines, power
+
     builds = _count_link_builds(monkeypatch)
+    calls = []  # the scheme of every batch call, in call order
+    for module, name, scheme in [(power, "allocate_batch", "noma"),
+                                 (baselines, "mimo_oma_batch", "oma"),
+                                 (baselines, "beamspace_mimo_single_user_batch", "beamspace_mimo"),
+                                 (baselines, "fully_digital_zf_batch", "fully_digital")]:
+        def spy(*args, real=getattr(module, name), scheme=scheme):
+            calls.append(scheme)
+            return real(*args)
+        monkeypatch.setattr(module, name, spy)
     config = _small_config(tmp_path, schemes=schemes, snr_db=[0.0, 10.0])
     for trial in range(3):
         assert not any(rec.dropped for rec in run_trial(config, trial))
     assert len(builds) == 3 * builds_per_trial
+    assert calls == 3 * schemes
 
 
 def test_failed_link_build_drops_noma_and_oma_at_every_snr_point(tmp_path, monkeypatch):
