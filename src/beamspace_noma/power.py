@@ -28,8 +28,9 @@ power-of-two scale, and the bisection is a walk down a tree of nodes that
 reads row sums from tables of consecutive evaluated nodes. The powers' sum
 falls monotonically in the multiplier even in floating point, so a window
 placed by Newton steps around the root, once its ends certify the budget
-bounds, decides every halving outside it. Rows that do not certify walk
-rounds of tables that hold every node of the next BISECT_DEPTH halvings.
+bounds, decides every halving outside it. Every bracket, [0, 1] or the last
+doubling, first tries such a window; rows that do not certify walk rounds of
+tables that hold every node of the next BISECT_DEPTH halvings.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ STAGNATION_PATIENCE = 3  # ... for this many consecutive iterations
 MAX_HALVINGS = 200      # cap on budget-bisection halvings per root
 BISECT_DEPTH = 5        # bisection-tree levels evaluated per vectorized call
 DOUBLINGS = 400         # cap on budget-multiplier doublings from 1 before halving
-NEWTON_STEPS = 8        # cap on Newton steps placing a budget root in (0, 1)
+NEWTON_STEPS = 8        # cap on Newton steps placing a budget root
 NEWTON_SETTLED = 2.0 ** -20  # relative budget misfit at which the Newton steps stop
 UNDERSHOOT = 2.0 ** 42  # bound on a settled estimate's shortfall, in zones per misfit**2
 
@@ -175,10 +176,11 @@ def _powers_at(numer: np.ndarray, denom_base: np.ndarray, lam) -> np.ndarray:
 
 
 def _solve_budgets(numer: np.ndarray, denom_base: np.ndarray, total_mw: np.ndarray,
-                   guess: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                   guess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bisect every row's budget multiplier so its closed-form powers fill
-    that row's budget; numer and denom_base are (R, K), total_mw is (R,) and
-    guess, if given, holds (R,) estimates of the multipliers (a warm start).
+    that row's budget; numer and denom_base are (R, K), total_mw is (R,)
+    positive budgets and guess holds (R,) estimates of the multipliers (a warm
+    start; NaN or 0 where there is none).
 
     Returns the feasible side of each bracket, within BUDGET_TOL * total of
     the budget (or slack at multiplier zero, as complementary slackness
@@ -191,28 +193,29 @@ def _solve_budgets(numer: np.ndarray, denom_base: np.ndarray, total_mw: np.ndarr
     midpoint equal to an endpoint and a cap of MAX_HALVINGS. The multiplier
     and powers are bit-identical to that bisection's.
 
-    One evaluation at 0, 1 and a start point settles the slack and doubling
-    checks. The bracket that opens next, [0, 1] or the last doubling [2**(j -
-    1), 2**j], is dyadic, and so is each of its halvings: hi - lo = 2**w with
-    lo a multiple of 2**w, so a halving's midpoint is exact wherever it is a
-    double, and where it is not, lo and hi are neighbouring doubles and the
-    midpoint stop ends the bisection. Every multiplier the bisection
+    One evaluation at 0 and 1 settles the slack check and whether the root
+    lies in (0, 1]. The bracket that opens next, [0, 1] or the last doubling
+    [2**(j - 1), 2**j], is dyadic, and so is each of its halvings: hi - lo =
+    2**w with lo a multiple of 2**w, so a halving's midpoint is exact wherever
+    it is a double, and where it is not, lo and hi are neighbouring doubles
+    and the midpoint stop ends the bisection. Every multiplier the bisection
     evaluates is thus a node of a dyadic tree, and `_walk_tables` evaluates
     tables of consecutive nodes and `_walk`s the tree through them.
 
-    A row whose root lies in (0, 1) is placed by `_newton` and certified in a
-    window of nodes [a, b] (`_certified_walks`): S(a) > total and total -
-    S(b) > BUDGET_TOL * total, with S(x) the row sum of the powers at
-    multiplier x. Where every denominator is positive, S is non-increasing in
-    the multiplier even in floating point: each addition, division and square
-    rounds monotonically and the summation order is fixed. So every midpoint
-    at or below a goes right and every one at or above b goes left without
-    meeting the residual stop, and the walk takes those halvings in closed
-    form; only midpoints inside the window read evaluated sums. The guess and
-    the Newton estimate only choose which multipliers are evaluated; no
-    branch of the walk depends on them.
+    Every bracket whose hi is under budget (all but those past the doubling
+    cap) is placed by `_newton` and certified in a window of nodes [a, b]
+    (`_certified_walks`): S(a) > total and total - S(b) > BUDGET_TOL * total,
+    with S(x) the row sum of the powers at multiplier x. Where every
+    denominator is positive, S is non-increasing in the multiplier even in
+    floating point: each addition, division and square rounds monotonically
+    and the summation order is fixed. So every midpoint at or below a goes
+    right and every one at or above b goes left without meeting the residual
+    stop, and the walk takes those halvings in closed form; only midpoints
+    inside the window read evaluated sums. The guess and the Newton estimate
+    only choose which multipliers are evaluated; no branch of the walk
+    depends on them.
 
-    Rows over budget at 1, rows whose window does not certify or has a
+    Rows past the doubling cap, rows whose window does not certify or has a
     denominator that is not positive at a, and walks that leave the table
     resume from their bracket in rounds (`_round_walks`) whose tables hold
     every node the next BISECT_DEPTH halvings can visit. Windows and rounds
@@ -222,56 +225,47 @@ def _solve_budgets(numer: np.ndarray, denom_base: np.ndarray, total_mw: np.ndarr
     """
     n_rows = len(numer)
     lam, powers = np.zeros(n_rows), np.empty_like(numer)
-    lows, totals = denom_base.min(axis=-1).tolist(), total_mw.tolist()
+    lows, totals, hints = denom_base.min(axis=-1).tolist(), total_mw.tolist(), guess.tolist()
     numer, denom_base = np.fmax(numer, 0.0)[:, None, :], denom_base[:, None, :]
-    hints = [math.nan] * n_rows if guess is None else guess.tolist()
-    # every denominator is positive above floor; Newton starts from the guess
-    # where it lies in (floor, 1), else halfway from floor to 1
-    floors = [max(-low, 0.0) for low in lows]
-    starts = [hint if floor < hint < 1.0 else 0.5 * (floor + 1.0)
-              for floor, hint in zip(floors, hints)]
-    lams = np.array([(0.0, 1.0, start) for start in starts])[..., None]
     # one record per open row: [row, budget, smallest denominator, bracket lo
     # and hi, powers at hi (None where only a bound is known there), their
     # sum, halvings]
-    brackets, inside = [], []
+    brackets = []
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        batch = _batch_powers(numer, denom_base, lams, all(low > 0 for low in lows))
-        for row, (at_zero, at_one, _) in enumerate(batch.sum(axis=-1).tolist()):
+        batch = _batch_powers(numer, denom_base, np.array([0.0, 1.0])[None, :, None],
+                              all(low > 0 for low in lows))
+        for row, (at_zero, at_one) in enumerate(batch.sum(axis=-1).tolist()):
             total = totals[row]
             if at_zero <= total:
                 powers[row] = batch[row, 0]
                 continue
             bracket = [row, total, lows[row], 0.0, 1.0, batch[row, 1], at_one, 0]
-            if at_one <= total:  # the root lies in (0, 1]
-                (inside if total > 0 else brackets).append(bracket)
-                continue
-            hi = 2.0
-            for _ in range(DOUBLINGS - 1):
-                p = _powers_at(numer[row, 0], denom_base[row, 0], hi)
-                if p.sum() <= total:
-                    break
-                hi *= 2.0
-            bracket[3:7] = hi / 2.0, hi, p, float(p.sum())
+            if not at_one <= total:  # the root lies past 1, or the sum is NaN
+                hi = 2.0
+                for _ in range(DOUBLINGS - 1):
+                    p = _powers_at(numer[row, 0], denom_base[row, 0], hi)
+                    if p.sum() <= total:
+                        break
+                    hi *= 2.0
+                bracket[3:7] = hi / 2.0, hi, p, float(p.sum())
             brackets.append(bracket)
-        if inside:
-            rows = [bracket[0] for bracket in inside]
-            roots = _newton(_take(numer, rows)[:, 0], _take(denom_base, rows)[:, 0],
-                            [bracket[1] for bracket in inside],
-                            [starts[bracket[0]] for bracket in inside],
-                            _take(batch, rows)[:, 2], [floors[bracket[0]] for bracket in inside])
-            windows, width = _certified_walks(inside, roots)
-            placed = {walk[0][0] for walk in windows}
-            brackets += [bracket for bracket in inside if bracket[0] not in placed]
-            brackets += _walk_tables(numer, denom_base, windows, width, lam, powers)
+        # past the doubling cap the powers held are those at hi / 2, not at hi;
+        # Newton starts from the guess in (floor, hi), else halfway from floor to hi
+        placeable = [bracket for bracket in brackets if bracket[6] <= bracket[1]]
+        rows = [bracket[0] for bracket in placeable]
+        floors = [max(-bracket[2], bracket[3]) for bracket in placeable]
+        starts = [hints[row] if floor < hints[row] < bracket[4] else 0.5 * (floor + bracket[4])
+                  for row, floor, bracket in zip(rows, floors, placeable)]
+        roots = _newton(numer.take(rows, axis=0)[:, 0], denom_base.take(rows, axis=0)[:, 0],
+                        [bracket[1] for bracket in placeable], starts, floors)
+        windows, width = _certified_walks(placeable, roots)
+        placed = {walk[0][0] for walk in windows}
+        brackets = [bracket for bracket in brackets if bracket[0] not in placed]
+        brackets += _walk_tables(numer, denom_base, windows, width, lam, powers)
         while brackets:
             brackets = _walk_tables(numer, denom_base, _round_walks(brackets),
                                     2 ** BISECT_DEPTH + 1, lam, powers)
     return lam, powers
-
-
-def _take(array: np.ndarray, rows: list[int]) -> np.ndarray:
-    return array if rows == list(range(len(array))) else array.take(rows, axis=0)
 
 
 def _batch_powers(numer: np.ndarray, denom_base: np.ndarray, lams: np.ndarray,
@@ -286,10 +280,9 @@ def _batch_powers(numer: np.ndarray, denom_base: np.ndarray, lams: np.ndarray,
 
 
 def _newton(numer: np.ndarray, denom_base: np.ndarray, totals: list[float], x: list[float],
-            p: np.ndarray, floors: list[float]) -> list[tuple[float, float, float] | None]:
+            floors: list[float]) -> list[tuple[float, float, float] | None]:
     """Estimate the roots of S(lam) = sum((numer / (denom_base + lam))**2) =
-    total of (R, K) rows by Newton steps on g = S**-0.5, from x where the
-    powers are p.
+    total of (R, K) rows by Newton steps on g = S**-0.5, from x.
 
     Above floor every denominator is positive and g is concave and
     increasing, so a step lands at or below the root and later steps climb
@@ -301,8 +294,7 @@ def _newton(numer: np.ndarray, denom_base: np.ndarray, totals: list[float], x: l
     """
     for _ in range(NEWTON_STEPS):
         denom = denom_base + np.array(x)[:, None]
-        if p is None:
-            p = (numer / denom) ** 2
+        p = (numer / denom) ** 2
         roots, following, settled = [], [], True
         for row_sum, half_slope, x_row, floor, total in zip(
                 p.sum(axis=-1).tolist(), (p / denom).sum(axis=-1).tolist(), x, floors, totals):
@@ -321,20 +313,21 @@ def _newton(numer: np.ndarray, denom_base: np.ndarray, totals: list[float], x: l
             following.append(estimate if estimate > floor else 0.5 * (floor + x_row))
         if settled:
             break
-        x, p = following, None
+        x = following
     return roots
 
 
 def _certified_walks(brackets: list, roots: list) -> tuple[list, int]:
-    """Place windows around the `_newton` estimates of the rows whose roots
-    lie in (0, 1): return the walks for `_walk_tables` and their common table
-    width. Rows without a root or whose window does not fit get no walk.
+    """Place windows around the `_newton` estimates of the brackets' roots:
+    return the walks for `_walk_tables` and their common table width.
+    Brackets without a root or whose window does not fit get no walk.
 
-    A row's table holds the multiples of a power of two `step` <= zone / 2
-    from a node below its estimate to one past the residual zone above it,
-    widened by UNDERSHOOT * misfit**2 zones for the estimate's shortfall, in
-    the tree [0, 1] of the node multiples of step. Nodes stay below 2**51,
-    so every node a skip lands on has a double as its multiplier.
+    A bracket's table holds the multiples of a power of two `step` <= zone /
+    2 from a node below its estimate to one past the residual zone above it,
+    widened by UNDERSHOOT * misfit**2 zones for the estimate's shortfall,
+    strictly inside the tree [lo / step, hi / step] of the node multiples of
+    step. Nodes stay below 2**51, so every node a skip lands on has a double
+    as its multiplier.
     """
     placed = []
     for bracket, root in zip(brackets, roots):
@@ -345,11 +338,14 @@ def _certified_walks(brackets: list, roots: list) -> tuple[list, int]:
         step = math.ldexp(1.0, exponent)
         below = (estimate - 0.25 * zone) / step
         above = (estimate + (1.25 + UNDERSHOOT * misfit * misfit) * zone) / step
-        if 1.0 <= below and above < 2.0 ** 51 and math.floor(below) * step > -bracket[2]:
-            placed.append((bracket, math.floor(below), math.ceil(above), exponent))
-    width = max([last - first + 1 for _, first, last, _ in placed], default=0)
-    return [(bracket, first, 0, 1 << -exponent, exponent) for bracket, first, _, exponent in placed
-            if first + width - 1 < 2 ** -exponent], width
+        # lo and hi are 0 or powers of two: the ends are exact where a window fits
+        lo, hi = int(bracket[3]), int(bracket[4])
+        left, right = ((lo << -exponent, hi << -exponent) if exponent < 0
+                       else (lo >> exponent, hi >> exponent))
+        if left + 1 <= below and above < 2.0 ** 51 and math.floor(below) * step > -bracket[2]:
+            placed.append(((bracket, math.floor(below), left, right, exponent), math.ceil(above)))
+    width = max([last - walk[1] + 1 for walk, last in placed], default=0)
+    return [walk for walk, _ in placed if walk[1] + width - 1 < walk[3]], width
 
 
 def _round_walks(brackets: list) -> list:
@@ -391,8 +387,8 @@ def _walk_tables(numer: np.ndarray, denom_base: np.ndarray, walks: list, width: 
                      + np.arange(width), np.array([walk[4] for walk in walks])[:, None])
     positive = all(bracket[2] + math.ldexp(first, exponent) > 0
                    for bracket, first, *_, exponent in walks)
-    table = _batch_powers(_take(numer, rows), _take(denom_base, rows), nodes[..., None],
-                          positive)
+    table = _batch_powers(numer.take(rows, axis=0), denom_base.take(rows, axis=0),
+                          nodes[..., None], positive)
     still_open = []
     for (bracket, first, left, right, exponent), row_sums, row_table in zip(
             walks, table.sum(axis=-1).tolist(), table):
@@ -464,14 +460,15 @@ def _walk(bracket: list, first: int, sums: list, batch: np.ndarray, left: int, r
 
 
 def _update_p_rows(lg: LinkGains, c: np.ndarray, a: np.ndarray, eta: float,
-                   total_mw: np.ndarray, noise_mw: np.ndarray, guess: np.ndarray | None = None):
+                   total_mw: np.ndarray, noise_mw: np.ndarray, guess: np.ndarray):
     """Closed-form KKT power update for R rows of equalizers and weights.
 
     Returns (R, K) powers and per-row budget multipliers, (R, K) rate
     multipliers, dual rounds and worst min-rate violations. Rows leave the
     dual ascent at the round where they converge; see `update_p`. guess holds
-    estimates of the budget multipliers (the previous iteration's) to start
-    the first budget root from; each dual round starts from the last one's.
+    estimates of the budget multipliers (the previous iteration's, or zeros)
+    to start the first budget root from; each dual round starts from the last
+    one's.
     """
     numer = a * np.real(c * lg.own)
     mu = np.zeros_like(numer)
@@ -538,7 +535,7 @@ def update_p(c: np.ndarray, a: np.ndarray, grouping: BeamGrouping, precoder: Pre
     lg = link_gains(grouping, precoder)
     total, noise = budget_arrays([budget])
     p, lam, mu, rounds, violation = _update_p_rows(lg, c[None], a[None], config.rate_threshold,
-                                                   total, noise)
+                                                   total, noise, np.zeros(1))
     return p[0], DualSolution(float(lam[0]), mu[0], int(rounds[0]), float(violation[0]))
 
 

@@ -8,7 +8,7 @@ import pytest
 
 import oracles
 from beamspace_noma import power
-from beamspace_noma.power import BISECT_DEPTH, BUDGET_TOL, MAX_HALVINGS, _solve_budgets
+from beamspace_noma.power import BISECT_DEPTH, BUDGET_TOL, DOUBLINGS, MAX_HALVINGS, _solve_budgets
 from oracles import sequential_solve_budget
 
 
@@ -16,7 +16,7 @@ def _assert_same_root(numer, denom_base, total_mw):
     """Solve the root as a (1, K) row and check it against the sequential
     bisection; return the multiplier and the (K,) powers."""
     want_lam, want_p = sequential_solve_budget(numer, denom_base, total_mw)
-    lam, p = _solve_budgets(numer[None], denom_base[None], np.array([total_mw]))
+    lam, p = _solve_budgets(numer[None], denom_base[None], np.array([total_mw]), np.zeros(1))
     assert lam[0] == want_lam
     assert p.dtype == want_p.dtype and p.shape == (1,) + want_p.shape
     assert p.tobytes() == want_p.tobytes()
@@ -77,6 +77,15 @@ def test_nan_numerator_gets_zero_power():
     numer[5] = np.nan
     lam, p = _assert_same_root(numer, denom_base, 0.5)
     assert p[5] == 0.0
+
+
+def test_nan_denominator_doubles_to_the_cap():
+    # a NaN sum is never within the budget, so the bisection doubles to the
+    # cap before it halves, as for a root above 1
+    numer, denom_base = _instance(4, 16)
+    denom_base[3] = np.nan
+    lam, p = _assert_same_root(numer, denom_base, 0.5)
+    assert 2.0 ** (DOUBLINGS - 1) < lam <= 2.0 ** DOUBLINGS
 
 
 @pytest.mark.parametrize("total", [1e-250, 1e-30, 1e30, 1e250])
@@ -389,3 +398,67 @@ def test_zero_numerator_user_with_the_lowest_denominator():
     lam, p = _solve_budgets(numer[None], denom_base[None], np.array([total]),
                             np.array([0.375 + 1e-12]))
     assert lam[0] == want_lam and p[0].tobytes() == want_p.tobytes()
+
+
+def _window_walks(monkeypatch):
+    """Spy on `_walk`: record (lo, hi, exponent) of every bracket walked from a
+    window, whose table starts above its tree's first node."""
+    windows = []
+    real_walk = power._walk
+
+    def walk(bracket, first, sums, batch, left, right, exponent):
+        if first != left:
+            windows.append((bracket[3], bracket[4], exponent))
+        return real_walk(bracket, first, sums, batch, left, right, exponent)
+
+    monkeypatch.setattr(power, "_walk", walk)
+    return windows
+
+
+def test_root_above_one_is_placed_by_a_window(monkeypatch):
+    # test_doubling_phase_beyond_one's root, near 1.05e8: the last doubling
+    # opens [2**26, 2**27], and the window inside it decides the walk
+    windows = _window_walks(monkeypatch)
+    numer, denom_base = _instance(2, 32)
+    lam, _ = _assert_same_root(numer * 1e6, denom_base, 1e-3)
+    assert 2.0 ** 26 < lam < 2.0 ** 27
+    assert [(lo, hi) for lo, hi, _ in windows] == [(2.0 ** 26, 2.0 ** 27)]
+
+
+@pytest.mark.parametrize("scale", [40, 60])
+def test_window_nodes_coarser_than_one(monkeypatch, scale):
+    # above 2**40 the residual zone is wider than 2, so the window's nodes are
+    # multiples of a step above 1 and its tree ends are lo and hi shifted down
+    windows = _window_walks(monkeypatch)
+    numer, denom_base, root = np.array([1.0, 2.0]), np.array([1.0, 3.0]), 1.3 * 2.0 ** scale
+    total = float(np.sum((numer / (denom_base + root)) ** 2))
+    lam, _ = _assert_same_root(numer, denom_base, total)
+    assert abs(lam / root - 1.0) < 1e-9
+    assert len(windows) == 1
+    lo, hi, exponent = windows[0]
+    assert lo < lam <= hi == 2.0 * lo and exponent > 0
+
+
+def test_min_rate_roots_above_one_are_placed_by_windows(monkeypatch):
+    # trial 7 of the fairness run at seed 7 (20 dB, rmin 1): its rate
+    # multipliers push ten budget roots past 1, and windows should place them
+    # rather than the round tables
+    from beamspace_noma import (ChannelParams, LinkBudget, OptimizerConfig, allocate_batch,
+                                build_noma_link, lens_transform_matrix, link_gains,
+                                sample_realization, trial_rng)
+
+    real = sample_realization(ChannelParams(n_antennas=256, n_users=32), trial_rng(7, 7))
+    grouping, precoder = build_noma_link(lens_transform_matrix(256).matrix @ real.matrix,
+                                         "strongest")
+    placed = []
+    real_certified = power._certified_walks
+
+    def certified_walks(brackets, roots):
+        walks, width = real_certified(brackets, roots)
+        placed.extend(walk[0][3] >= 1.0 for walk in walks)
+        return walks, width
+
+    monkeypatch.setattr(power, "_certified_walks", certified_walks)
+    allocate_batch(link_gains(grouping, precoder), [LinkBudget.from_snr(32.0, 20.0, 32)],
+                   OptimizerConfig(min_rate=1.0))
+    assert placed.count(True) > 0

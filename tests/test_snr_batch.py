@@ -136,7 +136,7 @@ def test_stacked_dual_ascent_rows_match_the_sequential_ascent(min_rate, some_row
         a.append((p * lg.own_gain + xi) / xi)
     eta = OptimizerConfig(min_rate=min_rate).rate_threshold
     p, lam, mu, rounds, violation = _update_p_rows(lg, np.array(c), np.array(a), eta,
-                                                   *budget_arrays(budgets))
+                                                   *budget_arrays(budgets), np.zeros(len(budgets)))
     for row, budget in enumerate(budgets):
         want_p, want = oracles.sequential_update_p(lg, c[row], a[row], min_rate, budget)
         assert p[row].tobytes() == want_p.tobytes()
