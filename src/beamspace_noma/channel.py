@@ -30,6 +30,8 @@ import numpy as np
 
 # |theta| range whose steering rows are mirrored (module docstring); NaN fails it
 MIRROR_RANGE = (1e-300, 1.0)
+# interval every spatial direction is drawn from
+DIRECTION_RANGE = (-0.5, 0.5)
 
 
 @dataclass
@@ -41,7 +43,8 @@ class ChannelParams:
     n_nlos     : NLoS paths per user L (>= 0); one LoS path is always present
     los_var    : total variance of the LoS complex gain (finite, > 0)
     nlos_var   : total variance of each NLoS complex gain (finite, >= 0)
-    direction_range : interval the spatial directions are drawn from
+
+    Every path's spatial direction is drawn from DIRECTION_RANGE.
     """
 
     n_antennas: int
@@ -49,7 +52,6 @@ class ChannelParams:
     n_nlos: int = 2
     los_var: float = 1.0
     nlos_var: float = 0.1
-    direction_range: tuple[float, float] = (-0.5, 0.5)
 
     def __post_init__(self):
         if self.n_antennas < 2:
@@ -64,9 +66,6 @@ class ChannelParams:
         if not (math.isfinite(self.nlos_var) and self.nlos_var >= 0):
             raise ValueError(f"NLoS variance (nlos_variance) must be finite and >= 0, "
                              f"got {self.nlos_var}")
-        lo, hi = self.direction_range
-        if not lo < hi:
-            raise ValueError(f"empty direction range {self.direction_range}")
 
 
 @dataclass
@@ -157,8 +156,7 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
 def sample_realization(params: ChannelParams, rng: np.random.Generator) -> ChannelRealization:
     """Draw spatial channels for all K users of one trial (vectorized)."""
     k, n_paths = params.n_users, params.n_nlos + 1
-    lo, hi = params.direction_range
-    directions = rng.uniform(lo, hi, size=(k, n_paths))
+    directions = rng.uniform(*DIRECTION_RANGE, size=(k, n_paths))
     gains = np.empty((k, n_paths), dtype=complex)
     gains[:, 0] = _complex_gaussian(rng, params.los_var, k)
     if params.n_nlos:

@@ -142,7 +142,7 @@ def mmse_error(powers: np.ndarray, grouping: BeamGrouping, precoder: Precoder,
     """Minimized per-user MSE values e_opt at the given powers."""
     lg = link_gains(grouping, precoder)
     powers = np.asarray(powers, dtype=float)
-    return _mmse(lg, powers, interference_vector(lg, powers, noise_mw))
+    return _mmse(lg, powers, interference_vector(lg, powers[None], np.array([noise_mw]))[0])
 
 
 def _base_denominator(lg: LinkGains, c: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -481,14 +481,15 @@ def _update_p_rows(lg: LinkGains, c: np.ndarray, a: np.ndarray, eta: float,
     out_rounds, out_violation = np.full(n_rows, OUTER_CAP), np.empty(n_rows)
     live = np.arange(n_rows)
     step = np.full(numer.shape, 1.0 / np.maximum(lg.own_gain, 1e-300))
-    prev_theta = None
+    # a zero previous violation neither flips nor stalls the first round's steps
+    prev_theta = np.zeros_like(numer)
     for rounds in range(1, OUTER_CAP + 1):
         lam, p = _solve_budgets(numer, _with_rate_multipliers(lg, base, mu, eta), total_mw, guess)
         guess = lam
         xi = interference_vector(lg, p, noise_mw)
         theta = eta * xi - lg.own_gain * p
         violation = theta.max(axis=-1)
-        if prev_theta is None:
+        if rounds == 1:
             best = (violation, p, lam, mu)
         else:
             better = violation < best[0]
@@ -504,16 +505,13 @@ def _update_p_rows(lg: LinkGains, c: np.ndarray, a: np.ndarray, eta: float,
             keep = ~done
             if not keep.any():
                 return out_p, out_lam, out_mu, out_rounds, out_violation
-            live, numer, base, mu, step, theta, guess = (
-                x[keep] for x in (live, numer, base, mu, step, theta, guess))
+            live, numer, base, mu, step, theta, prev_theta, guess = (
+                x[keep] for x in (live, numer, base, mu, step, theta, prev_theta, guess))
             total_mw, noise_mw = total_mw[keep], noise_mw[keep]
             best = tuple(x[keep] for x in best)
-            if prev_theta is not None:
-                prev_theta = prev_theta[keep]
-        if prev_theta is not None:
-            flipped = np.sign(theta) * np.sign(prev_theta) < 0
-            stalled = (theta > 0) & (prev_theta > 0) & (theta > 0.7 * prev_theta)
-            step = np.where(flipped, step * 0.5, np.where(stalled, step * 2.0, step))
+        flipped = np.sign(theta) * np.sign(prev_theta) < 0
+        stalled = (theta > 0) & (prev_theta > 0) & (theta > 0.7 * prev_theta)
+        step = np.where(flipped, step * 0.5, np.where(stalled, step * 2.0, step))
         mu = np.maximum(0.0, mu + step * theta)
         prev_theta = theta
     out_violation[live], out_p[live], out_lam[live], out_mu[live] = best

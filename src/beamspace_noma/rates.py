@@ -89,15 +89,15 @@ class RateReport:
 class LinkGains:
     """Precomputed |h_{m,n}^H w_j| structure shared by rate and power code.
 
-    Flat user order is beam-major with SIC rank ascending inside each beam.
+    Flat user order is beam-major with SIC rank ascending inside each beam,
+    so beam_of is sorted and each beam's users form one run of it.
     """
 
     gains: np.ndarray     # (K, N_RF) |h_u^H w_j|^2
     own: np.ndarray       # (K,) complex own-beam gain h_u^H w_{beam(u)}
     own_gain: np.ndarray  # (K,) |own|^2, read from gains
-    beam_of: np.ndarray   # (K,) int
+    beam_of: np.ndarray   # (K,) int, ascending
     beam_start: np.ndarray  # (K,) int flat index of the first user of beam_of
-    beam_slices: list[slice]
     users: np.ndarray     # (K,) original user ids in flat order
     n_rf: int
 
@@ -110,12 +110,10 @@ def link_gains(grouping: BeamGrouping, precoder: Precoder) -> LinkGains:
     sizes = [len(m) for m in grouping.beams]
     beam_of = np.repeat(np.arange(grouping.n_rf), sizes)
     bounds = np.concatenate(([0], np.cumsum(sizes)))
-    slices = [slice(bounds[i], bounds[i + 1]) for i in range(grouping.n_rf)]
     rows = np.arange(len(users))
     return LinkGains(gains=gains, own=heff[rows, beam_of],
                      own_gain=gains[rows, beam_of], beam_of=beam_of,
-                     beam_start=bounds[beam_of], beam_slices=slices, users=users,
-                     n_rf=grouping.n_rf)
+                     beam_start=bounds[beam_of], users=users, n_rf=grouping.n_rf)
 
 
 def budget_arrays(budgets: Sequence[LinkBudget]) -> tuple[np.ndarray, np.ndarray]:
@@ -137,25 +135,21 @@ def seg_excl_cumsum(x: np.ndarray, seg_start: np.ndarray) -> np.ndarray:
     return inclusive - x - cum.take(seg_start, axis=-1)
 
 
-def interference_vector(lg: LinkGains, powers: np.ndarray, noise_mw) -> np.ndarray:
-    """All users' post-SIC interference-plus-noise terms at once.
+def interference_vector(lg: LinkGains, powers: np.ndarray, noise_mw: np.ndarray) -> np.ndarray:
+    """All users' post-SIC interference-plus-noise terms at once, for (S, K)
+    float powers with (S,) noise powers, one row per budget.
 
-    powers is (K,) with a scalar noise_mw, or (S, K) with one noise power per
-    row. Each row's beam powers are one bincount over row-offset bins and its
+    Each row's beam powers are one bincount over row-offset bins and its
     cross-beam terms one gemv of a stacked matmul, so a row's result has the
-    same bits as the (K,) call on that row alone.
+    same bits whichever rows share its call.
     """
-    powers = np.asarray(powers, dtype=float)
-    rows = powers.reshape(-1, powers.shape[-1])
-    n_rows = len(rows)
+    n_rows = len(powers)
     bins = (lg.beam_of + np.arange(0, n_rows * lg.n_rf, lg.n_rf)[:, None]).ravel()
-    beam_power = np.bincount(bins, weights=rows.ravel(),
+    beam_power = np.bincount(bins, weights=powers.ravel(),
                              minlength=n_rows * lg.n_rf).reshape(n_rows, lg.n_rf)
     inter = (np.matmul(lg.gains, beam_power[:, :, None])[:, :, 0]
              - lg.own_gain * beam_power.take(lg.beam_of, axis=-1))
-    xi = (lg.own_gain * seg_excl_cumsum(rows, lg.beam_start) + inter
-          + np.asarray(noise_mw)[..., None])
-    return xi.reshape(powers.shape)
+    return lg.own_gain * seg_excl_cumsum(powers, lg.beam_start) + inter + noise_mw[:, None]
 
 
 def reports(users: np.ndarray, n_rf: int, desired: np.ndarray, interference: np.ndarray,
@@ -186,8 +180,8 @@ def sinr(m: int, n: int, grouping: BeamGrouping, precoder: Precoder,
          powers: np.ndarray, noise_mw: float) -> float:
     """Post-SIC SINR of the m-th user (0-based) of beam n."""
     lg = link_gains(grouping, precoder)
-    u = lg.beam_slices[n].start + m
-    xi = interference_vector(lg, powers, noise_mw)[u]
+    u = int(np.searchsorted(lg.beam_of, n)) + m
+    xi = interference_vector(lg, powers[None], np.array([noise_mw]))[0, u]
     return float(lg.own_gain[u] * powers[u] / xi)
 
 
@@ -198,8 +192,8 @@ def sum_rate(grouping: BeamGrouping, precoder: Precoder, powers: np.ndarray,
     lg = link_gains(grouping, precoder)
     if powers.shape != lg.users.shape:
         raise ValueError(f"expected {lg.users.shape[0]} powers, got {powers.shape}")
-    xi = interference_vector(lg, powers, budget.noise_mw)
-    return rate_reports(lg, powers[None], xi[None])[0]
+    xi = interference_vector(lg, powers[None], np.array([budget.noise_mw]))
+    return rate_reports(lg, powers[None], xi)[0]
 
 
 def energy_efficiency(sum_rate_bpshz: float, n_rf: int, budget: LinkBudget,

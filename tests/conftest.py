@@ -1,8 +1,31 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from beamspace_noma import (ChannelParams, LinkBudget, build_noma_link,
                             lens_transform_matrix, sample_realization, trial_rng)
+
+# a hosted runner keeps no example database, so a failing draw prints the
+# @reproduce_failure blob that replays it
+settings.register_profile("ci", print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
+
+
+class FixedDirections:
+    """A generator stand-in whose directions are given; gains stay seeded."""
+
+    def __init__(self, directions, seed=0):
+        self.directions = np.asarray(directions, dtype=float)
+        self.rng = np.random.default_rng(seed)
+
+    def uniform(self, lo, hi, size):
+        return np.resize(self.directions, size)
+
+    def standard_normal(self, size):
+        return self.rng.standard_normal(size)
 
 
 @pytest.fixture

@@ -36,6 +36,7 @@ from beamspace_noma import (BeamGrouping, ChannelRealization, DualSolution,
                             RateReport, build_noma_link,
                             equivalent_channel_strongest, energy_efficiency, link_gains,
                             sample_realization, to_beamspace, trial_rng, zf_precoder)
+from beamspace_noma.channel import DIRECTION_RANGE
 from beamspace_noma.power import (BUDGET_TOL, OUTER_CAP, RATE_SLACK, STAGNATION_PATIENCE,
                                   STAGNATION_TOL, VIOLATION_TOL)
 from beamspace_noma.precoding import COND_LIMIT, PrecodingError, zf_columns
@@ -57,7 +58,8 @@ def simplex_grid_optimum(grouping, precoder, budget, steps=1000):
         beam_power[:, n] = points[:, beam_of == n].sum(axis=1)
     inter = beam_power @ gains.T - beam_power[:, beam_of] * own
     intra = np.zeros_like(points)
-    for s in lg.beam_slices:
+    for n in range(lg.n_rf):
+        s = beam_of == n
         cum = np.cumsum(points[:, s], axis=1)
         intra[:, s] = cum - points[:, s]
     xi = own * intra + inter + budget.noise_mw
@@ -368,8 +370,7 @@ def reference_verify_order(grouping, precoder):
 def reference_sample_realization(params, rng):
     """Channel draw with the complex exp evaluated on every antenna row."""
     k, n_paths = params.n_users, params.n_nlos + 1
-    lo, hi = params.direction_range
-    directions = rng.uniform(lo, hi, size=(k, n_paths))
+    directions = rng.uniform(*DIRECTION_RANGE, size=(k, n_paths))
     gains = np.empty((k, n_paths), dtype=complex)
     scale = np.sqrt(params.los_var / 2.0)
     gains[:, 0] = scale * (rng.standard_normal(k) + 1j * rng.standard_normal(k))

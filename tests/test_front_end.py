@@ -14,6 +14,7 @@ from beamspace_noma import (BeamAssignment, BeamGrouping, ChannelParams, SystemC
 from beamspace_noma.baselines import _claim_beams
 from beamspace_noma.cli import main as cli_main
 
+from conftest import FixedDirections
 from oracles import (reference_beamspace_mimo, reference_claim_beams,
                      reference_equivalent_channel_svd, reference_group_users,
                      reference_sample_realization)
@@ -24,29 +25,16 @@ def _bits(realization):
             realization.path_directions.tobytes())
 
 
-class _FixedDirections:
-    """A generator stand-in whose directions are given; gains stay seeded."""
-
-    def __init__(self, directions, seed=0):
-        self.directions = np.asarray(directions, dtype=float)
-        self.rng = np.random.default_rng(seed)
-
-    def uniform(self, lo, hi, size):
-        return np.resize(self.directions, size)
-
-    def standard_normal(self, size):
-        return self.rng.standard_normal(size)
-
-
 @pytest.mark.parametrize("n", [2, 3, 5, 16, 17, 255, 256])
 @pytest.mark.parametrize("n_nlos", [0, 2])
 @pytest.mark.parametrize("direction_range", [(-0.5, 0.5), (0.0, 0.5), (-1.0, 1.0), (-2.0, 3.0)])
 def test_realization_matches_the_full_exp(n, n_nlos, direction_range):
-    params = ChannelParams(n_antennas=n, n_users=5, n_nlos=n_nlos,
-                           direction_range=direction_range)
+    params = ChannelParams(n_antennas=n, n_users=5, n_nlos=n_nlos)
     for trial in range(3):
-        new = sample_realization(params, trial_rng(17, trial))
-        ref = reference_sample_realization(params, trial_rng(17, trial))
+        # directions drawn over the range, ends on exact zero and past +-1 included
+        directions = trial_rng(17, trial).uniform(*direction_range, size=5 * (n_nlos + 1))
+        new = sample_realization(params, FixedDirections(directions, seed=trial))
+        ref = reference_sample_realization(params, FixedDirections(directions, seed=trial))
         assert _bits(new) == _bits(ref)
 
 
@@ -61,8 +49,8 @@ def test_special_directions_match_the_full_exp(n, special):
     directions = special + [0.3125, -0.1, 0.49999999999999994]
     params = ChannelParams(n_antennas=n, n_users=len(directions), n_nlos=0)
     with np.errstate(invalid="ignore"):
-        new = sample_realization(params, _FixedDirections(directions, seed=n))
-        ref = reference_sample_realization(params, _FixedDirections(directions, seed=n))
+        new = sample_realization(params, FixedDirections(directions, seed=n))
+        ref = reference_sample_realization(params, FixedDirections(directions, seed=n))
     assert _bits(new) == _bits(ref)
 
 
@@ -88,7 +76,7 @@ def test_ordinary_directions_take_the_exp_on_half_the_rows(monkeypatch, n):
     sample_realization(params, trial_rng(3, 0))
     assert counter.entries == (n - n // 2) * 4 * 3
     counter.entries = 0
-    sample_realization(params, _FixedDirections([0.0, 0.2, 0.3], seed=1))
+    sample_realization(params, FixedDirections([0.0, 0.2, 0.3], seed=1))
     assert counter.entries == n * 4 * 3
 
 

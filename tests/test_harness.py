@@ -1,13 +1,18 @@
 import csv
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import oracles
-from beamspace_noma import (ChannelParams, LinkBudget, PowerModel, PrecodingError, SystemConfig,
-                            build_config, load_config_file, run_trial, sweep)
+from beamspace_noma import (BeamGrouping, ChannelParams, LinkBudget, OptimizerConfig,
+                            PowerModel, Precoder, PrecodingError, SystemConfig,
+                            beamspace_mimo_single_user_batch, build_config,
+                            equivalent_channel_strongest, equivalent_channel_svd,
+                            load_config_file, make_equivalent, proposition1_check, run_trial,
+                            sum_rate, sweep)
 from beamspace_noma.cli import main as cli_main
 from beamspace_noma.config import parse_int_list, parse_snr_spec
 from beamspace_noma.runner import CSV_COLUMNS, ExperimentRecord, summarize, write_csv
@@ -794,3 +799,76 @@ def test_noma_with_a_non_finite_iterate_is_a_recorded_drop(los_variance, iterati
     assert noma.drop_reason == f"non-finite sum rate nan at iteration {iteration}"
     assert noma.trace is None
     assert not any(rec.dropped for rec in by_scheme.values())
+
+
+def _one_user_link():
+    grouping = BeamGrouping(beams=[np.array([0])], reduced=np.array([[1.0 + 0j]]),
+                            selected=np.array([0]))
+    return grouping, Precoder(matrix=np.eye(1, dtype=complex), zf_residual=0.0)
+
+
+def _two_beams(beams):
+    return BeamGrouping(beams=beams, reduced=np.eye(2, dtype=complex), selected=np.array([0, 1]))
+
+
+def _load_line(line):
+    with open("bad.cfg", "w", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    return load_config_file("bad.cfg")
+
+
+_EMPTY_BEAM = [np.array([0, 1]), np.array([], dtype=int)]
+
+
+@pytest.mark.parametrize("call, value, message", [
+    (lambda v: ChannelParams(n_antennas=16, n_users=v), 0, "need at least 1 user"),
+    (lambda v: ChannelParams(n_antennas=16, n_users=4, n_nlos=v), -1,
+     "NLoS path count must be >= 0"),
+    (lambda v: SystemConfig(trials=v), 0, "need at least one trial"),
+    (lambda v: SystemConfig(users_sweep=v), [8, 0], "user sweep entries must be >= 1"),
+    (lambda v: SystemConfig(schemes=v), ["noma", "nome"], "unknown schemes ['nome']"),
+    (lambda v: SystemConfig(variant=v), "best", "unknown variant 'best'"),
+    (lambda v: SystemConfig(workers=v), 0, "workers must be >= 1"),
+    (_load_line, "n_users 4", "bad.cfg:1: expected 'key = value'"),
+    (lambda v: build_config({}, v), {"n_user": 4}, "unknown config fields ['n_user']"),
+    (lambda v: OptimizerConfig(max_iters=v), -1, "max_iters must be >= 0"),
+    (lambda v: proposition1_check(1.0, v), [1.0, 0.0], "grid must be strictly positive"),
+    (lambda v: LinkBudget.from_snr(32.0, 10.0, v), 0, "need at least 1 user"),
+    (lambda v: sum_rate(*_one_user_link(), v, LinkBudget(1.0, 1.0)), np.ones(2),
+     "expected 1 powers"),
+    (lambda v: sweep(SystemConfig(), v), "sweep", "unknown sweep mode 'sweep'"),
+    (lambda v: beamspace_mimo_single_user_batch(np.ones((2, v), dtype=complex),
+                                                [LinkBudget(1.0, 1.0)]), 3,
+     "needs K <= N, got K=3, N=2"),
+    (lambda v: equivalent_channel_strongest(_two_beams(v)), _EMPTY_BEAM,
+     "every beam must contain at least one user"),
+    (lambda v: equivalent_channel_svd(_two_beams(v)), _EMPTY_BEAM,
+     "every beam must contain at least one user"),
+    (lambda v: make_equivalent(_two_beams([np.array([0]), np.array([1])]), v), "best",
+     "unknown equivalent-channel variant 'best'"),
+], ids=["channel_users", "channel_nlos", "trials", "users_sweep", "schemes", "variant",
+        "workers", "config_line", "build_config", "max_iters", "proposition1_grid",
+        "from_snr_users", "sum_rate_shape", "sweep_mode", "single_user_k_above_n",
+        "strongest_empty_beam", "svd_empty_beam", "equivalent_variant"])
+def test_input_checks_name_the_bad_value(tmp_path, monkeypatch, call, value, message):
+    monkeypatch.chdir(tmp_path)  # where `_load_line` writes its file
+    with pytest.raises(ValueError) as err:
+        call(value)
+    assert message in str(err.value)
+
+
+# the components' own defaults are what the acceptance suite builds; the runs
+# build them from SystemConfig's copies
+@pytest.mark.parametrize("field, component, name", [
+    ("n_nlos", ChannelParams, "n_nlos"),
+    ("los_variance", ChannelParams, "los_var"),
+    ("nlos_variance", ChannelParams, "nlos_var"),
+    ("rf_chain_mw", PowerModel, "rf_chain_mw"),
+    ("switch_mw", PowerModel, "switch_mw"),
+    ("baseband_mw", PowerModel, "baseband_mw"),
+    ("max_iters", OptimizerConfig, "max_iters"),
+    ("min_rate", OptimizerConfig, "min_rate"),
+])
+def test_system_config_defaults_equal_the_component_defaults(field, component, name):
+    defaults = {f.name: f.default for f in fields(component)}
+    assert getattr(SystemConfig(), field) == defaults[name]

@@ -5,7 +5,7 @@ from dataclasses import replace
 from unittest.mock import patch
 
 import numpy as np
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from beamspace_noma import (ChannelParams, LinkBudget, OptimizerConfig, PrecodingError,
@@ -14,30 +14,30 @@ from beamspace_noma import (ChannelParams, LinkBudget, OptimizerConfig, Precodin
 from beamspace_noma.power import BUDGET_TOL, DOUBLINGS, _solve_budgets
 from beamspace_noma.precoding import zf_columns
 
+from conftest import FixedDirections
 from oracles import _powers_at, reference_sample_realization, sequential_solve_budget
 
-# interval ends: the usual [-1/2, 1/2], ends on exact zero and past +-1, where
-# mirrored and direct draws meet
-_ENDS = st.sampled_from([-2.0, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 3.0]) | \
+# directions in the drawn interval [-1/2, 1/2] and beyond: exact zero, +-1 and
+# past +-1, where mirrored and direct draws meet
+_DIRECTIONS = st.sampled_from([-2.0, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 3.0]) | \
     st.floats(-1.0, 1.0, allow_nan=False)
 
 
 @st.composite
-def _direction_ranges(draw):
-    lo, hi = sorted(draw(st.lists(_ENDS, min_size=2, max_size=2, unique=True)))
-    return lo, hi
+def _user_paths(draw):
+    """K users, L NLoS paths and the K*(L+1) path directions."""
+    k, n_nlos = draw(st.integers(1, 8)), draw(st.integers(0, 3))
+    n_paths = k * (n_nlos + 1)
+    return k, n_nlos, draw(st.lists(_DIRECTIONS, min_size=n_paths, max_size=n_paths))
 
 
 @settings(max_examples=300, deadline=None)
-@given(n=st.integers(2, 300), k=st.integers(1, 8), n_nlos=st.integers(0, 3),
-       direction_range=_direction_ranges(), seed=st.integers(0, 2**63 - 1),
-       trial=st.integers(0, 1000))
-def test_mirrored_steering_rows_equal_the_full_exp(n, k, n_nlos, direction_range, seed,
-                                                  trial):
-    params = ChannelParams(n_antennas=n, n_users=k, n_nlos=n_nlos,
-                           direction_range=direction_range)
-    new = sample_realization(params, trial_rng(seed, trial))
-    ref = reference_sample_realization(params, trial_rng(seed, trial))
+@given(n=st.integers(2, 300), paths=_user_paths(), seed=st.integers(0, 2**63 - 1))
+def test_mirrored_steering_rows_equal_the_full_exp(n, paths, seed):
+    k, n_nlos, directions = paths
+    params = ChannelParams(n_antennas=n, n_users=k, n_nlos=n_nlos)
+    new = sample_realization(params, FixedDirections(directions, seed))
+    ref = reference_sample_realization(params, FixedDirections(directions, seed))
     assert new.matrix.tobytes() == ref.matrix.tobytes()
     assert new.path_gains.tobytes() == ref.path_gains.tobytes()
     assert np.array_equal(new.path_directions, ref.path_directions)
@@ -161,17 +161,34 @@ def _permuted_users(draw):
     return n, k, np.array(draw(st.permutations(range(k))))
 
 
+def _swapped(k, *pairs):
+    """The identity permutation of k users with the given pairs swapped."""
+    perm = np.arange(k)
+    for i, j in pairs:
+        perm[[i, j]] = perm[[j, i]]
+    return perm
+
+
 # Beam selection, grouping, the order repair and the single-user beam claim
 # break exact ties by the lower user index, which a permutation moves; the
 # continuous draws here have no exact norm or gain ties. Only the rounding of
-# sums taken in another user order differs, hence the tolerance.
+# sums taken in another user order differs, hence the tolerances:
+# - fully digital ZF goes through the Gram inverse, whose rounding grows as
+#   eps * cond(H)^2 (the K = N example has cond(H) = 5.7e3);
+# - a NOMA user's rate is a share of the sum rate, so its rounding is bounded
+#   against that sum, not against the rate itself (the svd example's user
+#   rate moves 2.6e-9 relative, 3.7e-12 of the sum rate).
 @settings(max_examples=40, deadline=None)
 @given(case=_permuted_users(), seed=st.integers(0, 2**32 - 1),
        variant=st.sampled_from(["strongest", "svd"]))
+@example(case=(23, 23, _swapped(23, (3, 4), (7, 8))), seed=23, variant="strongest")
+@example(case=(247, 21, _swapped(21, (6, 20))), seed=325941, variant="svd")
 def test_records_are_equivariant_under_user_permutation(case, seed, variant):
     n, k, perm = case
     config = SystemConfig(n_antennas=n, n_users=k, seed=seed, variant=variant,
                           snr_db=[0.0, 10.0, 20.0, 30.0])
+    h = sample_realization(config.channel_params(), trial_rng(seed, 0)).matrix
+    zf_rtol = max(1e-9, np.finfo(float).eps * np.linalg.cond(h) ** 2)
     real_sample = runner.sample_realization
 
     def permuted(params, rng):  # moved user j is user perm[j] of the unpermuted draw
@@ -188,8 +205,9 @@ def test_records_are_equivariant_under_user_permutation(case, seed, variant):
         assert ((b.scheme, b.snr_db, b.dropped, b.drop_reason, b.n_rf)
                 == (a.scheme, a.snr_db, a.dropped, a.drop_reason, a.n_rf))
         np.testing.assert_allclose([b.sum_rate, b.energy_eff], [a.sum_rate, a.energy_eff],
-                                   rtol=1e-9)
+                                   rtol=zf_rtol if a.scheme == "fully_digital" else 1e-9)
         assert (b.trace is None) == (a.trace is None)
         if a.trace is not None:
             np.testing.assert_allclose(b.trace, a.trace, rtol=1e-9)
-            np.testing.assert_allclose(b.user_rates, np.array(a.user_rates)[perm], rtol=1e-9)
+            np.testing.assert_allclose(b.user_rates, np.array(a.user_rates)[perm], rtol=1e-9,
+                                       atol=1e-9 * a.sum_rate)
