@@ -179,6 +179,7 @@ def rate_reports(lg: LinkGains, powers: np.ndarray, xi: np.ndarray) -> list[Rate
 def sinr(m: int, n: int, grouping: BeamGrouping, precoder: Precoder,
          powers: np.ndarray, noise_mw: float) -> float:
     """Post-SIC SINR of the m-th user (0-based) of beam n."""
+    powers = np.asarray(powers, dtype=float)
     lg = link_gains(grouping, precoder)
     u = int(np.searchsorted(lg.beam_of, n)) + m
     xi = interference_vector(lg, powers[None], np.array([noise_mw]))[0, u]

@@ -1,17 +1,14 @@
-import os
-
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from beamspace_noma import (ChannelParams, LinkBudget, build_noma_link,
-                            lens_transform_matrix, sample_realization, trial_rng)
+                            interference_vector, lens_transform_matrix, sample_realization,
+                            trial_rng)
 
-# a hosted runner keeps no example database, so a failing draw prints the
-# @reproduce_failure blob that replays it
-settings.register_profile("ci", print_blob=True)
-if os.environ.get("CI"):
-    settings.load_profile("ci")
+
+def xi_one(lg, powers, noise_mw):
+    """Interference plus noise of one (K,) power vector under one noise power."""
+    return interference_vector(lg, powers[None], np.array([noise_mw]))[0]
 
 
 class FixedDirections:

@@ -38,6 +38,18 @@ def test_realization_matches_the_full_exp(n, n_nlos, direction_range):
         assert _bits(new) == _bits(ref)
 
 
+@pytest.mark.parametrize("n", [2, 3, 5, 16, 17, 255, 256])
+@pytest.mark.parametrize("n_nlos", [0, 2])
+def test_seeded_realization_matches_the_full_exp(n, n_nlos):
+    # one generator feeds both draws, so the order it is read in (directions,
+    # then gains) is checked along with the values
+    params = ChannelParams(n_antennas=n, n_users=5, n_nlos=n_nlos)
+    for trial in range(3):
+        new = sample_realization(params, trial_rng(17, trial))
+        ref = reference_sample_realization(params, trial_rng(17, trial))
+        assert _bits(new) == _bits(ref)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 7, 64, 65])
 @pytest.mark.parametrize("special", [
     [0.5, -0.5], [1.0, -1.0], [1e-300, -1e-300],        # mirrored, at the range's edges

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from beamspace_noma import (BeamGrouping, LinkBudget, OptimizerConfig, Precoder, allocate,
-                            interference_vector, link_gains, mmse_error, proposition1_check,
-                            sinr, sum_rate, update_p)
+                            link_gains, mmse_error, proposition1_check, sinr, sum_rate,
+                            update_p)
 from beamspace_noma.power import (_base_denominator, _equalizers, _mmse, _powers_at,
                                   _with_rate_multipliers)
+
+from conftest import xi_one
 
 
 def _single_user(gain=1.0):
@@ -27,7 +29,7 @@ def test_update_c_reference_point():
     lg = link_gains(*_single_user())
     for p, want in ((1.0, pytest.approx(0.5, abs=1e-15)), (0.0, 0.0)):
         powers = np.array([p])
-        xi = interference_vector(lg, powers[None], np.array([1.0]))[0]
+        xi = xi_one(lg, powers, 1.0)
         assert _equalizers(lg, powers, xi)[0] == want
 
 
@@ -36,7 +38,7 @@ def test_update_c_beats_local_grid(random_link, budget):
     rng = np.random.default_rng(0)
     powers = rng.uniform(0.2, 2.0, size=5)
     lg = link_gains(grouping, precoder)
-    xi_all = interference_vector(lg, powers[None], np.array([budget.noise_mw]))[0]
+    xi_all = xi_one(lg, powers, budget.noise_mw)
     c = _equalizers(lg, powers, xi_all)
     for n, members in enumerate(grouping.beams):
         for m, user in enumerate(members):
@@ -54,7 +56,7 @@ def test_update_a_reference_points():
     # p = 1, gain 1, noise 1 -> sinr 1 -> e = 1/2, a = 2
     for p, want, tol in ((1.0, 2.0, 1e-12), (0.0, 1.0, 1e-15)):
         powers = np.array([p])
-        a = 1.0 / _mmse(lg, powers, interference_vector(lg, powers[None], np.array([1.0]))[0])
+        a = 1.0 / _mmse(lg, powers, xi_one(lg, powers, 1.0))
         assert a[0] == pytest.approx(want, abs=tol)
 
 
@@ -63,7 +65,7 @@ def test_update_a_equals_one_plus_sinr(random_link, budget):
     rng = np.random.default_rng(1)
     powers = rng.uniform(0.0, 2.0, size=6)
     lg = link_gains(grouping, precoder)
-    xi = interference_vector(lg, powers[None], np.array([budget.noise_mw]))[0]
+    xi = xi_one(lg, powers, budget.noise_mw)
     a = 1.0 / _mmse(lg, powers, xi)
     for n, members in enumerate(grouping.beams):
         for m, user in enumerate(members):
@@ -92,7 +94,7 @@ def test_update_p_single_user_takes_full_budget():
     config = OptimizerConfig()
     p0 = np.array([budget.total_power_mw])
     lg = link_gains(g, w)
-    xi = interference_vector(lg, p0[None], np.array([budget.noise_mw]))[0]
+    xi = xi_one(lg, p0, budget.noise_mw)
     c, a = _equalizers(lg, p0, xi), 1.0 / _mmse(lg, p0, xi)
     p, duals = update_p(c, a, g, w, config, budget)
     assert p[0] == pytest.approx(5.0, rel=1e-8)
@@ -113,7 +115,7 @@ def test_update_p_fills_budget_on_multiuser_instance(random_link):
         budget = LinkBudget.from_snr(1.0, 10.0, n_users=3)
         p = np.full(3, budget.total_power_mw / 3)
         lg = link_gains(grouping, precoder)
-        xi = interference_vector(lg, p[None], np.array([budget.noise_mw]))[0]
+        xi = xi_one(lg, p, budget.noise_mw)
         c, a = _equalizers(lg, p, xi), 1.0 / _mmse(lg, p, xi)
         p_new, _ = update_p(c, a, grouping, precoder, OptimizerConfig(), budget)
         assert abs(p_new.sum() - 1.0) <= 1e-9
@@ -124,7 +126,7 @@ def test_budget_multiplier_monotonically_drains_power(random_link, budget):
     _, _, grouping, precoder = random_link(seed=55, trial=0, n=16, k=5, min_groups=1)
     lg = link_gains(grouping, precoder)
     p0 = np.full(5, 1.0)
-    xi = interference_vector(lg, p0[None], np.array([budget.noise_mw]))[0]
+    xi = xi_one(lg, p0, budget.noise_mw)
     c, a = _equalizers(lg, p0, xi), 1.0 / _mmse(lg, p0, xi)
     numer = a * np.real(c * lg.own)
     denom = _with_rate_multipliers(lg, _base_denominator(lg, c, a), np.zeros(5), 0.0)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from beamspace_noma import (BeamGrouping, LinkBudget, PowerModel, Precoder,
-                            energy_efficiency, interference_vector, link_gains, sinr,
-                            sum_rate, zf_precoder)
+                            energy_efficiency, link_gains, sinr, sum_rate, zf_precoder)
+
+from conftest import xi_one
 
 
 def _identity_precoder(n):
@@ -23,7 +24,7 @@ def test_interference_single_user_is_noise(budget):
     g = BeamGrouping(beams=[np.array([0])], reduced=np.array([[2.0 + 0j]]),
                      selected=np.array([0]))
     w = _identity_precoder(1)
-    xi = interference_vector(link_gains(g, w), np.array([[3.0]]), np.array([budget.noise_mw]))[0]
+    xi = xi_one(link_gains(g, w), np.array([3.0]), budget.noise_mw)
     assert xi[0] == budget.noise_mw
 
 
@@ -31,7 +32,7 @@ def test_first_user_with_zf_sees_only_noise(random_link, budget):
     _, _, grouping, precoder = random_link(seed=41, trial=0, n=32, k=6, min_groups=1)
     powers = np.full(6, budget.total_power_mw / 6)
     lg = link_gains(grouping, precoder)
-    xi_all = interference_vector(lg, powers[None], np.array([budget.noise_mw]))[0]
+    xi_all = xi_one(lg, powers, budget.noise_mw)
     for n in range(grouping.n_rf):
         xi = xi_all[np.searchsorted(lg.beam_of, n)]
         assert xi == pytest.approx(budget.noise_mw, rel=1e-9)
@@ -41,8 +42,7 @@ def test_hand_expanded_interference_terms():
     grouping, w = _hand_instance()
     powers = np.array([2.0, 1.0, 3.0])
     noise = 0.5
-    xi = interference_vector(link_gains(grouping, w), powers[None],
-                             np.array([noise]))[0]  # flat order 0, 1, 2
+    xi = xi_one(link_gains(grouping, w), powers, noise)  # flat order 0, 1, 2
     # user 0: beam 0 rank 0 -> only beam 1 leaks: |0.1|^2 * 3 + noise
     assert xi[0] == pytest.approx(0.01 * 3.0 + 0.5, abs=1e-15)
     # user 1: beam 0 rank 1 -> own-beam 0.8^2 * 2 + cross |0.2|^2 * 3 + noise
@@ -129,7 +129,7 @@ def test_sic_removal_never_hurts(random_link, budget):
         powers = rng.uniform(0.1, 2.0, size=6)
         lg = link_gains(grouping, precoder)
         flat = list(lg.users)
-        xi_all = interference_vector(lg, powers[None], np.array([budget.noise_mw]))[0]
+        xi_all = xi_one(lg, powers, budget.noise_mw)
         for n, members in enumerate(grouping.beams):
             for m, user in enumerate(members):
                 u = flat.index(user)
