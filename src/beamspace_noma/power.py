@@ -22,15 +22,15 @@ them from (grouping, precoder); the benchmark's tracer wraps both by name and
 the acceptance suite calls `allocate`.
 
 The budget root returns the multiplier and powers of a one-at-a-time
-bisection bit for bit, but evaluates few of its midpoints. Every bracket the
-bisection opens is dyadic, so its midpoints are integer nodes at a
-power-of-two scale, and the bisection is a walk down a tree of nodes that
-reads row sums from tables of consecutive evaluated nodes. The powers' sum
-falls monotonically in the multiplier even in floating point, so a window
-placed by Newton steps around the root, once its ends certify the budget
-bounds, decides every halving outside it. Every bracket, [0, 1] or the last
-doubling, first tries such a window; rows that do not certify walk rounds of
-tables that hold every node of the next BISECT_DEPTH halvings.
+bisection bit for bit, but evaluates few of its midpoints. Every multiplier
+the bisection evaluates is a node of a dyadic tree, and it stops at the
+first node c on its path inside the residual zone; every node before c is
+coarser, so it lies outside the neighbours c -/+ 2**l. The powers' sum falls
+monotonically in the multiplier even in floating point, so the sums at c and
+its two neighbours certify the whole path. Newton steps, warm started from
+the previous multiplier, pick c, and one table of three nodes per row
+certifies it; rows that do not certify walk rounds of tables that hold every
+node of the next BISECT_DEPTH halvings.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ BISECT_DEPTH = 5        # bisection-tree levels evaluated per vectorized call
 DOUBLINGS = 400         # cap on budget-multiplier doublings from 1 before halving
 NEWTON_STEPS = 8        # cap on Newton steps placing a budget root
 NEWTON_SETTLED = 2.0 ** -20  # relative budget misfit at which the Newton steps stop
-UNDERSHOOT = 2.0 ** 42  # bound on a settled estimate's shortfall, in zones per misfit**2
 
 
 @dataclass
@@ -187,39 +186,31 @@ def _solve_budgets(numer: np.ndarray, denom_base: np.ndarray, total_mw: np.ndarr
     permits), except past the doubling cap: there lam = 2**DOUBLINGS, sum(p) >
     total and `allocate_batch`'s budget check reports the row infeasible.
 
-    Every row follows the path of a one-at-a-time bisection: the slack check
-    at zero, doubling from one until the budget is met, then halvings of
-    [0, 1] (or of the last doubling) with a residual stop, a stop on a
-    midpoint equal to an endpoint and a cap of MAX_HALVINGS. The multiplier
-    and powers are bit-identical to that bisection's.
+    Every row follows the path of a one-at-a-time bisection, bit for bit: the
+    slack check at zero, doubling from one until the budget is met, then
+    halvings of [0, 1] (or of the last doubling) with a residual stop, a stop
+    on a midpoint equal to an endpoint and a cap of MAX_HALVINGS. Every
+    multiplier it evaluates is a node of a dyadic tree: 0, the rungs 2**j,
+    and odd multiples of 2**l inside the bracket. It stops at the first node
+    c on its path whose sum S lies in the residual zone (S <= total and
+    total - S <= BUDGET_TOL * total), and every node it visits before c (0 and
+    the rungs included) is coarser than c, so it lies at or below c - 2**l or
+    at or above c + 2**l. S is non-increasing in the multiplier even in
+    floating point, masked terms included: each addition, clamp, division and
+    square rounds monotonically and the summation order is fixed. So three
+    sums certify the whole path (`_certify`): S(c - 2**l) > total sends every
+    node below right, c lies in the zone, and S(c + 2**l) <= total outside
+    the zone sends every node above left without a residual stop.
 
-    One evaluation at 0 and 1 settles the slack check and whether the root
-    lies in (0, 1]. The bracket that opens next, [0, 1] or the last doubling
-    [2**(j - 1), 2**j], is dyadic, and so is each of its halvings: hi - lo =
-    2**w with lo a multiple of 2**w, so a halving's midpoint is exact wherever
-    it is a double, and where it is not, lo and hi are neighbouring doubles
-    and the midpoint stop ends the bisection. Every multiplier the bisection
-    evaluates is thus a node of a dyadic tree, and `_walk_tables` evaluates
-    tables of consecutive nodes and `_walk`s the tree through them.
-
-    Every bracket whose hi is under budget (all but those past the doubling
-    cap) is placed by `_newton` and certified in a window of nodes [a, b]
-    (`_certified_walks`): S(a) > total and total - S(b) > BUDGET_TOL * total,
-    with S(x) the row sum of the powers at multiplier x. Where every
-    denominator is positive, S is non-increasing in the multiplier even in
-    floating point: each addition, division and square rounds monotonically
-    and the summation order is fixed. So every midpoint at or below a goes
-    right and every one at or above b goes left without meeting the residual
-    stop, and the walk takes those halvings in closed form; only midpoints
-    inside the window read evaluated sums. The guess and the Newton estimate
-    only choose which multipliers are evaluated; no branch of the walk
-    depends on them.
-
-    Rows past the doubling cap, rows whose window does not certify or has a
-    denominator that is not positive at a, and walks that leave the table
-    resume from their bracket in rounds (`_round_walks`) whose tables hold
-    every node the next BISECT_DEPTH halvings can visit. Windows and rounds
-    are evaluated as separate (R, T, K) arrays. Each evaluated row is
+    Warm rows (a finite guess above the floor max(0, -min(denom_base))) run
+    `_newton` from the guess; cold rows first take the slack check, the rung
+    at 1 and the doubling (`_open_brackets`), then `_newton` from halfway
+    between their floor and hi. `_pick` turns each settled estimate into the
+    nodes of c, and one (R, 3, K) table evaluates them all; the estimates only
+    choose what is evaluated. The rest (unsettled, declined or failed, warm
+    rows after their brackets open, and rows past the doubling cap) resume
+    from their brackets in rounds (`_round_walks`) whose tables hold every
+    node the next BISECT_DEPTH halvings can visit. Each evaluated row is
     elementwise the 1-D `_powers_at` vector, and a row sum of a C-contiguous
     array equals the 1-D sum.
     """
@@ -227,44 +218,29 @@ def _solve_budgets(numer: np.ndarray, denom_base: np.ndarray, total_mw: np.ndarr
     lam, powers = np.zeros(n_rows), np.empty_like(numer)
     lows, totals, hints = denom_base.min(axis=-1).tolist(), total_mw.tolist(), guess.tolist()
     numer, denom_base = np.fmax(numer, 0.0)[:, None, :], denom_base[:, None, :]
-    # one record per open row: [row, budget, smallest denominator, bracket lo
-    # and hi, powers at hi (None where only a bound is known there), their
-    # sum, halvings]
-    brackets = []
+    floors = [max(-low, 0.0) for low in lows]
+    warm = [row for row in range(n_rows) if floors[row] < hints[row] < math.inf]
+    cold = [row for row in range(n_rows) if row not in warm]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        batch = _batch_powers(numer, denom_base, np.array([0.0, 1.0])[None, :, None],
-                              all(low > 0 for low in lows))
-        for row, (at_zero, at_one) in enumerate(batch.sum(axis=-1).tolist()):
-            total = totals[row]
-            if at_zero <= total:
-                powers[row] = batch[row, 0]
-                continue
-            bracket = [row, total, lows[row], 0.0, 1.0, batch[row, 1], at_one, 0]
-            if not at_one <= total:  # the root lies past 1, or the sum is NaN
-                hi = 2.0
-                for _ in range(DOUBLINGS - 1):
-                    p = _powers_at(numer[row, 0], denom_base[row, 0], hi)
-                    if p.sum() <= total:
-                        break
-                    hi *= 2.0
-                bracket[3:7] = hi / 2.0, hi, p, float(p.sum())
-            brackets.append(bracket)
+        brackets = _open_brackets(numer, denom_base, cold, totals, lows, powers)
         # past the doubling cap the powers held are those at hi / 2, not at hi;
-        # Newton starts from the guess in (floor, hi), else halfway from floor to hi
+        # a cold row's Newton steps start halfway from its floor to hi
         placeable = [bracket for bracket in brackets if bracket[6] <= bracket[1]]
-        rows = [bracket[0] for bracket in placeable]
-        floors = [max(-bracket[2], bracket[3]) for bracket in placeable]
-        starts = [hints[row] if floor < hints[row] < bracket[4] else 0.5 * (floor + bracket[4])
-                  for row, floor, bracket in zip(rows, floors, placeable)]
+        rows = warm + [bracket[0] for bracket in placeable]
+        cold_floors = [max(-low, lo) for _, _, low, lo, *_ in placeable]
         roots = _newton(numer.take(rows, axis=0)[:, 0], denom_base.take(rows, axis=0)[:, 0],
-                        [bracket[1] for bracket in placeable], starts, floors)
-        windows, width = _certified_walks(placeable, roots)
-        placed = {walk[0][0] for walk in windows}
-        brackets = [bracket for bracket in brackets if bracket[0] not in placed]
-        brackets += _walk_tables(numer, denom_base, windows, width, lam, powers)
+                        [totals[row] for row in rows],
+                        [hints[row] for row in warm] + [0.5 * (floor + bracket[4]) for floor, bracket
+                                                        in zip(cold_floors, placeable)],
+                        [floors[row] for row in warm] + cold_floors)
+        picks = [(row, nodes) for row, root in zip(rows, roots)
+                 if root is not None and (nodes := _pick(*root)) is not None]
+        certified = _certify(numer, denom_base, picks, totals, lows, lam, powers)
+        brackets = [bracket for bracket in brackets if bracket[0] not in certified]
+        brackets += _open_brackets(numer, denom_base, [row for row in warm if row not in certified],
+                                   totals, lows, powers)
         while brackets:
-            brackets = _walk_tables(numer, denom_base, _round_walks(brackets),
-                                    2 ** BISECT_DEPTH + 1, lam, powers)
+            brackets = _walk_tables(numer, denom_base, _round_walks(brackets), lam, powers)
     return lam, powers
 
 
@@ -279,8 +255,37 @@ def _batch_powers(numer: np.ndarray, denom_base: np.ndarray, lams: np.ndarray,
     return _powers_at(numer, denom_base, lams)
 
 
+def _open_brackets(numer: np.ndarray, denom_base: np.ndarray, rows: list[int],
+                   totals: list[float], lows: list[float], powers: np.ndarray) -> list:
+    """Take rows through the slack check at 0, the rung at 1 and the doubling;
+    store the powers of the rows slack at 0 and return a record per other
+    row: [row, budget, smallest denominator, bracket lo and hi, powers at hi,
+    their sum, halvings]."""
+    if not rows:
+        return []
+    batch = _batch_powers(numer.take(rows, axis=0), denom_base.take(rows, axis=0),
+                          np.array([0.0, 1.0])[None, :, None], all(lows[row] > 0 for row in rows))
+    brackets = []
+    for row, (at_zero, at_one), row_batch in zip(rows, batch.sum(axis=-1).tolist(), batch):
+        total = totals[row]
+        if at_zero <= total:
+            powers[row] = row_batch[0]
+            continue
+        bracket = [row, total, lows[row], 0.0, 1.0, row_batch[1], at_one, 0]
+        if not at_one <= total:  # the root lies past 1, or the sum is NaN
+            hi = 2.0
+            for _ in range(DOUBLINGS - 1):
+                p = _powers_at(numer[row, 0], denom_base[row, 0], hi)
+                if p.sum() <= total:
+                    break
+                hi *= 2.0
+            bracket[3:7] = hi / 2.0, hi, p, float(p.sum())
+        brackets.append(bracket)
+    return brackets
+
+
 def _newton(numer: np.ndarray, denom_base: np.ndarray, totals: list[float], x: list[float],
-            floors: list[float]) -> list[tuple[float, float, float] | None]:
+            floors: list[float]) -> list[tuple[float, float] | None]:
     """Estimate the roots of S(lam) = sum((numer / (denom_base + lam))**2) =
     total of (R, K) rows by Newton steps on g = S**-0.5, from x.
 
@@ -288,173 +293,158 @@ def _newton(numer: np.ndarray, denom_base: np.ndarray, totals: list[float], x: l
     increasing, so a step lands at or below the root and later steps climb
     to it; a step that would cross floor halves the distance to it instead.
     Returns per row None if it has not settled within NEWTON_STEPS, else the
-    estimate, the width BUDGET_TOL * total / |S'| of the residual zone above
-    the root and the relative budget misfit sqrt(S / total) - 1 at the last
-    evaluated point, which bounds how far the estimate falls short.
+    estimate and the width BUDGET_TOL * total / |S'| of the residual zone
+    above the root. The estimate adds to the last step its shortfall to
+    second order, -g'' / (2 g') * step**2.
     """
     for _ in range(NEWTON_STEPS):
         denom = denom_base + np.array(x)[:, None]
         p = (numer / denom) ** 2
-        roots, following, settled = [], [], True
+        slopes = p / denom
+        steps, following, settled = [], [], True
         for row_sum, half_slope, x_row, floor, total in zip(
-                p.sum(axis=-1).tolist(), (p / denom).sum(axis=-1).tolist(), x, floors, totals):
+                p.sum(axis=-1).tolist(), slopes.sum(axis=-1).tolist(), x, floors, totals):
             # half_slope is -S'/2
             if half_slope > 0.0:
                 misfit = math.sqrt(row_sum / total) - 1.0
-                estimate = x_row + misfit * row_sum / half_slope
+                step = misfit * row_sum / half_slope
                 zone = (0.5 * BUDGET_TOL) * total / half_slope
             else:
-                misfit = estimate = zone = math.nan
-            if abs(misfit) <= NEWTON_SETTLED and zone < math.inf:
-                roots.append((estimate, zone, misfit))
-            else:
-                roots.append(None)
-                settled = False
+                misfit = step = zone = math.nan
+            settled_row = abs(misfit) <= NEWTON_SETTLED and zone < math.inf
+            estimate = x_row + step
+            steps.append((estimate, zone, step, half_slope, row_sum) if settled_row else None)
+            settled = settled and settled_row
             following.append(estimate if estimate > floor else 0.5 * (floor + x_row))
         if settled:
             break
         x = following
+    roots = []
+    for last, bend in zip(steps, (slopes / denom).sum(axis=-1).tolist()):
+        if last is not None:
+            estimate, zone, step, half_slope, row_sum = last
+            # -g'' / (2 g') = 1.5 * (sum(p / denom**2) / half_slope - half_slope / S)
+            last = estimate + 1.5 * (bend / half_slope - half_slope / row_sum) * step * step, zone
+        roots.append(last)
     return roots
 
 
-def _certified_walks(brackets: list, roots: list) -> tuple[list, int]:
-    """Place windows around the `_newton` estimates of the brackets' roots:
-    return the walks for `_walk_tables` and their common table width.
-    Brackets without a root or whose window does not fit get no walk.
+def _pick(estimate: float, zone: float) -> tuple[float, float, float] | None:
+    """The nodes (c - 2**l, c, c + 2**l) that certify a root estimated at
+    `estimate` with a residual zone `zone` wide: c is the node of [estimate,
+    estimate + zone] the bisection reaches first. That is 1 (below it 0) or
+    else the smallest rung 2**j (below it 2**(j - 1)), since the rungs come
+    before every halving; no node above a rung is visited, so its upper node
+    is inf, whose sum 0 always passes. Otherwise c is the coarsest node of
+    the interval in the tree [0, 1] or [2**(j - 1), 2**j]. None for an
+    estimate that is not positive and finite, a rung past the doubling cap or
+    a c more than 52 halvings (or MAX_HALVINGS) deep: within 52 every node on
+    the path is a double, so no midpoint meets an endpoint."""
+    top = estimate + zone
+    if not 0.0 < estimate < top < math.inf:
+        return None
+    if estimate <= 1.0 <= top:
+        return 0.0, 1.0, math.inf
+    rung = 0  # the tree [0, 1]
+    if estimate > 1.0:
+        mantissa, rung = math.frexp(estimate)  # 2**(rung - 1) <= estimate < 2**rung
+        if mantissa == 0.5 or math.ldexp(1.0, rung) <= top:
+            node = estimate if mantissa == 0.5 else math.ldexp(1.0, rung)
+            return (0.5 * node, node, math.inf) if node <= 2.0 ** (DOUBLINGS - 1) else None
+        if rung > DOUBLINGS - 1:
+            return None
+    # in units of 2**exponent, the coarsest node in [first, last] is a
+    # multiple of the highest bit where first - 1 and last differ
+    exponent = max(math.frexp(zone)[1] - 1, max(rung - 1, 0) - min(52, MAX_HALVINGS))
+    first, last = math.ceil(math.ldexp(estimate, -exponent)), math.floor(math.ldexp(top, -exponent))
+    if first > last:
+        return None
+    level = (last ^ (first - 1)).bit_length() - 1
+    node, step = math.ldexp(last >> level << level, exponent), math.ldexp(1.0, exponent + level)
+    return node - step, node, node + step
 
-    A bracket's table holds the multiples of a power of two `step` <= zone /
-    2 from a node below its estimate to one past the residual zone above it,
-    widened by UNDERSHOOT * misfit**2 zones for the estimate's shortfall,
-    strictly inside the tree [lo / step, hi / step] of the node multiples of
-    step. Nodes stay below 2**51, so every node a skip lands on has a double
-    as its multiplier.
-    """
-    placed = []
-    for bracket, root in zip(brackets, roots):
-        if root is None:
-            continue
-        estimate, zone, misfit = root
-        exponent = math.frexp(0.5 * zone)[1] - 1
-        step = math.ldexp(1.0, exponent)
-        below = (estimate - 0.25 * zone) / step
-        above = (estimate + (1.25 + UNDERSHOOT * misfit * misfit) * zone) / step
-        # lo and hi are 0 or powers of two: the ends are exact where a window fits
-        lo, hi = int(bracket[3]), int(bracket[4])
-        left, right = ((lo << -exponent, hi << -exponent) if exponent < 0
-                       else (lo >> exponent, hi >> exponent))
-        if left + 1 <= below and above < 2.0 ** 51 and math.floor(below) * step > -bracket[2]:
-            placed.append(((bracket, math.floor(below), left, right, exponent), math.ceil(above)))
-    width = max([last - walk[1] + 1 for walk, last in placed], default=0)
-    return [walk for walk, _ in placed if walk[1] + width - 1 < walk[3]], width
+
+def _certify(numer: np.ndarray, denom_base: np.ndarray, picks: list, totals: list[float],
+             lows: list[float], lam: np.ndarray, powers: np.ndarray) -> set[int]:
+    """Evaluate every pick's three nodes in one (R, 3, K) table; store c and
+    the powers at c of each row whose certificate holds, and return those
+    rows. Every comparison fails on a NaN sum."""
+    if not picks:
+        return set()
+    rows = [row for row, _ in picks]
+    nodes = np.array([nodes for _, nodes in picks])
+    # a zero-numerator user's 0/0 at its own pole needs the masks
+    positive = all(below > -lows[row] for row, (below, _, _) in picks)
+    table = _batch_powers(numer.take(rows, axis=0), denom_base.take(rows, axis=0),
+                          nodes[..., None], positive)
+    taken = []
+    for i, (row, (below, at, above)) in enumerate(zip(rows, table.sum(axis=-1).tolist())):
+        total, tol = totals[row], BUDGET_TOL * totals[row]
+        if below > total >= at and total - at <= tol and above <= total and total - above > tol:
+            taken.append(i)
+    stored = [rows[i] for i in taken]
+    lam[stored], powers[stored] = nodes[taken, 1], table[taken, 1]
+    return set(stored)
 
 
 def _round_walks(brackets: list) -> list:
-    """One walk per bracket over every node its next BISECT_DEPTH halvings
-    can visit: for a dyadic bracket with hi - lo = 2**w, the integers
-    lo / 2**(w - BISECT_DEPTH) + i, i in 0 .. 2**BISECT_DEPTH, at scale
-    2**(w - BISECT_DEPTH). A node whose multiplier is not a double splits two
-    neighbouring doubles, so the bisection stops (mid == lo or mid == hi)
-    before the walk reads it.
+    """One walk (bracket, first, exponent) per bracket over every node its
+    next BISECT_DEPTH halvings can visit: for a dyadic bracket with hi - lo =
+    2**w, the integers first + i, i in 0 .. 2**BISECT_DEPTH, at scale
+    2**exponent = 2**(w - BISECT_DEPTH). A node whose multiplier is not a
+    double splits two neighbouring doubles, so the bisection stops (mid == lo
+    or mid == hi) before the walk reads it.
     """
     walks = []
     for bracket in brackets:
         lo, hi = bracket[3:5]
         exponent = math.frexp(hi - lo)[1] - 1 - BISECT_DEPTH
-        first = int(math.ldexp(lo, -exponent))
-        walks.append((bracket, first, first, first + 2 ** BISECT_DEPTH, exponent))
+        walks.append((bracket, int(math.ldexp(lo, -exponent)), exponent))
     return walks
 
 
-def _walk_tables(numer: np.ndarray, denom_base: np.ndarray, walks: list, width: int,
-                 lam: np.ndarray, powers: np.ndarray) -> list:
-    """Evaluate a table of `width` consecutive nodes for every walk and
-    `_walk` each row; store the multipliers and powers of the rows that
-    finish and return the records of the rest, their brackets replayed as far
-    as the walk went.
-
-    A walk (bracket, first, left, right, exponent) holds the nodes first ..
-    first + width - 1 of the bracket's tree [left, right] at multipliers
-    node * 2**exponent. Each row is evaluated as one (width, K) slice, which
-    is elementwise the 1-D `_powers_at` vector of each node. Where the table
-    does not reach an end of the tree, the walk is taken only if that end of
-    the table certifies the bound `_walk` assumes past it; a table that ends
-    at right gives the powers at hi where only a bound was known.
-    """
-    if not walks:
-        return []
+def _walk_tables(numer: np.ndarray, denom_base: np.ndarray, walks: list, lam: np.ndarray,
+                 powers: np.ndarray) -> list:
+    """Evaluate every walk's table of 2**BISECT_DEPTH + 1 nodes, each row as
+    one slice, and `_walk` each row; store the multipliers and powers of the
+    rows that finish and return the records of the rest, their brackets
+    replayed as far as the walk went."""
     rows = [walk[0][0] for walk in walks]
-    nodes = np.ldexp(np.array([walk[1] for walk in walks], dtype=float)[:, None]
-                     + np.arange(width), np.array([walk[4] for walk in walks])[:, None])
+    nodes = np.ldexp(np.array([first for _, first, _ in walks], dtype=float)[:, None]
+                     + np.arange(2 ** BISECT_DEPTH + 1),
+                     np.array([exponent for *_, exponent in walks])[:, None])
     positive = all(bracket[2] + math.ldexp(first, exponent) > 0
-                   for bracket, first, *_, exponent in walks)
+                   for bracket, first, exponent in walks)
     table = _batch_powers(numer.take(rows, axis=0), denom_base.take(rows, axis=0),
                           nodes[..., None], positive)
     still_open = []
-    for (bracket, first, left, right, exponent), row_sums, row_table in zip(
-            walks, table.sum(axis=-1).tolist(), table):
-        total, last = bracket[1], first + width - 1
-        if last == right and bracket[5] is None:
-            bracket[5:7] = row_table[-1], row_sums[-1]
-        if ((first == left or row_sums[0] > total)
-                and (last == right or not total - row_sums[-1] <= BUDGET_TOL * total)
-                and (_walk(bracket, first, row_sums, row_table, left, right, exponent)
-                     or bracket[7] >= MAX_HALVINGS)
-                and bracket[5] is not None):
+    for (bracket, *_), row_sums, row_table in zip(walks, table.sum(axis=-1).tolist(), table):
+        if _walk(bracket, row_sums, row_table) or bracket[7] >= MAX_HALVINGS:
             lam[bracket[0]], powers[bracket[0]] = bracket[4], bracket[5]
         else:
             still_open.append(bracket)
     return still_open
 
 
-def _walk(bracket: list, first: int, sums: list, batch: np.ndarray, left: int, right: int,
-          exponent: int) -> bool:
-    """Advance one row's sequential bisection; return whether it stopped.
-
-    The bracket [lo, hi] spans the integer tree nodes [left, right]; a node's
-    multiplier is its index times 2**exponent, and each halving's midpoint is
-    the middle node. Nodes first .. first + len(sums) - 1 have evaluated
-    powers (rows of batch) and row sums (sums). A node below them is over
-    budget and one above them under budget by more than the residual
-    tolerance: the caller has certified both ends. The walk ends at a stop,
-    at the halving cap or where the next midpoint falls between two nodes,
-    and writes the bracket it reached into the record.
-
-    When the middle node lies outside the table, every halving down to the
-    coarsest table node inside the bracket is decided by the bounds, so they
-    are taken at once, unless the cap falls among them.
-    """
+def _walk(bracket: list, sums: list, table: np.ndarray) -> bool:
+    """Advance one row's sequential bisection through its round table, whose
+    nodes 0 .. 2**BISECT_DEPTH span the bracket [lo, hi]: each midpoint is
+    the middle node of the current span, with powers table[node] and row sum
+    sums[node]. Write the bracket reached into the record and return whether
+    the bisection stopped; the walk also ends at the halving cap or where the
+    next midpoint falls between two nodes."""
     total, lo, hi, p, p_sum, count = bracket[1], *bracket[3:]
-    last = first + len(sums) - 1
+    left, right = 0, 2 ** BISECT_DEPTH
     stopped = False
-    while right - left > 1 and count < MAX_HALVINGS:
-        if total - p_sum <= BUDGET_TOL * total:
-            stopped = True
-            break
-        node = (left + right) // 2
-        if not first <= node <= last:
-            low_node, high_node = max(first, left + 1), min(last, right - 1)
-            level = (high_node ^ (low_node - 1)).bit_length() - 1
-            coarsest = high_node >> level << level
-            skipped = (right - left).bit_length() - level - 2
-            if count + skipped < MAX_HALVINGS:
-                node, count = coarsest, count + skipped
-                if coarsest - (1 << level) != left:
-                    left = coarsest - (1 << level)
-                    lo = math.ldexp(left, exponent)
-                if coarsest + (1 << level) != right:
-                    right = coarsest + (1 << level)
-                    hi, p, p_sum = math.ldexp(right, exponent), None, -math.inf
+    while right - left > 1 and count < MAX_HALVINGS and not stopped:
         mid = (lo + hi) / 2.0
-        if mid == lo or mid == hi:
-            stopped = True
-            break
-        count += 1
-        if node < first or node <= last and sums[node - first] > total:
-            lo, left = mid, node
-        elif node <= last:
-            hi, right, p, p_sum = mid, node, batch[node - first], sums[node - first]
-        else:
-            hi, right, p, p_sum = mid, node, None, -math.inf
+        stopped = total - p_sum <= BUDGET_TOL * total or mid == lo or mid == hi
+        if not stopped:
+            count, node = count + 1, (left + right) // 2
+            if sums[node] > total:
+                lo, left = mid, node
+            else:
+                hi, right, p, p_sum = mid, node, table[node], sums[node]
     bracket[3:] = lo, hi, p, p_sum, count
     return stopped
 
@@ -560,26 +550,24 @@ def allocate_batch(lg: LinkGains, budgets: Sequence[LinkBudget],
     n_rows, k = len(total), len(lg.users)
     p = np.repeat(total[:, None] / k, k, axis=1)
     lam, mu = np.zeros(n_rows), np.zeros((n_rows, k))
-    # the interference rows at each row's latest powers; the rate reports are
-    # built once, from the final ones
-    xi_rows = interference_vector(lg, p, noise)
-    xi, latest = xi_rows, sum_rates(lg, p, xi_rows).tolist()
+    xi = interference_vector(lg, p, noise)
+    latest = sum_rates(lg, p, xi).tolist()
     traces: list[list[float]] = [[] for _ in range(n_rows)]
     budget_traces: list[list[float]] = [[] for _ in range(n_rows)]
     stall = [0] * n_rows
-    live = np.arange(n_rows)
+    # the state of the live rows stays compacted; a row's final powers,
+    # multipliers and interference are written out when it leaves, and the
+    # rate reports are built once, from them
+    live, live_total, live_noise = np.arange(n_rows), total, noise
+    final = np.empty_like(p), np.empty_like(lam), np.empty_like(mu), np.empty_like(xi)
     for _ in range(config.max_iters):
-        p_live = p[live]
-        c = _equalizers(lg, p_live, xi)
-        a = 1.0 / _mmse(lg, p_live, xi)
-        p_live, lam[live], mu[live], _, _ = _update_p_rows(lg, c, a, eta, total[live],
-                                                           noise[live], lam[live])
-        p[live] = p_live
-        xi = interference_vector(lg, p_live, noise[live])
-        xi_rows[live] = xi
+        c = _equalizers(lg, p, xi)
+        a = 1.0 / _mmse(lg, p, xi)
+        p, lam, mu, _, _ = _update_p_rows(lg, c, a, eta, live_total, live_noise, lam)
+        xi = interference_vector(lg, p, live_noise)
         keep = []
-        for row, rate, used in zip(live.tolist(), sum_rates(lg, p_live, xi).tolist(),
-                                   p_live.sum(axis=-1).tolist()):
+        for row, rate, used in zip(live.tolist(), sum_rates(lg, p, xi).tolist(),
+                                   p.sum(axis=-1).tolist()):
             stall[row] = stall[row] + 1 if rate - latest[row] < STAGNATION_TOL else 0
             latest[row] = rate
             traces[row].append(rate)
@@ -587,7 +575,15 @@ def allocate_batch(lg: LinkGains, budgets: Sequence[LinkBudget],
             keep.append(stall[row] < STAGNATION_PATIENCE)
         if not any(keep):
             break
-        live, xi = live[keep], xi[keep]
+        if not all(keep):
+            leaving = np.logical_not(keep)
+            for out, x in zip(final, (p, lam, mu, xi)):
+                out[live[leaving]] = x[leaving]
+            live, p, lam, mu, xi, live_total, live_noise = (
+                x[keep] for x in (live, p, lam, mu, xi, live_total, live_noise))
+    for out, x in zip(final, (p, lam, mu, xi)):
+        out[live] = x
+    p, lam, mu, xi_rows = final
     out = []
     for row, report in enumerate(rate_reports(lg, p, xi_rows)):
         feasible = bool(np.all(report.rates >= config.min_rate - RATE_SLACK)

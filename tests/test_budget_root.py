@@ -1,10 +1,13 @@
 """The batched budget bisection against the sequential one, bit for bit."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from beamspace_noma import power
@@ -144,7 +147,7 @@ def _round_table(monkeypatch, lo, hi):
     record = [0, 1.0, 1.0, lo, hi, None, -np.inf, 0]
     width = 2 ** BISECT_DEPTH + 1
     power._walk_tables(np.ones((1, 1, 1)), np.ones((1, 1, 1)), power._round_walks([record]),
-                       width, np.zeros(1), np.empty((1, 1)))
+                       np.zeros(1), np.empty((1, 1)))
     monkeypatch.undo()
     assert len(evaluated) == 1 and evaluated[0].shape == (width,)
     return evaluated[0]
@@ -312,25 +315,23 @@ def test_full_scale_roots_rarely_resume_the_grid_rounds(monkeypatch):
 @pytest.mark.parametrize("zone_factor,shift", [(64.0, 0.0), (1 / 64, 0.0), (1.0, 3.0),
                                                (1.0, -3.0), (1.0, 0.5)])
 def test_newton_estimate_never_changes_the_bits(monkeypatch, zone_factor, shift):
-    # windows too coarse for the walk (it leaves the table and resumes), too
-    # narrow to certify, or off the root: the walk and the rounds fix it all
-    real_newton, real_walk = power._newton, power._walk
-    resumed_walks = []
+    # zones too wide (the pick is coarser than the residual zone allows and
+    # its certificate fails), too narrow to hold a node, or off the root: the
+    # certificate and the rounds fix it all
+    real_newton, real_certify = power._newton, power._certify
+    failed = []
 
     def newton(*args):
-        return [None if root is None else
-                (root[0] + shift * root[1], root[1] * zone_factor, root[2])
+        return [None if root is None else (root[0] + shift * root[1], root[1] * zone_factor)
                 for root in real_newton(*args)]
 
-    def walk(bracket, first, sums, batch, left, right, exponent):
-        stopped = real_walk(bracket, first, sums, batch, left, right, exponent)
-        # a window's table starts above its tree's first node, a round's at it
-        if first != left and not stopped and bracket[7] < MAX_HALVINGS:
-            resumed_walks.append(bracket[7])
-        return stopped
+    def certify(numer, denom_base, picks, *args):
+        certified = real_certify(numer, denom_base, picks, *args)
+        failed.extend(row for row, _ in picks if row not in certified)
+        return certified
 
     monkeypatch.setattr(power, "_newton", newton)
-    monkeypatch.setattr(power, "_walk", walk)
+    monkeypatch.setattr(power, "_certify", certify)
     rng = np.random.default_rng(77)
     for _ in range(60):
         n_rows, k = int(rng.integers(1, 9)), int(rng.integers(1, 65))
@@ -339,27 +340,33 @@ def test_newton_estimate_never_changes_the_bits(monkeypatch, zone_factor, shift)
         lam, p = power._solve_budgets(numer, denom_base, total, guess)
         assert lam.tobytes() == want_lam.tobytes() and p.tobytes() == want_p.tobytes()
     if zone_factor > 1.0:
-        assert len(resumed_walks) > 10
+        assert len(failed) > 10
 
 
 def test_window_walk_hits_the_halving_cap(monkeypatch):
-    # the root sits near 9e-66, so the skip to its window would pass the cap:
-    # the walk halves one step at a time up to it, and hi, known only by a
-    # bound, is evaluated when the row resumes
+    # the root sits near 9e-66, far more than 52 halvings below 1: the warm
+    # row's pick is declined, and the round tables take its bracket [0, 1]
+    # BISECT_DEPTH halvings at a time up to the cap
     numer, denom_base, total = np.array([1.0, 2.0]), np.array([1e-66, 1e-60]), 1e130
     want_lam, want_p = sequential_solve_budget(numer, denom_base, total)
-    walks = []
-    real_walk = power._walk
+    picks, walks = [], []
+    real_pick, real_walk = power._pick, power._walk
 
-    def walk(bracket, first, sums, batch, left, right, exponent):
-        stopped = real_walk(bracket, first, sums, batch, left, right, exponent)
-        walks.append((first != left, bracket[7], bracket[5] is None))
+    def pick(estimate, zone):
+        picks.append(real_pick(estimate, zone))
+        return picks[-1]
+
+    def walk(bracket, sums, table):
+        stopped = real_walk(bracket, sums, table)
+        walks.append(bracket[7])
         return stopped
 
+    monkeypatch.setattr(power, "_pick", pick)
     monkeypatch.setattr(power, "_walk", walk)
     lam, p = _solve_budgets(numer[None], denom_base[None], np.array([total]), np.array([9e-66]))
     assert lam[0] == want_lam == 2.0 ** -MAX_HALVINGS and p[0].tobytes() == want_p.tobytes()
-    assert walks == [(True, MAX_HALVINGS, True), (False, MAX_HALVINGS, False)]
+    assert picks == [None]
+    assert walks == list(range(BISECT_DEPTH, MAX_HALVINGS + 1, BISECT_DEPTH))
 
 
 @pytest.mark.parametrize("numer,denom,total,guess", [(1e-150, 1e-151, 1.0, 9e-151),
@@ -391,7 +398,7 @@ def test_walk_skips_close_to_the_halving_cap(exponent):
 def test_zero_numerator_user_with_the_lowest_denominator():
     # the user without power has denominator -0.375 + lam, which is zero at the
     # dyadic node 0.375 just below the root: the unmasked form would read 0/0
-    # there, so the window must not reach below that node
+    # there, so a certificate whose lower node is 0.375 needs the masks
     numer, denom_base = np.array([0.0, 1.0]), np.array([-0.375, 0.1])
     total = float((1.0 / (0.475 + 1e-12)) ** 2)
     want_lam, want_p = sequential_solve_budget(numer, denom_base, total)
@@ -400,49 +407,60 @@ def test_zero_numerator_user_with_the_lowest_denominator():
     assert lam[0] == want_lam and p[0].tobytes() == want_p.tobytes()
 
 
-def _window_walks(monkeypatch):
-    """Spy on `_walk`: record (lo, hi, exponent) of every bracket walked from a
-    window, whose table starts above its tree's first node."""
-    windows = []
-    real_walk = power._walk
+def _certified_nodes(monkeypatch):
+    """Spy on `_certify`: record the nodes (c - 2**l, c, c + 2**l) of every
+    certified pick."""
+    certified = []
+    real_certify = power._certify
 
-    def walk(bracket, first, sums, batch, left, right, exponent):
-        if first != left:
-            windows.append((bracket[3], bracket[4], exponent))
-        return real_walk(bracket, first, sums, batch, left, right, exponent)
+    def certify(numer, denom_base, picks, *args):
+        rows = real_certify(numer, denom_base, picks, *args)
+        certified.extend(nodes for row, nodes in picks if row in rows)
+        return rows
 
-    monkeypatch.setattr(power, "_walk", walk)
-    return windows
+    monkeypatch.setattr(power, "_certify", certify)
+    return certified
+
+
+def _assert_tree_node(below, node, above, tree_lo, tree_hi):
+    """node is an odd multiple of 2**l = node - below = above - node strictly
+    inside the dyadic tree [tree_lo, tree_hi]."""
+    step = node - below
+    assert above - node == step and math.frexp(step)[0] == 0.5
+    assert (Fraction(node) / Fraction(step)).numerator % 2 == 1
+    assert tree_lo <= below < node < above <= tree_hi
 
 
 def test_root_above_one_is_placed_by_a_window(monkeypatch):
     # test_doubling_phase_beyond_one's root, near 1.05e8: the last doubling
-    # opens [2**26, 2**27], and the window inside it decides the walk
-    windows = _window_walks(monkeypatch)
+    # opens [2**26, 2**27], and the node certified inside it is the root
+    nodes = _certified_nodes(monkeypatch)
     numer, denom_base = _instance(2, 32)
     lam, _ = _assert_same_root(numer * 1e6, denom_base, 1e-3)
     assert 2.0 ** 26 < lam < 2.0 ** 27
-    assert [(lo, hi) for lo, hi, _ in windows] == [(2.0 ** 26, 2.0 ** 27)]
+    [(below, node, above)] = nodes
+    assert node == lam
+    _assert_tree_node(below, node, above, 2.0 ** 26, 2.0 ** 27)
 
 
 @pytest.mark.parametrize("scale", [40, 60])
 def test_window_nodes_coarser_than_one(monkeypatch, scale):
-    # above 2**40 the residual zone is wider than 2, so the window's nodes are
-    # multiples of a step above 1 and its tree ends are lo and hi shifted down
-    windows = _window_walks(monkeypatch)
+    # above 2**40 the residual zone is wider than 2, so the certified node is
+    # an odd multiple of a power of two above 1 inside the last doubling
+    nodes = _certified_nodes(monkeypatch)
     numer, denom_base, root = np.array([1.0, 2.0]), np.array([1.0, 3.0]), 1.3 * 2.0 ** scale
     total = float(np.sum((numer / (denom_base + root)) ** 2))
     lam, _ = _assert_same_root(numer, denom_base, total)
     assert abs(lam / root - 1.0) < 1e-9
-    assert len(windows) == 1
-    lo, hi, exponent = windows[0]
-    assert lo < lam <= hi == 2.0 * lo and exponent > 0
+    [(below, node, above)] = nodes
+    assert node == lam and node - below > 1.0
+    _assert_tree_node(below, node, above, 2.0 ** scale, 2.0 ** (scale + 1))
 
 
 def test_min_rate_roots_above_one_are_placed_by_windows(monkeypatch):
     # trial 7 of the fairness run at seed 7 (20 dB, rmin 1): its rate
-    # multipliers push ten budget roots past 1, and windows should place them
-    # rather than the round tables
+    # multipliers push ten budget roots past 1, and certificates should place
+    # them rather than the round tables
     from beamspace_noma import (ChannelParams, LinkBudget, OptimizerConfig, allocate_batch,
                                 build_noma_link, lens_transform_matrix, link_gains,
                                 sample_realization, trial_rng)
@@ -450,15 +468,201 @@ def test_min_rate_roots_above_one_are_placed_by_windows(monkeypatch):
     real = sample_realization(ChannelParams(n_antennas=256, n_users=32), trial_rng(7, 7))
     grouping, precoder = build_noma_link(lens_transform_matrix(256).matrix @ real.matrix,
                                          "strongest")
-    placed = []
-    real_certified = power._certified_walks
-
-    def certified_walks(brackets, roots):
-        walks, width = real_certified(brackets, roots)
-        placed.extend(walk[0][3] >= 1.0 for walk in walks)
-        return walks, width
-
-    monkeypatch.setattr(power, "_certified_walks", certified_walks)
+    nodes = _certified_nodes(monkeypatch)
     allocate_batch(link_gains(grouping, precoder), [LinkBudget.from_snr(32.0, 20.0, 32)],
                    OptimizerConfig(min_rate=1.0))
-    assert placed.count(True) > 0
+    assert sum(node > 1.0 for _, node, _ in nodes) > 0
+
+
+def _halvings(lam):
+    """The halvings the sequential bisection takes to stop at lam: none at 0
+    and at the rungs 1, 2, 4, ..., else the depth of lam in its tree [0, 1]
+    or [2**(j - 1), 2**j]."""
+    mantissa, j = math.frexp(lam)
+    if lam == 0.0 or (lam >= 1.0 and mantissa == 0.5):
+        return 0
+    exact = Fraction(lam)
+    level = ((exact.numerator & -exact.numerator).bit_length()
+             - exact.denominator.bit_length())
+    return (0 if lam < 1.0 else j - 1) - level
+
+
+def _assert_same_root_for_every_guess(numer, denom_base, total):
+    """Check the (1, K) row against the sequential bisection from no guess,
+    a non-positive or infinite one, the root itself and 1e-3 off it; return
+    the multiplier."""
+    want_lam, want_p = sequential_solve_budget(numer, denom_base, total)
+    for guess in (math.nan, 0.0, -1.0, math.inf, want_lam, want_lam * (1.0 - 1e-3),
+                  want_lam * (1.0 + 1e-3)):
+        lam, p = _solve_budgets(numer[None], denom_base[None], np.array([total]),
+                                np.array([guess]))
+        assert lam[0] == want_lam and p[0].tobytes() == want_p.tobytes(), guess
+    return want_lam
+
+
+def _edge_row(node, offset, numer=(1.0, 0.5), shape=(0.5, 2.0)):
+    """Rows whose budget root sits `offset` residual zones above the node
+    (denominators proportional to it): for offset in (-1, 0] the zone above
+    the root holds the node."""
+    numer, denom_base = np.array(numer), np.array(shape) * node
+    p = (numer / (denom_base + node)) ** 2
+    zone = BUDGET_TOL * p.sum() / (2.0 * np.sum(p / (denom_base + node)))
+    root = node + offset * zone
+    return numer, denom_base, float(np.sum((numer / (denom_base + root)) ** 2))
+
+
+@pytest.mark.parametrize("offset", [-3.0, -1.5, -0.9, -0.5, 0.0, 0.5, 1.5, 3.0])
+def test_dyadic_edges_match_the_sequential_bisection(monkeypatch, offset):
+    # roots at the nodes 2**j, j in -60..60: zones that hold 1 or a rung,
+    # roots just above 2**j (c - 2**l = 2**j, the last doubling's lo), just
+    # below it (c + 2**l = 2**j) and near 2**-j in [0, 1] (c - 2**l = 0)
+    nodes = _certified_nodes(monkeypatch)
+    for j in range(-60, 61):
+        _assert_same_root_for_every_guess(*_edge_row(2.0 ** j, offset))
+    rungs = {node for _, node, above in nodes if above == math.inf}
+    lowers = {below for below, _, above in nodes if above < math.inf}
+    uppers = {above for *_, above in nodes if above < math.inf}
+    # below 2**-18 the certified node would lie more than 52 halvings deep
+    edges = {2.0 ** j for j in range(-18, 61)}
+    if -1.0 < offset <= 0.0:
+        assert {2.0 ** j for j in range(61)} <= rungs and 0.0 in lowers
+    elif offset > 0.0:
+        assert edges <= lowers
+    elif offset == -1.5:
+        assert edges <= uppers
+
+
+def test_halving_depths_at_the_exact_limit(monkeypatch):
+    # within 52 halvings every node on the path is a double and the pick is
+    # certified; from 53 on it is declined and the rounds take the row, up
+    # to the cap of MAX_HALVINGS (the root near 1e-70)
+    nodes = _certified_nodes(monkeypatch)
+    depths = {}
+    for exponent in range(17, 23):
+        for mantissa in (1.3, 1.7):
+            root = mantissa * 2.0 ** -exponent
+            numer, denom_base = np.array([1.0, 0.5]), np.array([root, 2.0 * root])
+            total = float(np.sum((numer / (denom_base + root)) ** 2))
+            nodes.clear()
+            lam = _assert_same_root_for_every_guess(numer, denom_base, total)
+            depths[_halvings(lam)] = lam in [node for _, node, _ in nodes]
+    nodes.clear()
+    lam = _assert_same_root_for_every_guess(np.array([1.0]), np.array([-1e-70]), 1e200)
+    assert _halvings(lam) == MAX_HALVINGS and not nodes
+    assert depths[52] and not depths[53]
+    assert all(certified == (depth <= 52) for depth, certified in depths.items())
+
+
+@pytest.mark.parametrize("root", [0.3, 0.7 * 2.0 ** -10, 1.05e8, 1.3 * 2.0 ** 40])
+def test_zero_numerator_user_at_the_lower_node(monkeypatch, root):
+    # a user without power whose denominator is zero at c - 2**l: the lower
+    # node reads 0/0 unmasked, so the certificate holds only in masked form
+    nodes = _certified_nodes(monkeypatch)
+    numer, denom_base = np.array([1.0, 0.5]), np.array([1.0, 3.0]) * root
+    total = float(np.sum((numer / (denom_base + root)) ** 2))
+    _assert_same_root(numer, denom_base, total)
+    [(below, node, _)] = nodes
+    numer, denom_base = np.append(numer, 0.0), np.append(denom_base, -below)
+    nodes.clear()
+    assert _assert_same_root_for_every_guess(numer, denom_base, total) == node
+    assert nodes and all(nodes_ == (below, node, nodes[0][2]) for nodes_ in nodes)
+
+
+@st.composite
+def _dyadic_edge_rows(draw):
+    """A row whose root sits a few residual zones from a node 2**j, with
+    guesses that miss it, hit it or sit 1e-3 off."""
+    k = draw(st.integers(1, 4))
+    numer = draw(st.lists(st.floats(0.1, 10.0), min_size=k, max_size=k))
+    shape = draw(st.lists(st.floats(0.01, 10.0), min_size=k, max_size=k))
+    numer, denom_base, total = _edge_row(2.0 ** draw(st.integers(-60, 60)),
+                                         draw(st.floats(-4.0, 4.0)), numer, shape)
+    guess = draw(st.sampled_from([math.nan, 0.0, -1.0, math.inf, "root", 1.0 - 1e-3, 1.0 + 1e-3]))
+    return numer, denom_base, total, guess
+
+
+@settings(max_examples=200, deadline=None)
+@given(row=_dyadic_edge_rows())
+def test_budget_root_at_dyadic_edges_is_the_sequential_bisection(row):
+    numer, denom_base, total, guess = row
+    want_lam, want_p = sequential_solve_budget(numer, denom_base, total)
+    if guess == "root":
+        guess = want_lam
+    elif guess in (1.0 - 1e-3, 1.0 + 1e-3):
+        guess *= want_lam
+    lam, p = _solve_budgets(numer[None], denom_base[None], np.array([total]), np.array([guess]))
+    assert lam[0] == want_lam and p[0].tobytes() == want_p.tobytes()
+
+
+def test_full_scale_warm_rows_all_certify(monkeypatch):
+    # the default sweep's link and SNR points, as in
+    # test_full_scale_roots_rarely_resume_the_grid_rounds: every row warm
+    # started from the last iteration's multiplier is certified
+    from beamspace_noma import (ChannelParams, LinkBudget, OptimizerConfig, allocate_batch,
+                                build_noma_link, lens_transform_matrix, link_gains,
+                                sample_realization, trial_rng)
+
+    params = ChannelParams(n_antennas=256, n_users=32)
+    lens = lens_transform_matrix(256)
+    budgets = [LinkBudget.from_snr(32.0, snr, 32) for snr in range(0, 31, 5)]
+    warm, certified = [], []
+    real_solve, real_certify = power._solve_budgets, power._certify
+
+    def solve(numer, denom_base, total_mw, guess):
+        warm.append({row for row, (low, hint) in enumerate(zip(denom_base.min(axis=-1), guess))
+                     if max(-low, 0.0) < hint < math.inf})
+        certified.append(set())
+        return real_solve(numer, denom_base, total_mw, guess)
+
+    def certify(numer, denom_base, picks, *args):
+        rows = real_certify(numer, denom_base, picks, *args)
+        certified[-1] |= rows
+        return rows
+
+    monkeypatch.setattr(power, "_solve_budgets", solve)
+    monkeypatch.setattr(power, "_certify", certify)
+    for trial in range(2):
+        real = sample_realization(params, trial_rng(41, trial))
+        grouping, precoder = build_noma_link(lens.matrix @ real.matrix, "strongest")
+        allocate_batch(link_gains(grouping, precoder), budgets, OptimizerConfig())
+    assert sum(map(len, warm)) >= 200
+    assert all(rows <= done for rows, done in zip(warm, certified))
+
+
+def test_min_rate_ci_run_reaches_the_ladder_the_rounds_and_failed_certificates(monkeypatch,
+                                                                              tmp_path):
+    # CI's `sim sweep-snr --rmin 1 --snr 0 --iters 2 --schemes noma --trials 1`:
+    # its rate multipliers push cold rows up the doubling ladder, and rows
+    # whose pick is declined or fails its certificate walk the round tables
+    from beamspace_noma.cli import main as cli_main
+
+    counts = {"ladder": 0, "rounds": 0, "declined": 0, "failed": 0}
+    real_open, real_pick = power._open_brackets, power._pick
+    real_certify, real_rounds = power._certify, power._round_walks
+
+    def open_brackets(*args):
+        brackets = real_open(*args)
+        counts["ladder"] += sum(bracket[4] > 1.0 for bracket in brackets)
+        return brackets
+
+    def pick(estimate, zone):
+        nodes = real_pick(estimate, zone)
+        counts["declined"] += nodes is None
+        return nodes
+
+    def certify(numer, denom_base, picks, *args):
+        rows = real_certify(numer, denom_base, picks, *args)
+        counts["failed"] += len(picks) - len(rows)
+        return rows
+
+    def round_walks(brackets):
+        counts["rounds"] += len(brackets)
+        return real_rounds(brackets)
+
+    for name, spy in (("_open_brackets", open_brackets), ("_pick", pick),
+                      ("_certify", certify), ("_round_walks", round_walks)):
+        monkeypatch.setattr(power, name, spy)
+    assert cli_main(["sweep-snr", "--rmin", "1", "--snr", "0", "--iters", "2", "--schemes",
+                     "noma", "--trials", "1", "--out", str(tmp_path / "rmin")]) == 0
+    assert counts["ladder"] > 0 and counts["rounds"] > 0
+    assert counts["declined"] + counts["failed"] > 0
