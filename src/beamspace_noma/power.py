@@ -27,10 +27,11 @@ the bisection evaluates is a node of a dyadic tree, and it stops at the
 first node c on its path inside the residual zone; every node before c is
 coarser, so it lies outside the neighbours c -/+ 2**l. The powers' sum falls
 monotonically in the multiplier even in floating point, so the sums at c and
-its two neighbours certify the whole path. Newton steps, warm started from
-the previous multiplier, pick c, and one table of three nodes per row
-certifies it; rows that do not certify walk rounds of tables that hold every
-node of the next BISECT_DEPTH halvings.
+its two neighbours certify the whole path. Newton steps pick c, from the
+previous multiplier or a bound below the root set by the pole user (the
+smallest denominator), and one table of three nodes per row certifies it.
+Where that bound rounds onto the pole, c is the double above it, certified
+even outside the residual zone. Other rows run the plain bisection.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ OUTER_CAP = 200         # cap on min-rate constraint-enforcement rounds per powe
 STAGNATION_TOL = 1e-12  # early stop once the objective gains less than this ...
 STAGNATION_PATIENCE = 3  # ... for this many consecutive iterations
 MAX_HALVINGS = 200      # cap on budget-bisection halvings per root
-BISECT_DEPTH = 5        # bisection-tree levels evaluated per vectorized call
 DOUBLINGS = 400         # cap on budget-multiplier doublings from 1 before halving
 NEWTON_STEPS = 8        # cap on Newton steps placing a budget root
 NEWTON_SETTLED = 2.0 ** -20  # relative budget misfit at which the Newton steps stop
@@ -186,124 +186,77 @@ def _solve_budgets(numer: np.ndarray, denom_base: np.ndarray, total_mw: np.ndarr
     permits), except past the doubling cap: there lam = 2**DOUBLINGS, sum(p) >
     total and `allocate_batch`'s budget check reports the row infeasible.
 
-    Every row follows the path of a one-at-a-time bisection, bit for bit: the
-    slack check at zero, doubling from one until the budget is met, then
-    halvings of [0, 1] (or of the last doubling) with a residual stop, a stop
-    on a midpoint equal to an endpoint and a cap of MAX_HALVINGS. Every
-    multiplier it evaluates is a node of a dyadic tree: 0, the rungs 2**j,
-    and odd multiples of 2**l inside the bracket. It stops at the first node
-    c on its path whose sum S lies in the residual zone (S <= total and
-    total - S <= BUDGET_TOL * total), and every node it visits before c (0 and
-    the rungs included) is coarser than c, so it lies at or below c - 2**l or
-    at or above c + 2**l. S is non-increasing in the multiplier even in
-    floating point, masked terms included: each addition, clamp, division and
-    square rounds monotonically and the summation order is fixed. So three
-    sums certify the whole path (`_certify`): S(c - 2**l) > total sends every
-    node below right, c lies in the zone, and S(c + 2**l) <= total outside
-    the zone sends every node above left without a residual stop.
+    Every row gets the multiplier and powers of `_bisect`, the one-at-a-time
+    bisection, bit for bit. Every multiplier it evaluates is a dyadic node:
+    0, the rungs 2**j, and odd multiples of 2**l inside the bracket. S, the
+    powers' sum, is non-increasing in the multiplier even in floating point,
+    masked terms included: each addition, clamp, division and square rounds
+    monotonically and the summation order is fixed. So three sums certify a
+    node c as its answer (`_certify`).
 
-    Warm rows (a finite guess above the floor max(0, -min(denom_base))) run
-    `_newton` from the guess; cold rows first take the slack check, the rung
-    at 1 and the doubling (`_open_brackets`), then `_newton` from halfway
-    between their floor and hi. `_pick` turns each settled estimate into the
-    nodes of c, and one (R, 3, K) table evaluates them all; the estimates only
-    choose what is evaluated. The rest (unsettled, declined or failed, warm
-    rows after their brackets open, and rows past the doubling cap) resume
-    from their brackets in rounds (`_round_walks`) whose tables hold every
-    node the next BISECT_DEPTH halvings can visit. Each evaluated row is
-    elementwise the 1-D `_powers_at` vector, and a row sum of a C-contiguous
-    array equals the 1-D sum.
+    Each row's pole user has the smallest denominator d among the positive
+    numerators n. S >= (n / (d + lam))**2 puts the root at or above -d + n /
+    sqrt(total); `_newton` starts from that bound, or from a larger finite
+    guess, and `_pick` turns its estimate into c and its neighbours c -/+
+    2**l, or, where the bound rounds onto the pole, c into the double above
+    the pole, which may lie outside the residual zone. One (R, 3, K) table
+    evaluates every row's nodes; rows without a pick or a certificate run
+    `_bisect`. Each evaluated row is elementwise the 1-D `_powers_at` vector,
+    and a row sum of a C-contiguous array equals the 1-D sum.
     """
     n_rows = len(numer)
     lam, powers = np.zeros(n_rows), np.empty_like(numer)
-    lows, totals, hints = denom_base.min(axis=-1).tolist(), total_mw.tolist(), guess.tolist()
-    numer, denom_base = np.fmax(numer, 0.0)[:, None, :], denom_base[:, None, :]
-    floors = [max(-low, 0.0) for low in lows]
-    warm = [row for row in range(n_rows) if floors[row] < hints[row] < math.inf]
-    cold = [row for row in range(n_rows) if row not in warm]
+    numer, totals = np.fmax(numer, 0.0), total_mw.tolist()
+    users = denom_base.argmin(axis=-1).tolist()
+    lows = [denom_base.item(row, user) for row, user in enumerate(users)]
+    if not all(numer.item(row, user) > 0.0 for row, user in enumerate(users)):
+        # a smallest denominator without power: the pole is the next one's
+        users = np.where(numer > 0.0, denom_base, np.inf).argmin(axis=-1).tolist()
+    poles = [(-denom_base.item(row, user), numer.item(row, user))
+             for row, user in enumerate(users)]
+    # no bound (NaN) for a zero budget; a row whose start is not finite never settles
+    bounds = [pole + n / math.sqrt(total) if total > 0.0 else math.nan
+              for (pole, n), total in zip(poles, totals)]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        brackets = _open_brackets(numer, denom_base, cold, totals, lows, powers)
-        # past the doubling cap the powers held are those at hi / 2, not at hi;
-        # a cold row's Newton steps start halfway from its floor to hi
-        placeable = [bracket for bracket in brackets if bracket[6] <= bracket[1]]
-        rows = warm + [bracket[0] for bracket in placeable]
-        cold_floors = [max(-low, lo) for _, _, low, lo, *_ in placeable]
-        roots = _newton(numer.take(rows, axis=0)[:, 0], denom_base.take(rows, axis=0)[:, 0],
-                        [totals[row] for row in rows],
-                        [hints[row] for row in warm] + [0.5 * (floor + bracket[4]) for floor, bracket
-                                                        in zip(cold_floors, placeable)],
-                        [floors[row] for row in warm] + cold_floors)
-        picks = [(row, nodes) for row, root in zip(rows, roots)
+        roots = _newton(numer, denom_base, totals,
+                        [hint if bound < hint < math.inf else bound
+                         for bound, hint in zip(bounds, guess.tolist())], poles)
+        picks = [(row, nodes) for row, root in enumerate(roots)
                  if root is not None and (nodes := _pick(*root)) is not None]
         certified = _certify(numer, denom_base, picks, totals, lows, lam, powers)
-        brackets = [bracket for bracket in brackets if bracket[0] not in certified]
-        brackets += _open_brackets(numer, denom_base, [row for row in warm if row not in certified],
-                                   totals, lows, powers)
-        while brackets:
-            brackets = _walk_tables(numer, denom_base, _round_walks(brackets), lam, powers)
+    for row in range(n_rows):
+        if row not in certified:
+            lam[row], powers[row] = _bisect(numer[row], denom_base[row], totals[row])
     return lam, powers
 
 
-def _batch_powers(numer: np.ndarray, denom_base: np.ndarray, lams: np.ndarray,
-                  positive: bool) -> np.ndarray:
-    """(R, T, K) powers of (R, 1, K) rows with non-negative numerators at the
-    (R, T, 1) multipliers lams. Where positive says that every denom_base +
-    lam > 0, the masks of `_powers_at` would only zero the powers of users
-    with a zero numerator, which the division already does."""
-    if positive:
-        return (numer / (denom_base + lams)) ** 2
-    return _powers_at(numer, denom_base, lams)
-
-
-def _open_brackets(numer: np.ndarray, denom_base: np.ndarray, rows: list[int],
-                   totals: list[float], lows: list[float], powers: np.ndarray) -> list:
-    """Take rows through the slack check at 0, the rung at 1 and the doubling;
-    store the powers of the rows slack at 0 and return a record per other
-    row: [row, budget, smallest denominator, bracket lo and hi, powers at hi,
-    their sum, halvings]."""
-    if not rows:
-        return []
-    batch = _batch_powers(numer.take(rows, axis=0), denom_base.take(rows, axis=0),
-                          np.array([0.0, 1.0])[None, :, None], all(lows[row] > 0 for row in rows))
-    brackets = []
-    for row, (at_zero, at_one), row_batch in zip(rows, batch.sum(axis=-1).tolist(), batch):
-        total = totals[row]
-        if at_zero <= total:
-            powers[row] = row_batch[0]
-            continue
-        bracket = [row, total, lows[row], 0.0, 1.0, row_batch[1], at_one, 0]
-        if not at_one <= total:  # the root lies past 1, or the sum is NaN
-            hi = 2.0
-            for _ in range(DOUBLINGS - 1):
-                p = _powers_at(numer[row, 0], denom_base[row, 0], hi)
-                if p.sum() <= total:
-                    break
-                hi *= 2.0
-            bracket[3:7] = hi / 2.0, hi, p, float(p.sum())
-        brackets.append(bracket)
-    return brackets
-
-
 def _newton(numer: np.ndarray, denom_base: np.ndarray, totals: list[float], x: list[float],
-            floors: list[float]) -> list[tuple[float, float] | None]:
+            poles: list[tuple[float, float]]) -> list[tuple[float, float] | None]:
     """Estimate the roots of S(lam) = sum((numer / (denom_base + lam))**2) =
-    total of (R, K) rows by Newton steps on g = S**-0.5, from x.
+    total of (R, K) rows by Newton steps on g = S**-0.5, from x at or above
+    each row's pole -d, whose user has the numerator n (poles holds (-d, n)).
 
-    Above floor every denominator is positive and g is concave and
-    increasing, so a step lands at or below the root and later steps climb
-    to it; a step that would cross floor halves the distance to it instead.
-    Returns per row None if it has not settled within NEWTON_STEPS, else the
-    estimate and the width BUDGET_TOL * total / |S'| of the residual zone
-    above the root. The estimate adds to the last step its shortfall to
-    second order, -g'' / (2 g') * step**2.
+    Above -d, g is concave and increasing, so every step lands at or below
+    the root. A step from above the root (S < total) moves no lower than -d +
+    n / sqrt(total - rest), rest being S less the pole user's term, which at
+    the root is total - rest(root) <= total - rest(x): no step crosses the
+    pole. Returns per row None if it has not settled within NEWTON_STEPS,
+    (-d, 0.0) if x rounds onto the pole, else the estimate and the width
+    BUDGET_TOL * total / |S'| of the residual zone above the root. The
+    estimate adds to the last step its shortfall to second order, -g'' / (2
+    g') * step**2.
     """
     for _ in range(NEWTON_STEPS):
         denom = denom_base + np.array(x)[:, None]
         p = (numer / denom) ** 2
         slopes = p / denom
         steps, following, settled = [], [], True
-        for row_sum, half_slope, x_row, floor, total in zip(
-                p.sum(axis=-1).tolist(), slopes.sum(axis=-1).tolist(), x, floors, totals):
+        for row_sum, half_slope, x_row, total, (pole, n) in zip(
+                p.sum(axis=-1).tolist(), slopes.sum(axis=-1).tolist(), x, totals, poles):
+            if x_row <= pole:
+                steps.append((pole, 0.0, 0.0, 0.0, 0.0))
+                following.append(pole)
+                continue
             # half_slope is -S'/2
             if half_slope > 0.0:
                 misfit = math.sqrt(row_sum / total) - 1.0
@@ -311,11 +264,14 @@ def _newton(numer: np.ndarray, denom_base: np.ndarray, totals: list[float], x: l
                 zone = (0.5 * BUDGET_TOL) * total / half_slope
             else:
                 misfit = step = zone = math.nan
-            settled_row = abs(misfit) <= NEWTON_SETTLED and zone < math.inf
+            settled_row = abs(misfit) <= NEWTON_SETTLED and 0.0 < zone < math.inf
             estimate = x_row + step
             steps.append((estimate, zone, step, half_slope, row_sum) if settled_row else None)
             settled = settled and settled_row
-            following.append(estimate if estimate > floor else 0.5 * (floor + x_row))
+            if row_sum < total:
+                term = n / (x_row - pole)
+                estimate = max(estimate, pole + n / math.sqrt(total - (row_sum - term * term)))
+            following.append(estimate)
         if settled:
             break
         x = following
@@ -323,8 +279,10 @@ def _newton(numer: np.ndarray, denom_base: np.ndarray, totals: list[float], x: l
     for last, bend in zip(steps, (slopes / denom).sum(axis=-1).tolist()):
         if last is not None:
             estimate, zone, step, half_slope, row_sum = last
-            # -g'' / (2 g') = 1.5 * (sum(p / denom**2) / half_slope - half_slope / S)
-            last = estimate + 1.5 * (bend / half_slope - half_slope / row_sum) * step * step, zone
+            if zone > 0.0:
+                # -g'' / (2 g') = 1.5 * (sum(p / denom**2) / half_slope - half_slope / S)
+                estimate += 1.5 * (bend / half_slope - half_slope / row_sum) * step * step
+            last = estimate, zone
         roots.append(last)
     return roots
 
@@ -339,7 +297,15 @@ def _pick(estimate: float, zone: float) -> tuple[float, float, float] | None:
     the interval in the tree [0, 1] or [2**(j - 1), 2**j]. None for an
     estimate that is not positive and finite, a rung past the doubling cap or
     a c more than 52 halvings (or MAX_HALVINGS) deep: within 52 every node on
-    the path is a double, so no midpoint meets an endpoint."""
+    the path is a double, so no midpoint meets an endpoint.
+
+    A zero zone puts the root within rounding above the pole `estimate`: for
+    a pole in [1, 2**(DOUBLINGS - 1)), c is the next double, flanked by the
+    pole and the double above c (inf above a rung)."""
+    if zone == 0.0:
+        node = math.nextafter(estimate, math.inf)
+        above = math.inf if math.frexp(node)[0] == 0.5 else math.nextafter(node, math.inf)
+        return (estimate, node, above) if 1.0 <= estimate < 2.0 ** (DOUBLINGS - 1) else None
     top = estimate + zone
     if not 0.0 < estimate < top < math.inf:
         return None
@@ -366,87 +332,69 @@ def _pick(estimate: float, zone: float) -> tuple[float, float, float] | None:
 
 def _certify(numer: np.ndarray, denom_base: np.ndarray, picks: list, totals: list[float],
              lows: list[float], lam: np.ndarray, powers: np.ndarray) -> set[int]:
-    """Evaluate every pick's three nodes in one (R, 3, K) table; store c and
-    the powers at c of each row whose certificate holds, and return those
-    rows. Every comparison fails on a NaN sum."""
+    """Evaluate every pick's nodes (below, c, above) in one (R, 3, K) table;
+    store c and the powers at c of each row whose certificate holds, and
+    return those rows. Every comparison fails on a NaN sum.
+
+    Both branches need S(below) > total >= S(c). Inside the residual zone
+    every node the bisection visits before c is coarser, at or below c - 2**l
+    <= below or at or above c + 2**l >= above, and S(above) <= total outside
+    the zone sends those above left without a residual stop. Outside it,
+    below and c must be neighbouring doubles, which every pick puts in [1,
+    2**(DOUBLINGS - 1)]: the doubling stops at the rung at or above c, every
+    midpoint of that binade is a double, and within 52 halvings the bracket
+    is (below, c), whose midpoint meets an endpoint, so the bisection returns
+    c. The picks' 52-halving bound holds both branches."""
     if not picks:
         return set()
     rows = [row for row, _ in picks]
     nodes = np.array([nodes for _, nodes in picks])
-    # a zero-numerator user's 0/0 at its own pole needs the masks
-    positive = all(below > -lows[row] for row, (below, _, _) in picks)
-    table = _batch_powers(numer.take(rows, axis=0), denom_base.take(rows, axis=0),
-                          nodes[..., None], positive)
-    taken = []
-    for i, (row, (below, at, above)) in enumerate(zip(rows, table.sum(axis=-1).tolist())):
+    numer, denom_base = numer.take(rows, axis=0)[:, None], denom_base.take(rows, axis=0)[:, None]
+    # where every denominator is positive the masks of `_powers_at` only zero
+    # the zero numerators' powers, which the division already does; a zero
+    # numerator's 0/0 at its own pole needs them
+    if all(below > -lows[row] for row, (below, _, _) in picks):
+        table = (numer / (denom_base + nodes[..., None])) ** 2
+    else:
+        table = _powers_at(numer, denom_base, nodes[..., None])
+    certified = set()
+    for (row, (below_node, node, _)), (below, at, above), row_table in zip(
+            picks, table.sum(axis=-1).tolist(), table):
         total, tol = totals[row], BUDGET_TOL * totals[row]
-        if below > total >= at and total - at <= tol and above <= total and total - above > tol:
-            taken.append(i)
-    stored = [rows[i] for i in taken]
-    lam[stored], powers[stored] = nodes[taken, 1], table[taken, 1]
-    return set(stored)
+        if below > total >= at and (
+                above <= total and total - above > tol if total - at <= tol
+                else math.nextafter(below_node, math.inf) == node):
+            lam[row], powers[row] = node, row_table[1]
+            certified.add(row)
+    return certified
 
 
-def _round_walks(brackets: list) -> list:
-    """One walk (bracket, first, exponent) per bracket over every node its
-    next BISECT_DEPTH halvings can visit: for a dyadic bracket with hi - lo =
-    2**w, the integers first + i, i in 0 .. 2**BISECT_DEPTH, at scale
-    2**exponent = 2**(w - BISECT_DEPTH). A node whose multiplier is not a
-    double splits two neighbouring doubles, so the bisection stops (mid == lo
-    or mid == hi) before the walk reads it.
-    """
-    walks = []
-    for bracket in brackets:
-        lo, hi = bracket[3:5]
-        exponent = math.frexp(hi - lo)[1] - 1 - BISECT_DEPTH
-        walks.append((bracket, int(math.ldexp(lo, -exponent)), exponent))
-    return walks
-
-
-def _walk_tables(numer: np.ndarray, denom_base: np.ndarray, walks: list, lam: np.ndarray,
-                 powers: np.ndarray) -> list:
-    """Evaluate every walk's table of 2**BISECT_DEPTH + 1 nodes, each row as
-    one slice, and `_walk` each row; store the multipliers and powers of the
-    rows that finish and return the records of the rest, their brackets
-    replayed as far as the walk went."""
-    rows = [walk[0][0] for walk in walks]
-    nodes = np.ldexp(np.array([first for _, first, _ in walks], dtype=float)[:, None]
-                     + np.arange(2 ** BISECT_DEPTH + 1),
-                     np.array([exponent for *_, exponent in walks])[:, None])
-    positive = all(bracket[2] + math.ldexp(first, exponent) > 0
-                   for bracket, first, exponent in walks)
-    table = _batch_powers(numer.take(rows, axis=0), denom_base.take(rows, axis=0),
-                          nodes[..., None], positive)
-    still_open = []
-    for (bracket, *_), row_sums, row_table in zip(walks, table.sum(axis=-1).tolist(), table):
-        if _walk(bracket, row_sums, row_table) or bracket[7] >= MAX_HALVINGS:
-            lam[bracket[0]], powers[bracket[0]] = bracket[4], bracket[5]
-        else:
-            still_open.append(bracket)
-    return still_open
-
-
-def _walk(bracket: list, sums: list, table: np.ndarray) -> bool:
-    """Advance one row's sequential bisection through its round table, whose
-    nodes 0 .. 2**BISECT_DEPTH span the bracket [lo, hi]: each midpoint is
-    the middle node of the current span, with powers table[node] and row sum
-    sums[node]. Write the bracket reached into the record and return whether
-    the bisection stopped; the walk also ends at the halving cap or where the
-    next midpoint falls between two nodes."""
-    total, lo, hi, p, p_sum, count = bracket[1], *bracket[3:]
-    left, right = 0, 2 ** BISECT_DEPTH
-    stopped = False
-    while right - left > 1 and count < MAX_HALVINGS and not stopped:
+def _bisect(numer: np.ndarray, denom_base: np.ndarray, total: float) -> tuple[float, np.ndarray]:
+    """One row's budget bisection, one multiplier at a time: the slack check
+    at zero, doubling from one until the budget is met (at most DOUBLINGS
+    rungs), then halvings of [0, 1] or of the last doubling until the sum is
+    within BUDGET_TOL * total of the budget, a midpoint meets an endpoint or
+    MAX_HALVINGS is reached. Returns the upper end and its powers."""
+    p = _powers_at(numer, denom_base, 0.0)
+    if p.sum() <= total:
+        return 0.0, p
+    hi = 1.0
+    for _ in range(DOUBLINGS):
+        p = _powers_at(numer, denom_base, hi)
+        if p.sum() <= total:
+            break
+        hi *= 2.0
+    lo = hi / 2.0 if hi > 1.0 else 0.0
+    for _ in range(MAX_HALVINGS):
         mid = (lo + hi) / 2.0
-        stopped = total - p_sum <= BUDGET_TOL * total or mid == lo or mid == hi
-        if not stopped:
-            count, node = count + 1, (left + right) // 2
-            if sums[node] > total:
-                lo, left = mid, node
-            else:
-                hi, right, p, p_sum = mid, node, table[node], sums[node]
-    bracket[3:] = lo, hi, p, p_sum, count
-    return stopped
+        if total - p.sum() <= BUDGET_TOL * total or mid == lo or mid == hi:
+            break
+        p_mid = _powers_at(numer, denom_base, mid)
+        if p_mid.sum() > total:
+            lo = mid
+        else:
+            hi, p = mid, p_mid
+    return hi, p
 
 
 def _update_p_rows(lg: LinkGains, c: np.ndarray, a: np.ndarray, eta: float,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from beamspace_noma import power
-from beamspace_noma.power import BISECT_DEPTH, BUDGET_TOL, DOUBLINGS, MAX_HALVINGS, _solve_budgets
+from beamspace_noma.power import BUDGET_TOL, DOUBLINGS, MAX_HALVINGS, _solve_budgets
 from oracles import sequential_solve_budget
 
 
@@ -117,16 +117,6 @@ def test_halving_cap():
     assert total - p.sum() > BUDGET_TOL * total
 
 
-def _halving_grid(lo, hi):
-    grid = [lo, hi]
-    for _ in range(BISECT_DEPTH):
-        fine = [lo]
-        for left, right in zip(grid, grid[1:]):
-            fine += [(left + right) / 2.0, right]
-        grid = fine
-    return np.array(grid)
-
-
 def _is_dyadic(lo, hi):
     width = Fraction(hi) - Fraction(lo)
     return (width > 0 and 1 in (width.numerator, width.denominator)
@@ -134,54 +124,40 @@ def _is_dyadic(lo, hi):
             and (Fraction(lo) / width).denominator == 1)
 
 
-def _round_table(monkeypatch, lo, hi):
-    """The multipliers one round evaluates for the bracket [lo, hi]."""
-    evaluated = []
-    real = power._batch_powers
+def _binade_path(pole):
+    """The brackets of the one-at-a-time bisection on a row over budget at
+    every multiplier up to pole and under it, by more than the residual
+    tolerance, above: the doubling from 1, then halvings until a midpoint
+    meets an endpoint. Checks that every midpoint it forms is exact."""
+    hi = 1.0
+    while hi <= pole:
+        hi *= 2.0
+    lo, path = hi / 2.0, []
+    while True:
+        path.append((lo, hi))
+        mid = (lo + hi) / 2.0
+        if mid in (lo, hi):
+            return path
+        assert Fraction(mid) == (Fraction(lo) + Fraction(hi)) / 2, (pole, lo, hi)
+        lo, hi = (mid, hi) if mid <= pole else (lo, mid)
 
-    def capture(numer, denom_base, lams, positive):
-        evaluated.append(lams[0, :, 0].copy())
-        return real(numer, denom_base, lams, positive)
 
-    monkeypatch.setattr(power, "_batch_powers", capture)
-    record = [0, 1.0, 1.0, lo, hi, None, -np.inf, 0]
-    width = 2 ** BISECT_DEPTH + 1
-    power._walk_tables(np.ones((1, 1, 1)), np.ones((1, 1, 1)), power._round_walks([record]),
-                       np.zeros(1), np.empty((1, 1)))
-    monkeypatch.undo()
-    assert len(evaluated) == 1 and evaluated[0].shape == (width,)
-    return evaluated[0]
-
-
-def test_round_table_holds_the_midpoint_tree(monkeypatch):
-    # every bracket a bisection from [0, 1] or [2**399, 2**400] passes through
-    # in its first 60 halvings, down to two neighbouring doubles, and brackets
-    # of subnormal width
+def test_binade_bisection_ends_at_the_neighbouring_doubles():
+    # the adjacency certificate's premise: from the rung above a pole in
+    # [1, 2**(DOUBLINGS - 1)), every midpoint is a double and the bracket
+    # shrinks to the pole and the double above it within 52 halvings, so the
+    # bisection returns that double; poles at the rungs, one ulp below them,
+    # at 1, at the top of the range and at random mantissas
     rng = np.random.default_rng(7)
-    brackets = [(0.0, 5e-324), (2.0 ** -1022, 2.0 ** -1022 + 5e-324),
-                (5 * 2.0 ** -1070, 6 * 2.0 ** -1070)]
-    for start in ((0.0, 1.0), (2.0 ** 399, 2.0 ** 400)):
-        for bias in (0.0, 0.5, 1.0, 0.5, 0.5):
-            lo, hi = start
-            for _ in range(61):
-                brackets.append((lo, hi))
-                mid = (lo + hi) / 2.0
-                if mid == lo or mid == hi:
-                    break
-                lo, hi = (mid, hi) if rng.random() < bias else (lo, mid)
-    for lo, hi in brackets:
-        assert _is_dyadic(lo, hi), (lo, hi)
-        table, tree = _round_table(monkeypatch, lo, hi), _halving_grid(lo, hi)
-        step = (Fraction(hi) - Fraction(lo)) / 2 ** BISECT_DEPTH
-        for i, (node, want) in enumerate(zip(table.tolist(), tree.tolist())):
-            if Fraction(node) == Fraction(lo) + i * step:
-                assert node == want, (lo, hi, i)
-            else:
-                # not a double: the halving that reaches it meets a midpoint
-                # equal to an endpoint and stops
-                level = (i & -i).bit_length() - 1
-                assert want in (tree[i - (1 << level)], tree[i + (1 << level)]), (lo, hi, i)
-        assert table[0] == lo and table[-1] == hi
+    top = 2.0 ** (DOUBLINGS - 1)
+    poles = [1.0, math.nextafter(1.0, 2.0), math.nextafter(top, 0.0), 0.5 * top]
+    for j in range(1, DOUBLINGS - 1):
+        poles += [2.0 ** j, math.nextafter(2.0 ** j, 0.0), math.ldexp(rng.uniform(0.5, 1.0), j)]
+    for pole in poles:
+        path = _binade_path(pole)
+        assert path[-1] == (pole, math.nextafter(pole, math.inf)), pole
+        assert len(path) - 1 <= 52 <= MAX_HALVINGS
+        assert all(_is_dyadic(lo, hi) for lo, hi in path)
 
 
 def test_powers_at_matches_the_masked_form_on_special_values():
@@ -194,22 +170,24 @@ def test_powers_at_matches_the_masked_form_on_special_values():
 
 
 def test_root_leaves_the_masked_form_once_every_denominator_is_positive(monkeypatch):
-    # at multiplier 0 two users have non-positive denominators, so the first
-    # batch needs the masks; the root lies near 0.7, past -min(denom_base), so
-    # every later batch of the bracket [lo, hi] can drop them
+    # at multiplier 0 two users have non-positive denominators, but the
+    # Newton steps start at the pole bound, past -min(denom_base), and the
+    # root lies near 0.7, so the one table that certifies it drops the masks
+    # and no masked `_powers_at` call (a table or the fallback's row) is made
     numer, denom_base = np.ones(8), np.linspace(-0.2, 1.0, 8)
     total = float(np.sum((numer / (denom_base + 0.7)) ** 2))
     masked = []
     real = power._powers_at
 
     def counting(numer, denom_base, lam):
-        masked.append(np.ndim(lam) == 3)
+        masked.append(np.ndim(lam))
         return real(numer, denom_base, lam)
 
     monkeypatch.setattr(power, "_powers_at", counting)
     lam, _ = _assert_same_root(numer, denom_base, total)
     assert 0.5 < lam < 1.0
-    assert masked.count(True) == 1
+    # the oracle's own evaluations go through its own `_powers_at`
+    assert masked == []
 
 
 def _sequential_rows(numer, denom_base, total):
@@ -245,16 +223,25 @@ def _random_batch(rng, n_rows, k):
     return numer, denom_base, total, guess
 
 
-def test_matches_sequential_on_a_seeded_sweep_of_random_rows(monkeypatch):
+def _seeded_sweep(monkeypatch, forced):
+    """Solve 2,000 rows of `_random_batch` (seed 2024) against the
+    sequential bisection; forced refuses every certificate, so every row runs
+    the fallback. Returns the counts of certified and fallback rows."""
     rng = np.random.default_rng(2024)
-    rows, rounds = 0, []
-    real_rounds = power._round_walks
+    rows, certified, fallback = 0, [], []
+    real_certify, real_bisect = power._certify, power._bisect
 
-    def round_walks(brackets):
-        rounds.extend((bracket[3], bracket[4]) for bracket in brackets)
-        return real_rounds(brackets)
+    def certify(*args):
+        taken = real_certify(*args)
+        certified.extend(taken)
+        return set() if forced else taken
 
-    monkeypatch.setattr(power, "_round_walks", round_walks)
+    def bisect(numer, denom_base, total):
+        fallback.append(total)
+        return real_bisect(numer, denom_base, total)
+
+    monkeypatch.setattr(power, "_certify", certify)
+    monkeypatch.setattr(power, "_bisect", bisect)
     while rows < 2000:
         n_rows, k = int(rng.integers(1, 9)), int(rng.integers(1, 65))
         numer, denom_base, total, guess = _random_batch(rng, n_rows, k)
@@ -263,8 +250,17 @@ def test_matches_sequential_on_a_seeded_sweep_of_random_rows(monkeypatch):
         assert lam.tobytes() == want_lam.tobytes(), (numer, denom_base, total, guess)
         assert p.shape == want_p.shape and p.tobytes() == want_p.tobytes()
         rows += n_rows
-    assert len(rounds) > 1000
-    assert all(_is_dyadic(lo, hi) for lo, hi in rounds)
+    monkeypatch.undo()
+    return rows, len(certified), len(fallback)
+
+
+def test_matches_sequential_on_a_seeded_sweep_of_random_rows(monkeypatch):
+    # both paths carry over a thousand rows: the certificates on their own,
+    # the fallback when every certificate is refused
+    rows, certified, fallback = _seeded_sweep(monkeypatch, forced=False)
+    assert certified > 1000 and certified + fallback == rows
+    rows, _, fallback = _seeded_sweep(monkeypatch, forced=True)
+    assert fallback == rows > 1000
 
 
 @pytest.mark.parametrize("case,root", [("inside", 0.3), ("masked", 0.8), ("slack", -1.0),
@@ -280,9 +276,9 @@ def test_guess_never_changes_the_bits(case, root):
         assert lam[0] == want_lam and p[0].tobytes() == want_p.tobytes(), guess
 
 
-def test_full_scale_roots_rarely_resume_the_grid_rounds(monkeypatch):
-    # the default sweep's link and SNR points: nearly every root should finish
-    # in its certified window, or the speedup has decayed into the rounds
+def test_full_scale_roots_never_reach_the_fallback(monkeypatch):
+    # the default sweep's link and SNR points: every root should be
+    # certified, or the speedup has decayed into the per-row bisection
     from beamspace_noma import (ChannelParams, LinkBudget, OptimizerConfig, allocate_batch,
                                 build_noma_link, lens_transform_matrix, link_gains,
                                 sample_realization, trial_rng)
@@ -290,26 +286,25 @@ def test_full_scale_roots_rarely_resume_the_grid_rounds(monkeypatch):
     params = ChannelParams(n_antennas=256, n_users=32)
     lens = lens_transform_matrix(256)
     budgets = [LinkBudget.from_snr(32.0, snr, 32) for snr in range(0, 31, 5)]
-    roots, resumed = [], []
-    real_solve, real_rounds = power._solve_budgets, power._round_walks
+    roots, fallback = [], []
+    real_solve, real_bisect = power._solve_budgets, power._bisect
 
     def solve(numer, *args):
         roots.append(len(numer))
-        resumed.append(0)
         return real_solve(numer, *args)
 
-    def round_walks(brackets):
-        resumed[-1] = max(resumed[-1], len(brackets))
-        return real_rounds(brackets)
+    def bisect(*args):
+        fallback.append(args)
+        return real_bisect(*args)
 
     monkeypatch.setattr(power, "_solve_budgets", solve)
-    monkeypatch.setattr(power, "_round_walks", round_walks)
+    monkeypatch.setattr(power, "_bisect", bisect)
     for trial in range(2):
         real = sample_realization(params, trial_rng(41, trial))
         grouping, precoder = build_noma_link(lens.matrix @ real.matrix, "strongest")
         allocate_batch(link_gains(grouping, precoder), budgets, OptimizerConfig())
     assert sum(roots) >= 200
-    assert sum(resumed) <= 0.1 * sum(roots)
+    assert fallback == []
 
 
 @pytest.mark.parametrize("zone_factor,shift", [(64.0, 0.0), (1 / 64, 0.0), (1.0, 3.0),
@@ -317,7 +312,7 @@ def test_full_scale_roots_rarely_resume_the_grid_rounds(monkeypatch):
 def test_newton_estimate_never_changes_the_bits(monkeypatch, zone_factor, shift):
     # zones too wide (the pick is coarser than the residual zone allows and
     # its certificate fails), too narrow to hold a node, or off the root: the
-    # certificate and the rounds fix it all
+    # certificate and the fallback fix it all
     real_newton, real_certify = power._newton, power._certify
     failed = []
 
@@ -343,30 +338,29 @@ def test_newton_estimate_never_changes_the_bits(monkeypatch, zone_factor, shift)
         assert len(failed) > 10
 
 
-def test_window_walk_hits_the_halving_cap(monkeypatch):
+def test_declined_pick_bisects_to_the_halving_cap(monkeypatch):
     # the root sits near 9e-66, far more than 52 halvings below 1: the warm
-    # row's pick is declined, and the round tables take its bracket [0, 1]
-    # BISECT_DEPTH halvings at a time up to the cap
+    # row's pick is declined, and the fallback evaluates 0, the rung 1 and
+    # every halving of [0, 1] up to the cap, one at a time
     numer, denom_base, total = np.array([1.0, 2.0]), np.array([1e-66, 1e-60]), 1e130
     want_lam, want_p = sequential_solve_budget(numer, denom_base, total)
-    picks, walks = [], []
-    real_pick, real_walk = power._pick, power._walk
+    picks, evaluated = [], []
+    real_pick, real_powers_at = power._pick, power._powers_at
 
     def pick(estimate, zone):
         picks.append(real_pick(estimate, zone))
         return picks[-1]
 
-    def walk(bracket, sums, table):
-        stopped = real_walk(bracket, sums, table)
-        walks.append(bracket[7])
-        return stopped
+    def powers_at(numer, denom_base, lam):
+        evaluated.append(lam)
+        return real_powers_at(numer, denom_base, lam)
 
     monkeypatch.setattr(power, "_pick", pick)
-    monkeypatch.setattr(power, "_walk", walk)
+    monkeypatch.setattr(power, "_powers_at", powers_at)
     lam, p = _solve_budgets(numer[None], denom_base[None], np.array([total]), np.array([9e-66]))
     assert lam[0] == want_lam == 2.0 ** -MAX_HALVINGS and p[0].tobytes() == want_p.tobytes()
     assert picks == [None]
-    assert walks == list(range(BISECT_DEPTH, MAX_HALVINGS + 1, BISECT_DEPTH))
+    assert evaluated == [0.0, 1.0] + [2.0 ** -i for i in range(1, MAX_HALVINGS + 1)]
 
 
 @pytest.mark.parametrize("numer,denom,total,guess", [(1e-150, 1e-151, 1.0, 9e-151),
@@ -460,7 +454,7 @@ def test_window_nodes_coarser_than_one(monkeypatch, scale):
 def test_min_rate_roots_above_one_are_placed_by_windows(monkeypatch):
     # trial 7 of the fairness run at seed 7 (20 dB, rmin 1): its rate
     # multipliers push ten budget roots past 1, and certificates should place
-    # them rather than the round tables
+    # them rather than the fallback
     from beamspace_noma import (ChannelParams, LinkBudget, OptimizerConfig, allocate_batch,
                                 build_noma_link, lens_transform_matrix, link_gains,
                                 sample_realization, trial_rng)
@@ -472,6 +466,27 @@ def test_min_rate_roots_above_one_are_placed_by_windows(monkeypatch):
     allocate_batch(link_gains(grouping, precoder), [LinkBudget.from_snr(32.0, 20.0, 32)],
                    OptimizerConfig(min_rate=1.0))
     assert sum(node > 1.0 for _, node, _ in nodes) > 0
+
+
+def test_min_rate_roots_rarely_reach_the_fallback(monkeypatch):
+    # fairness trials 6 and 7 at seed 7: rows warm started above their roots
+    # step down no lower than the pole bound, so nearly all settle and
+    # certify instead of running the per-row bisection
+    from beamspace_noma import SystemConfig, run_trial
+
+    roots, fallback = [], []
+    real_solve, real_bisect = power._solve_budgets, power._bisect
+
+    def solve(numer, *args):
+        roots.append(len(numer))
+        return real_solve(numer, *args)
+
+    monkeypatch.setattr(power, "_solve_budgets", solve)
+    monkeypatch.setattr(power, "_bisect", lambda *args: fallback.append(args) or real_bisect(*args))
+    config = SystemConfig(seed=7, snr_db=[20.0], schemes=["noma"], min_rate=1.0)
+    for trial in (6, 7):
+        run_trial(config, trial)
+    assert sum(roots) > 1000 and len(fallback) <= 0.01 * sum(roots)
 
 
 def _halvings(lam):
@@ -534,7 +549,7 @@ def test_dyadic_edges_match_the_sequential_bisection(monkeypatch, offset):
 
 def test_halving_depths_at_the_exact_limit(monkeypatch):
     # within 52 halvings every node on the path is a double and the pick is
-    # certified; from 53 on it is declined and the rounds take the row, up
+    # certified; from 53 on it is declined and the fallback takes the row, up
     # to the cap of MAX_HALVINGS (the root near 1e-70)
     nodes = _certified_nodes(monkeypatch)
     depths = {}
@@ -596,7 +611,7 @@ def test_budget_root_at_dyadic_edges_is_the_sequential_bisection(row):
 
 def test_full_scale_warm_rows_all_certify(monkeypatch):
     # the default sweep's link and SNR points, as in
-    # test_full_scale_roots_rarely_resume_the_grid_rounds: every row warm
+    # test_full_scale_roots_never_reach_the_fallback: every row warm
     # started from the last iteration's multiplier is certified
     from beamspace_noma import (ChannelParams, LinkBudget, OptimizerConfig, allocate_batch,
                                 build_noma_link, lens_transform_matrix, link_gains,
@@ -629,40 +644,170 @@ def test_full_scale_warm_rows_all_certify(monkeypatch):
     assert all(rows <= done for rows, done in zip(warm, certified))
 
 
-def test_min_rate_ci_run_reaches_the_ladder_the_rounds_and_failed_certificates(monkeypatch,
-                                                                              tmp_path):
+def test_min_rate_ci_run_reaches_adjacency_certificates_fallback_ladders_and_failed_picks(
+        monkeypatch, tmp_path):
     # CI's `sim sweep-snr --rmin 1 --snr 0 --iters 2 --schemes noma --trials 1`:
-    # its rate multipliers push cold rows up the doubling ladder, and rows
-    # whose pick is declined or fails its certificate walk the round tables
+    # its rate multipliers put many roots within rounding above their poles,
+    # where the double above the pole is certified outside the residual zone;
+    # rows whose pick is declined or fails its certificate run the fallback,
+    # some of them up the doubling ladder past 1
     from beamspace_noma.cli import main as cli_main
 
-    counts = {"ladder": 0, "rounds": 0, "declined": 0, "failed": 0}
-    real_open, real_pick = power._open_brackets, power._pick
-    real_certify, real_rounds = power._certify, power._round_walks
-
-    def open_brackets(*args):
-        brackets = real_open(*args)
-        counts["ladder"] += sum(bracket[4] > 1.0 for bracket in brackets)
-        return brackets
+    counts = {"adjacent": 0, "ladder": 0, "declined": 0, "failed": 0}
+    real_pick, real_certify, real_bisect = power._pick, power._certify, power._bisect
 
     def pick(estimate, zone):
         nodes = real_pick(estimate, zone)
         counts["declined"] += nodes is None
         return nodes
 
-    def certify(numer, denom_base, picks, *args):
-        rows = real_certify(numer, denom_base, picks, *args)
+    def certify(numer, denom_base, picks, totals, *args):
+        rows = real_certify(numer, denom_base, picks, totals, *args)
         counts["failed"] += len(picks) - len(rows)
+        for row, (below, node, _) in picks:
+            if row in rows and math.nextafter(below, math.inf) == node:
+                at = power._powers_at(numer[row], denom_base[row], node).sum()
+                counts["adjacent"] += totals[row] - at > BUDGET_TOL * totals[row]
         return rows
 
-    def round_walks(brackets):
-        counts["rounds"] += len(brackets)
-        return real_rounds(brackets)
+    def bisect(*args):
+        lam, p = real_bisect(*args)
+        counts["ladder"] += lam > 1.0
+        return lam, p
 
-    for name, spy in (("_open_brackets", open_brackets), ("_pick", pick),
-                      ("_certify", certify), ("_round_walks", round_walks)):
+    for name, spy in (("_pick", pick), ("_certify", certify), ("_bisect", bisect)):
         monkeypatch.setattr(power, name, spy)
     assert cli_main(["sweep-snr", "--rmin", "1", "--snr", "0", "--iters", "2", "--schemes",
                      "noma", "--trials", "1", "--out", str(tmp_path / "rmin")]) == 0
-    assert counts["ladder"] > 0 and counts["rounds"] > 0
+    assert counts["adjacent"] > 0 and counts["ladder"] > 0
     assert counts["declined"] + counts["failed"] > 0
+
+
+def _pole_row(pole, factor=5.0, others=()):
+    """A row whose pole user (numerator 1) sits at `pole`, plus `others`
+    (numerator, denominator) users, with a budget `factor` times its sum at
+    the double above the pole: at factor 5 the pole bound -d + n /
+    sqrt(total) rounds onto the pole and that double lies outside the
+    residual zone."""
+    numer = np.array([1.0] + [n for n, _ in others])
+    denom_base = np.array([-pole] + [d for _, d in others])
+    above = math.nextafter(pole, math.inf)
+    return numer, denom_base, factor * float(np.sum(oracles._powers_at(numer, denom_base, above)))
+
+
+_TOP = 2.0 ** (DOUBLINGS - 1)
+
+
+@pytest.mark.parametrize("pole", [1.0, 2.0, 2.0 ** 10, 2.0 ** 100, 2.0 ** 398, 3.0, 1e100,
+                                  math.nextafter(2.0, 0.0), math.nextafter(2.0 ** 50, 0.0),
+                                  math.nextafter(_TOP, 0.0), _TOP, 0.75, 2.0 ** -100,
+                                  2.0 ** -170])
+def test_root_within_rounding_above_the_pole_is_the_double_above_it(monkeypatch, pole):
+    # poles at 2**j, one ulp below 2**j (the double above is the rung 2**j),
+    # at 1 and at other mantissas: the adjacency certificate places the
+    # root. At 2**(DOUBLINGS - 1) the double above lies past the last rung,
+    # so the fallback returns the doubling cap; below 1 no pick is offered,
+    # and near 2**-170 the bisection stops at the halving cap instead
+    nodes = _certified_nodes(monkeypatch)
+    above = math.nextafter(pole, math.inf)
+    lam = _assert_same_root_for_every_guess(*_pole_row(pole))
+    if pole == _TOP:
+        assert lam == 2.0 ** DOUBLINGS and not nodes
+    elif pole < 1.0:
+        assert not nodes and (lam == above) == (pole > 2.0 ** -148)
+    else:
+        upper = math.inf if math.frexp(above)[0] == 0.5 else math.nextafter(above, math.inf)
+        assert lam == above and (pole, above, upper) in nodes
+
+
+def test_zero_numerator_user_below_the_pole(monkeypatch):
+    # the smallest denominator belongs to a user without power, so the pole
+    # is the next user's; at the pole the first user's denominator is
+    # negative and only the masked form zeroes its power
+    nodes = _certified_nodes(monkeypatch)
+    numer, denom_base, total = _pole_row(5.0, others=[(0.0, -6.0), (0.5, 2.0)])
+    numer = numer[[1, 0, 2]]
+    denom_base = denom_base[[1, 0, 2]]
+    above = math.nextafter(5.0, math.inf)
+    assert _assert_same_root_for_every_guess(numer, denom_base, total) == above
+    assert (5.0, above, math.nextafter(above, math.inf)) in nodes
+
+
+def test_in_zone_double_above_the_pole_still_needs_its_upper_neighbour(monkeypatch):
+    # the pole user's term is tiny beside a far user's, so the doubles above
+    # the pole 3 lie in the residual zone two at a time; the bisection stops
+    # at the rung 4 first. The adjacency pick (3, c, c+) must fail on c+,
+    # since an upper node of inf would certify c
+    picks, nodes = [], _certified_nodes(monkeypatch)
+    real_pick = power._pick
+    monkeypatch.setattr(power, "_pick", lambda *root: picks.append(real_pick(*root)) or picks[-1])
+    c = math.nextafter(3.0, math.inf)
+    upper = math.nextafter(c, math.inf)
+    far = (1.0 / (1e20 + c)) ** 2
+    small = (c - 3.0) * math.sqrt(0.5 * BUDGET_TOL * far)
+    numer, denom_base = np.array([small, 1.0]), np.array([-3.0, 1e20])
+    at_c, at_upper = (float(np.sum(oracles._powers_at(numer, denom_base, lam)))
+                      for lam in (c, upper))
+    total = at_c + 0.1 * (small / (c - 3.0)) ** 2
+    assert 0 <= total - at_c < total - at_upper <= BUDGET_TOL * total
+    want_lam, _ = sequential_solve_budget(numer, denom_base, total)
+    assert want_lam == 4.0
+    _assert_same_root(numer, denom_base, total)
+    assert (3.0, c, upper) in picks and not any(node == c for _, node, _ in nodes)
+
+
+def test_zero_totals_and_rows_without_power_in_one_batch():
+    # a zero budget puts the pole bound at inf (n / sqrt(0)), and a row
+    # without a positive numerator has no pole: both run the fallback,
+    # beside rows that certify
+    rows = [([1.0, 2.0], [1.0, 2.0], 0.0), ([1e-100, 0.0], [1.0, 1.0], 0.0),
+            ([0.0, np.nan], [-1.0, 0.5], 0.5), ([-1.0, -0.0], [1.0, 2.0], 0.0),
+            ([1.0, 0.5], [0.5, -0.25], 0.5), ([1.0, 0.5], [0.5, 0.25], 0.5)]
+    for batch in (rows, rows[:3], rows[2:3], rows[::-1]):
+        numer, denom_base, total = (np.array(column) for column in zip(*batch))
+        want_lam, want_p = _sequential_rows(numer, denom_base, total)
+        for guess in (np.full(len(total), np.nan), want_lam):
+            lam, p = _solve_budgets(numer, denom_base, total, guess)
+            assert lam.tobytes() == want_lam.tobytes() and p.tobytes() == want_p.tobytes()
+
+
+@st.composite
+def _pole_hugging_rows(draw):
+    """A row whose pole user sits a few ulps from 2**k, with a numerator
+    from far below to above the pole's ulp, a few other users (zero
+    numerators with lower denominators among them) and a budget around its
+    sum at the double above the pole."""
+    k = draw(st.integers(1, DOUBLINGS - 2))
+    pole = 2.0 ** k
+    for _ in range(draw(st.integers(-2, 2)) % 5):
+        pole = math.nextafter(pole, math.inf if draw(st.booleans()) else 0.0)
+    ulp = math.ulp(pole)
+    numer = [math.ldexp(ulp, draw(st.integers(-40, 8)))]
+    denom_base = [-pole]
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            numer.append(draw(st.sampled_from([0.0, -1.0])))
+            denom_base.append(-pole * draw(st.floats(1.0, 2.0)))
+        else:
+            numer.append(draw(st.floats(0.01, 10.0)) * pole)
+            denom_base.append(pole * draw(st.floats(-0.99, 10.0)))
+    numer, denom_base = np.array(numer), np.array(denom_base)
+    above = math.nextafter(pole, math.inf)
+    total = float(np.sum(oracles._powers_at(numer, denom_base, above)))
+    factors = [0.0, 0.25, 0.999, 1.0, 1.0 + 5e-11, 1.0 + 2e-10, 4.0, 5.0, 1e6]
+    total *= draw(st.sampled_from(factors) | st.floats(0.1, 100.0))
+    guess = draw(st.sampled_from([math.nan, 0.0, math.inf, "root", 1.0 - 1e-3, 1.0 + 1e-3]))
+    return numer, denom_base, total, guess
+
+
+@settings(max_examples=200, deadline=None)
+@given(row=_pole_hugging_rows())
+def test_budget_root_near_the_pole_is_the_sequential_bisection(row):
+    numer, denom_base, total, guess = row
+    want_lam, want_p = sequential_solve_budget(numer, denom_base, total)
+    if guess == "root":
+        guess = want_lam
+    elif guess in (1.0 - 1e-3, 1.0 + 1e-3):
+        guess *= want_lam
+    lam, p = _solve_budgets(numer[None], denom_base[None], np.array([total]), np.array([guess]))
+    assert lam[0] == want_lam and p[0].tobytes() == want_p.tobytes()

@@ -20,7 +20,8 @@ from beamspace_noma.rates import budget_arrays
 
 # Seven points above the default sweep: below 10 dB a min-rate of 1 bps/Hz is
 # infeasible for most users, so every iteration runs the 200-round dual cap
-# and the per-budget reference takes minutes.
+# and the per-budget reference takes minutes (one small link covers 0 and
+# 5 dB with two iterations).
 SNR_DB = [10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0]
 SETTINGS = [(min_rate, max_iters) for min_rate in (0.0, 1.0, 50.0)
             for max_iters in (0, 1, 20, 500)]
@@ -241,6 +242,30 @@ def test_run_trial_matches_per_snr_reference_with_min_rate():
         iterations.update(len(rec.trace) for rec in noma)
     # the SNR rows differ in feasibility and in the iteration they stop at
     assert feasible == {True, False} and len(iterations) > 1
+
+
+def test_run_trial_matches_per_snr_reference_with_min_rate_below_10_db(monkeypatch):
+    # rmin 1 at 0 and 5 dB on a small link with two iterations, so the
+    # per-budget reference runs its capped dual rounds in about a second:
+    # the rate multipliers push budget roots within rounding above their
+    # poles, where the adjacency certificate places them
+    from beamspace_noma import power
+
+    adjacent = []
+    real_certify = power._certify
+
+    def certify(numer, denom_base, picks, *args):
+        rows = real_certify(numer, denom_base, picks, *args)
+        adjacent.extend(node for row, (below, node, _) in picks
+                        if row in rows and math.nextafter(below, math.inf) == node)
+        return rows
+
+    monkeypatch.setattr(power, "_certify", certify)
+    config = SystemConfig(n_antennas=16, n_users=4, snr_db=[0.0, 5.0], trials=1, seed=1,
+                          min_rate=1.0, max_iters=2, schemes=["noma", "oma"])
+    got = run_trial(config, 0)
+    assert _records(got) == _records(oracles.reference_trial(config, 0))
+    assert len(adjacent) > 100
 
 
 def test_run_trial_drops_every_snr_point_of_a_singular_channel(monkeypatch):
