@@ -169,13 +169,12 @@ def sample_realization(params: ChannelParams, rng: np.random.Generator) -> Chann
 
 
 def to_beamspace(spatial: np.ndarray, lens: LensMatrix) -> np.ndarray:
-    """Transform spatial channel columns into the beamspace domain: U @ H.
+    """Transform the (N, K) spatial channel columns into the beamspace
+    domain: U @ H.
 
     Column norms are preserved (U is unitary).
     """
     spatial = np.asarray(spatial)
-    if spatial.ndim == 1:
-        spatial = spatial[:, None]
     if spatial.shape[0] != lens.matrix.shape[1]:
         raise ValueError(
             f"channel has {spatial.shape[0]} antennas but lens expects {lens.matrix.shape[1]}"

@@ -3,12 +3,12 @@ CSV/JSON emission.
 
 Every scheme and SNR point inside a trial consumes the identical channel
 realization, so scheme comparisons are paired. NOMA and OMA also share one
-beam grouping and ZF precoder, built the first time either runs; a failed
-build is not cached, so it drops both schemes with the same reason. `sweep`
-maps one list of (user-count cell, trial) jobs through a single worker pool,
-or a plain loop at `workers=1`; records are sorted before writing so the
-output files are byte-deterministic for a given master seed. Both output
-files are opened, under temp names, before the first trial.
+beam grouping and ZF precoder: `trial_link` builds that link once per trial,
+only when either runs, and a failed build drops both schemes with its one
+reason. `sweep` maps one list of (user-count cell, trial) jobs through a
+single worker pool, or a plain loop at `workers=1`; records are sorted before
+writing so the output files are byte-deterministic for a given master seed.
+Both output files are opened, under temp names, before the first trial.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import TextIO
 
 import numpy as np
@@ -86,27 +86,43 @@ def build_noma_link(beamspace: np.ndarray, variant: str) -> tuple[beams.BeamGrou
     return grouping, precoder
 
 
+def trial_link(config: SystemConfig, trial_index: int) -> tuple[np.ndarray, np.ndarray, object]:
+    """The trial's stage before its schemes: the spatial channel drawn from
+    `trial_rng`, its beamspace, and the NOMA link that NOMA and OMA share.
+
+    The link is a `rates.LinkGains`, built once and only when `noma` or `oma`
+    runs; otherwise it is None. A build failing with one of DROP_ERRORS
+    returns that error in the link's place, so both schemes drop with the one
+    reason.
+    """
+    realization = sample_realization(config.channel_params(), trial_rng(config.seed, trial_index))
+    beamspace = to_beamspace(realization.matrix, _lens(config.n_antennas))
+    try:
+        link = (rates.link_gains(*build_noma_link(beamspace, config.variant))
+                if "noma" in config.schemes or "oma" in config.schemes else None)
+    except DROP_ERRORS as err:
+        link = err
+    return realization.matrix, beamspace, link
+
+
 def run_trial(config: SystemConfig, trial_index: int) -> list[ExperimentRecord]:
     """Execute every configured scheme at every SNR point on one realization.
 
     The SNR points share the link and differ only in the noise, so each
     scheme runs once with one budget per SNR point and fills its own record
-    at each point. A scheme failing with one of DROP_ERRORS, its link build
-    included, is dropped at every SNR point; a non-finite sum rate (for NOMA,
-    at any iteration) drops that SNR point.
+    at each point, after `trial_link`. A scheme failing with one of
+    DROP_ERRORS, its link build included, is dropped at every SNR point; a
+    non-finite sum rate (for NOMA, at any iteration) drops that SNR point.
     """
-    rng = trial_rng(config.seed, trial_index)
-    realization = sample_realization(config.channel_params(), rng)
-    beamspace = to_beamspace(realization.matrix, _lens(config.n_antennas))
+    spatial, beamspace, link = trial_link(config, trial_index)
     budgets = [config.budget(snr_db) for snr_db in config.snr_db]
-    noma_link = cache(lambda: rates.link_gains(*build_noma_link(beamspace, config.variant)))
     # scheme -> its results at every SNR point: a PowerAllocation (noma), whose
     # `report` holds its rates, or a RateReport per budget
     batch = {
-        "noma": lambda: power.allocate_batch(noma_link(), budgets, config.optimizer_config()),
-        "oma": lambda: baselines.mimo_oma_batch(noma_link(), budgets),
+        "noma": lambda: power.allocate_batch(link, budgets, config.optimizer_config()),
+        "oma": lambda: baselines.mimo_oma_batch(link, budgets),
         "beamspace_mimo": lambda: baselines.beamspace_mimo_single_user_batch(beamspace, budgets),
-        "fully_digital": lambda: baselines.fully_digital_zf_batch(realization.matrix, budgets),
+        "fully_digital": lambda: baselines.fully_digital_zf_batch(spatial, budgets),
     }
 
     records = [ExperimentRecord(trial=trial_index, seed=config.seed, snr_db=snr_db,
@@ -118,6 +134,8 @@ def run_trial(config: SystemConfig, trial_index: int) -> list[ExperimentRecord]:
     for j, scheme in enumerate(config.schemes):
         own = records[j::len(config.schemes)]  # this scheme's record at each SNR point
         try:
+            if scheme in ("noma", "oma") and isinstance(link, Exception):
+                raise link
             results = batch[scheme]()
         except DROP_ERRORS as err:
             for rec in own:

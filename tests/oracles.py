@@ -28,6 +28,7 @@ for byte.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,15 +44,25 @@ from beamspace_noma.precoding import COND_LIMIT, PrecodingError, zf_columns
 from beamspace_noma.runner import DROP_ERRORS, _lens
 
 
+@lru_cache(maxsize=4)
+def _simplex_grid(steps):
+    """The integer points (i, j, steps - i - j) with i, j >= 0, ordered by i
+    and then j; built once per `steps` and shared read-only."""
+    counts = np.arange(steps + 1, 0, -1)  # the j values each i admits
+    i = np.repeat(np.arange(steps + 1), counts)
+    j = np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
+    grid = np.column_stack([i, j, steps - i - j])
+    grid.flags.writeable = False
+    return grid
+
+
 def simplex_grid_optimum(grouping, precoder, budget, steps=1000):
     """Best sum rate over the exhaustive grid on the budget face
     {p >= 0, sum p = P} with spacing P/steps. Three-user instances only."""
     lg = link_gains(grouping, precoder)
     if len(lg.users) != 3:
         raise ValueError("grid oracle is written for 3-user instances")
-    scale = budget.total_power_mw / steps
-    ij = np.array([(i, j) for i in range(steps + 1) for j in range(steps + 1 - i)])
-    points = np.column_stack([ij[:, 0], ij[:, 1], steps - ij[:, 0] - ij[:, 1]]) * scale
+    points = _simplex_grid(steps) * (budget.total_power_mw / steps)
     own, gains, beam_of = lg.own_gain, lg.gains, lg.beam_of
     beam_power = np.zeros((len(points), lg.n_rf))
     for n in range(lg.n_rf):
@@ -68,8 +79,8 @@ def simplex_grid_optimum(grouping, precoder, budget, steps=1000):
 
 
 def sequential_solve_budget(numer, denom_base, total_mw):
-    """The one-multiplier-at-a-time budget bisection that
-    `power._solve_budget` batches; it must return the same bits."""
+    """The one-multiplier-at-a-time budget bisection `power._bisect`; the
+    batched root `power._solve_budgets` must return the same bits."""
     p = _powers_at(numer, denom_base, 0.0)
     if p.sum() <= total_mw:
         return 0.0, p
@@ -255,8 +266,21 @@ def reference_mimo_oma(grouping, precoder, budget):
                       sum_rate=float(rates.sum()), n_rf=lg.n_rf)
 
 
+def _drop_reason(sum_rate, trace=()):
+    """Why a scheme's result is a drop: a non-finite sum rate, or for NOMA a
+    non-finite iterate, reported at the first one; "" keeps it."""
+    if not math.isfinite(sum_rate):
+        return f"non-finite sum rate {sum_rate!r}"
+    for t, rate in enumerate(trace, 1):
+        if not math.isfinite(rate):
+            return f"non-finite sum rate {rate!r} at iteration {t}"
+    return ""
+
+
 def reference_trial(config, trial_index):
-    """`runner.run_trial` as a loop over SNR points, one budget at a time."""
+    """`runner.run_trial` as a loop over SNR points, one budget at a time,
+    with its drop rule: a DROP_ERRORS failure, a non-finite sum rate or a
+    non-finite NOMA iterate drops the record."""
     realization = sample_realization(config.channel_params(), trial_rng(config.seed, trial_index))
     beamspace = to_beamspace(realization.matrix, _lens(config.n_antennas))
     noma_link, noma_error = None, None
@@ -273,30 +297,34 @@ def reference_trial(config, trial_index):
             rec = ExperimentRecord(trial=trial_index, seed=config.seed, snr_db=snr_db,
                                    scheme=scheme, variant=variant, k=config.n_users, n_rf=0,
                                    sum_rate=math.nan, energy_eff=math.nan)
+            records.append(rec)
             try:
                 if scheme in ("noma", "oma") and noma_error is not None:
                     raise noma_error
                 if scheme == "noma":
                     alloc = sequential_allocate(*noma_link, budget, config.max_iters,
                                                 config.min_rate)
-                    rec.n_rf, rec.sum_rate = noma_link[0].n_rf, alloc.report.sum_rate
-                    rec.feasible = alloc.feasible
-                    rec.trace = list(alloc.trace)
-                    rec.user_rates = [float(r) for r in alloc.report.rates_by_user]
+                    result = alloc.report
+                elif scheme == "oma":
+                    result = reference_mimo_oma(*noma_link, budget)
+                elif scheme == "beamspace_mimo":
+                    result = reference_beamspace_mimo(beamspace, budget)
                 else:
-                    if scheme == "oma":
-                        result = reference_mimo_oma(*noma_link, budget)
-                    elif scheme == "beamspace_mimo":
-                        result = reference_beamspace_mimo(beamspace, budget)
-                    else:
-                        result = reference_fully_digital_zf(realization.matrix, budget)
-                    rec.n_rf, rec.sum_rate = result.n_rf, result.sum_rate
-                rec.energy_eff = energy_efficiency(rec.sum_rate, rec.n_rf, budget,
-                                                   config.power_model())
+                    result = reference_fully_digital_zf(realization.matrix, budget)
             except DROP_ERRORS as err:
                 rec.dropped, rec.drop_reason = True, str(err)
-                rec.n_rf, rec.sum_rate, rec.energy_eff = 0, math.nan, math.nan
-            records.append(rec)
+                continue
+            reason = _drop_reason(result.sum_rate, alloc.trace if scheme == "noma" else ())
+            if reason:
+                rec.dropped, rec.drop_reason = True, reason
+                continue
+            rec.n_rf, rec.sum_rate = result.n_rf, result.sum_rate
+            if scheme == "noma":
+                rec.feasible = alloc.feasible
+                rec.trace = list(alloc.trace)
+                rec.user_rates = [float(r) for r in alloc.report.rates_by_user]
+            rec.energy_eff = energy_efficiency(rec.sum_rate, rec.n_rf, budget,
+                                               config.power_model())
     return records
 
 

@@ -107,7 +107,7 @@ def test_same_seed_is_bit_identical():
 def test_on_grid_channel_is_one_sparse():
     lens = lens_transform_matrix(4)
     h = steering_vector(lens.directions[1], 4)
-    hb = to_beamspace(h, lens)[:, 0]
+    hb = to_beamspace(h[:, None], lens)[:, 0]
     expected = np.zeros(4, dtype=complex)
     expected[1] = 1.0
     np.testing.assert_allclose(hb, expected, atol=1e-12)
@@ -139,7 +139,7 @@ def test_off_grid_peak_matches_brute_force_and_nearest_grid():
     for _ in range(25):
         theta = rng.uniform(-0.5, 0.5)
         h = (rng.standard_normal() + 1j * rng.standard_normal()) * steering_vector(theta, n)
-        peak = int(np.argmax(np.abs(to_beamspace(h, lens)[:, 0])))
+        peak = int(np.argmax(np.abs(to_beamspace(h[:, None], lens)[:, 0])))
         # oracle 1: direct inner products against every grid steering vector
         brute = int(np.argmax([abs(np.vdot(steering_vector(d, n), h)) for d in lens.directions]))
         assert peak == brute

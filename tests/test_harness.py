@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 
 import oracles
-from beamspace_noma import (BeamGrouping, ChannelParams, LinkBudget, OptimizerConfig,
+from beamspace_noma import (BeamGrouping, ChannelParams, LinkBudget, LinkGains, OptimizerConfig,
                             PowerModel, Precoder, PrecodingError, SystemConfig,
                             beamspace_mimo_single_user_batch, build_config,
                             equivalent_channel_strongest, equivalent_channel_svd,
-                            load_config_file, make_equivalent, proposition1_check, run_trial,
-                            sum_rate, sweep)
+                            lens_transform_matrix, load_config_file, make_equivalent,
+                            proposition1_check, run_trial, sample_realization, sum_rate, sweep,
+                            to_beamspace, trial_rng)
 from beamspace_noma.cli import main as cli_main
 from beamspace_noma.config import parse_int_list, parse_snr_spec
-from beamspace_noma.runner import CSV_COLUMNS, ExperimentRecord, summarize, write_csv
+from beamspace_noma.runner import (CSV_COLUMNS, ExperimentRecord, summarize, trial_link,
+                                    write_csv)
 
 
 def _small_config(tmp_path, **kw):
@@ -558,11 +560,28 @@ def test_noma_link_is_built_once_per_trial_and_only_for_noma_or_oma(tmp_path, mo
     assert calls == 3 * schemes
 
 
+@pytest.mark.parametrize("schemes", [["noma", "oma", "beamspace_mimo", "fully_digital"],
+                                     ["beamspace_mimo", "fully_digital"]])
+def test_trial_link_draws_the_trial_realization_and_builds_only_for_noma_or_oma(tmp_path,
+                                                                                 schemes):
+    config = _small_config(tmp_path, schemes=schemes)
+    lens = lens_transform_matrix(config.n_antennas)
+    for trial in range(2):
+        spatial, beamspace, link = trial_link(config, trial)
+        want = sample_realization(config.channel_params(), trial_rng(config.seed, trial)).matrix
+        assert spatial.tobytes() == want.tobytes()
+        assert beamspace.tobytes() == to_beamspace(want, lens).tobytes()
+        if "noma" in schemes:
+            assert isinstance(link, LinkGains)
+        else:
+            assert link is None
+
+
 def test_failed_link_build_drops_noma_and_oma_at_every_snr_point(tmp_path, monkeypatch):
     builds = _count_link_builds(monkeypatch, PrecodingError("ill-conditioned link"))
     config = _small_config(tmp_path, snr_db=[0.0, 10.0, 20.0])
     records = run_trial(config, 0)
-    assert len(builds) == 2  # a failed build is not cached: OMA builds again
+    assert len(builds) == 1  # the failed build is the link NOMA and OMA both drop on
     assert [(r.snr_db, r.scheme) for r in records] == [
         (snr_db, scheme) for snr_db in config.snr_db for scheme in config.schemes]
     for rec in records:
