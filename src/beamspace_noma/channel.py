@@ -4,9 +4,9 @@ Spatial directions are used directly: theta = (d/lambda)*sin(phi) with
 half-wavelength spacing, so theta lives in [-1/2, 1/2] and the lens grid
 is orthonormal. Wavelength and physical angles never need to be instantiated.
 
-A trial's steering matrix exp(-j 2 pi theta m)/sqrt(N) is computed on the
-m >= 0 rows only; each m < 0 row is the conjugate of its mirror row, bit for
-bit:
+A trial's steering matrix exp(-j 2 pi theta m)/sqrt(N), and the lens (the
+steering matrix at the negated grid, transposed), is computed on the m >= 0
+rows only; each m < 0 row is the conjugate of its mirror row, bit for bit:
 - the index set is exactly symmetric (m and -m are both exact), so the
   products x = m*theta of mirror rows are exact negations;
 - numpy multiplies x by the scalar -2j*pi = (+0.0) + (-2 pi)j as the complex
@@ -18,7 +18,8 @@ bit:
   conjugation.
 A zero product (theta = 0, or |theta| so small that m*theta underflows) has
 imaginary part +0.0 on both rows, which conjugation would not reproduce, so a
-direction outside MIRROR_RANGE sends the whole trial to the direct exp.
+direction outside MIRROR_RANGE (the zero grid direction of an odd-N lens
+among them) sends the whole matrix to the direct exp.
 """
 
 from __future__ import annotations
@@ -131,9 +132,9 @@ def lens_transform_matrix(n_antennas: int) -> LensMatrix:
         raise ValueError(f"lens needs at least 2 antennas, got {n_antennas}")
     n = n_antennas
     grid = (np.arange(1, n + 1) - (n + 1) / 2.0) / n
-    m = _sym_indices(n)
-    # row i = conj(a(grid[i]))^T
-    u = np.exp(2j * np.pi * np.outer(grid, m)) / np.sqrt(n)
+    # row i = conj(a(grid[i]))^T = a(-grid[i])^T, bit for bit on the symmetric
+    # grid; C order, since the bits of the per-trial U @ H follow the layout
+    u = np.ascontiguousarray(_steering_matrix(n, -grid).T)
     return LensMatrix(matrix=u, directions=grid)
 
 

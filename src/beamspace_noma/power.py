@@ -374,16 +374,35 @@ def _bisect(numer: np.ndarray, denom_base: np.ndarray, total: float) -> tuple[fl
     at zero, doubling from one until the budget is met (at most DOUBLINGS
     rungs), then halvings of [0, 1] or of the last doubling until the sum is
     within BUDGET_TOL * total of the budget, a midpoint meets an endpoint or
-    MAX_HALVINGS is reached. Returns the upper end and its powers."""
+    MAX_HALVINGS is reached. Returns the upper end and its powers.
+
+    The doubling gallops to the same rung: it tries the exponents 0, 1, 2, 4,
+    8, ... (the last DOUBLINGS - 1), then bisects on the exponent between the
+    last that misses the budget and the first that meets it. S is
+    non-increasing, and a NaN sum misses at every rung, so the rungs that meet
+    it are exactly those from the ladder's stop up. When none does, the ladder
+    stops at 2**DOUBLINGS holding the powers at its last rung, and so does
+    this."""
     p = _powers_at(numer, denom_base, 0.0)
     if p.sum() <= total:
         return 0.0, p
-    hi = 1.0
-    for _ in range(DOUBLINGS):
-        p = _powers_at(numer, denom_base, hi)
-        if p.sum() <= total:
-            break
-        hi *= 2.0
+    # p holds the powers at 2**rung; `failed` is the highest exponent known to miss
+    failed, rung = -1, 0
+    p = _powers_at(numer, denom_base, 1.0)
+    while not p.sum() <= total and rung < DOUBLINGS - 1:
+        failed, rung = rung, min(2 * rung or 1, DOUBLINGS - 1)
+        p = _powers_at(numer, denom_base, math.ldexp(1.0, rung))
+    if p.sum() <= total:
+        while rung - failed > 1:
+            mid = (failed + rung) // 2
+            p_mid = _powers_at(numer, denom_base, math.ldexp(1.0, mid))
+            if p_mid.sum() <= total:
+                rung, p = mid, p_mid
+            else:
+                failed = mid
+        hi = math.ldexp(1.0, rung)
+    else:
+        hi = math.ldexp(1.0, DOUBLINGS)
     lo = hi / 2.0 if hi > 1.0 else 0.0
     for _ in range(MAX_HALVINGS):
         mid = (lo + hi) / 2.0

@@ -17,7 +17,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TextIO
@@ -223,6 +222,8 @@ def sweep(config: SystemConfig, mode: str) -> SweepResult:
               open(temps[1], "w", encoding="utf-8") as json_fh):
             jobs = [(cell, t) for cell in cells for t in range(cell.trials)]
             if config.workers > 1:
+                # imported here: multiprocessing adds to every start, and one worker never uses it
+                from concurrent.futures import ProcessPoolExecutor
                 with ProcessPoolExecutor(max_workers=config.workers) as pool:
                     chunks = list(pool.map(run_trial, *zip(*jobs)))
             else:

@@ -52,6 +52,15 @@ def test_lens_unitarity(n):
     assert np.max(np.abs(u @ u.conj().T - np.eye(n))) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [*range(2, 131), 256, 512])
+def test_lens_is_the_direct_exp_bit_for_bit(n):
+    lens = lens_transform_matrix(n)
+    m = np.arange(n) - (n - 1) / 2.0
+    direct = np.exp(2j * np.pi * np.outer(lens.directions, m)) / np.sqrt(n)
+    assert lens.matrix.tobytes() == direct.tobytes()
+    assert lens.matrix.flags.c_contiguous
+
+
 def test_single_path_norm_equals_gain():
     params = ChannelParams(n_antennas=8, n_users=1, n_nlos=0)
     real = sample_realization(params, trial_rng(1, 0))

@@ -271,6 +271,17 @@ def test_overflowing_svd_mix_is_a_recorded_drop():
             assert repr(rec_svd.__dict__) == repr(rec_strongest.__dict__)
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_svd_mix_drops_without_a_warning():
+    # the power iteration's norms overflow on this link: NOMA and OMA drop with
+    # the one reason and no RuntimeWarning reaches stderr
+    records = run_trial(_overflow_config("svd"), 0)
+    reason = "equivalent channel has non-finite entries"
+    assert [(r.scheme, r.dropped, r.drop_reason) for r in records] == [
+        ("noma", True, reason), ("oma", True, reason),
+        ("beamspace_mimo", False, ""), ("fully_digital", False, "")]
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_overflowing_svd_mix_keeps_the_cli_running(tmp_path):
     cfg = tmp_path / "overflow.cfg"

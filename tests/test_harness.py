@@ -1,11 +1,15 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import beamspace_noma
 import oracles
 from beamspace_noma import (BeamGrouping, ChannelParams, LinkBudget, LinkGains, OptimizerConfig,
                             PowerModel, Precoder, PrecodingError, SystemConfig,
@@ -147,6 +151,17 @@ def test_worker_pool_matches_sequential(tmp_path):
                     mode)
         assert open(seq.csv_path, "rb").read() == open(par.csv_path, "rb").read()
         assert open(seq.json_path, "rb").read() == open(par.json_path, "rb").read()
+
+
+def test_cli_import_leaves_out_the_process_pool():
+    # only a run with workers > 1 loads concurrent.futures.process and multiprocessing
+    src = os.path.dirname(os.path.dirname(beamspace_noma.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, beamspace_noma.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"
 
 
 def _assert_json_is_reference(result, config, mode):
