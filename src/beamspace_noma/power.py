@@ -128,20 +128,18 @@ def proposition1_check(b: float, grid: np.ndarray) -> tuple[float, float]:
 # block updates
 # ---------------------------------------------------------------------------
 
-def _equalizers(lg: LinkGains, powers: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    return np.conj(np.sqrt(powers) * lg.own) / (powers * lg.own_gain + xi)
-
-
-def _mmse(lg: LinkGains, powers: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    return xi / (powers * lg.own_gain + xi)
+def _mmse_terms(lg: LinkGains, p: np.ndarray, xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Equalizers c and minimized MSEs e = 1/(1 + sinr), over one p*|h^H w|^2 + xi."""
+    total = p * lg.own_gain + xi
+    return np.conj(np.sqrt(p) * lg.own) / total, xi / total
 
 
 def mmse_error(powers: np.ndarray, grouping: BeamGrouping, precoder: Precoder,
                noise_mw: float) -> np.ndarray:
     """Minimized per-user MSE values e_opt at the given powers."""
-    lg = link_gains(grouping, precoder)
-    powers = np.asarray(powers, dtype=float)
-    return _mmse(lg, powers, interference_vector(lg, powers[None], np.array([noise_mw]))[0])
+    lg, powers = link_gains(grouping, precoder), np.asarray(powers, dtype=float)
+    xi = interference_vector(lg, powers[None], np.array([noise_mw]))[0]
+    return _mmse_terms(lg, powers, xi)[1]
 
 
 def _base_denominator(lg: LinkGains, c: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -528,9 +526,8 @@ def allocate_batch(lg: LinkGains, budgets: Sequence[LinkBudget],
     live, live_total, live_noise = np.arange(n_rows), total, noise
     final = np.empty_like(p), np.empty_like(lam), np.empty_like(mu), np.empty_like(xi)
     for _ in range(config.max_iters):
-        c = _equalizers(lg, p, xi)
-        a = 1.0 / _mmse(lg, p, xi)
-        p, lam, mu, _, _ = _update_p_rows(lg, c, a, eta, live_total, live_noise, lam)
+        c, e = _mmse_terms(lg, p, xi)  # the weights are a = 1/e
+        p, lam, mu, _, _ = _update_p_rows(lg, c, 1.0 / e, eta, live_total, live_noise, lam)
         xi = interference_vector(lg, p, live_noise)
         keep = []
         for row, rate, used in zip(live.tolist(), sum_rates(lg, p, xi).tolist(),

@@ -72,7 +72,6 @@ class RateReport:
 
     users: np.ndarray         # original user indices
     sinr: np.ndarray
-    interference: np.ndarray  # denominator terms incl. noise
     rates: np.ndarray         # bps/Hz
     sum_rate: float
     n_rf: int
@@ -152,22 +151,26 @@ def interference_vector(lg: LinkGains, powers: np.ndarray, noise_mw: np.ndarray)
     return lg.own_gain * seg_excl_cumsum(powers, lg.beam_start) + inter + noise_mw[:, None]
 
 
+def _log_rates(desired: np.ndarray, interference: np.ndarray,
+               share: float | np.ndarray = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """sinr = desired / interference and rates = share * log2(1 + sinr), share being
+    each user's resource fraction; a NaN iterate rates NaN without a warning."""
+    with np.errstate(invalid="ignore"):
+        gamma = desired / interference
+        return gamma, share * np.log2(1.0 + gamma)
+
+
 def reports(users: np.ndarray, n_rf: int, desired: np.ndarray, interference: np.ndarray,
             share: float | np.ndarray = 1.0) -> list[RateReport]:
-    """One report per row of (S, K) desired-signal powers and their
-    interference-plus-noise terms: sinr = desired / interference and
-    rates = share * log2(1 + sinr), share being each user's resource fraction."""
-    gamma = desired / interference
-    rates = share * np.log2(1.0 + gamma)
-    return [RateReport(users=users, sinr=g, interference=x, rates=r, sum_rate=total,
-                       n_rf=n_rf)
-            for g, x, r, total in zip(gamma, interference, rates, rates.sum(axis=-1).tolist())]
+    """One report per row of (S, K) desired-signal and interference-plus-noise powers."""
+    gamma, rates = _log_rates(desired, interference, share)
+    return [RateReport(users=users, sinr=g, rates=r, sum_rate=total, n_rf=n_rf)
+            for g, r, total in zip(gamma, rates, rates.sum(axis=-1).tolist())]
 
 
 def sum_rates(lg: LinkGains, powers: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """The sum rates of `rate_reports`, bit for bit, without building reports:
-    (S,) for (S, K) powers and their interference-plus-noise rows xi."""
-    return np.log2(1.0 + lg.own_gain * powers / xi).sum(axis=-1)
+    """The (S,) sum rates of `rate_reports`, without building the reports."""
+    return _log_rates(lg.own_gain * powers, xi)[1].sum(axis=-1)
 
 
 def rate_reports(lg: LinkGains, powers: np.ndarray, xi: np.ndarray) -> list[RateReport]:
@@ -181,9 +184,8 @@ def sinr(m: int, n: int, grouping: BeamGrouping, precoder: Precoder,
     """Post-SIC SINR of the m-th user (0-based) of beam n."""
     powers = np.asarray(powers, dtype=float)
     lg = link_gains(grouping, precoder)
-    u = int(np.searchsorted(lg.beam_of, n)) + m
-    xi = interference_vector(lg, powers[None], np.array([noise_mw]))[0, u]
-    return float(lg.own_gain[u] * powers[u] / xi)
+    xi = interference_vector(lg, powers[None], np.array([noise_mw]))
+    return float(rate_reports(lg, powers[None], xi)[0].sinr[np.searchsorted(lg.beam_of, n) + m])
 
 
 def sum_rate(grouping: BeamGrouping, precoder: Precoder, powers: np.ndarray,

@@ -14,6 +14,10 @@ The link-layer references (`reference_zf_columns`,
 ZF build that always ran the SVD condition check, the power iteration
 without its one-row closed form and the order check that evaluated
 one-member beams; the current code must match them bit for bit.
+`reference_noma_link` builds the NOMA link from them and the front-end
+references, and `reference_trial` and the baseline references take their ZF
+from them, so a trial's link shares no code with `runner.build_noma_link`
+past the beam selection.
 
 The front-end references (`reference_sample_realization`,
 `reference_group_users`, `reference_equivalent_channel_svd`,
@@ -33,14 +37,13 @@ from functools import lru_cache
 import numpy as np
 
 from beamspace_noma import (BeamGrouping, ChannelRealization, DualSolution,
-                            ExperimentRecord, PowerAllocation,
-                            RateReport, build_noma_link,
+                            ExperimentRecord, PowerAllocation, Precoder, RateReport,
                             equivalent_channel_strongest, energy_efficiency, link_gains,
-                            sample_realization, to_beamspace, trial_rng, zf_precoder)
+                            sample_realization, select_beams, to_beamspace, trial_rng)
 from beamspace_noma.channel import DIRECTION_RANGE
 from beamspace_noma.power import (BUDGET_TOL, OUTER_CAP, RATE_SLACK, STAGNATION_PATIENCE,
                                   STAGNATION_TOL, VIOLATION_TOL)
-from beamspace_noma.precoding import COND_LIMIT, PrecodingError, zf_columns
+from beamspace_noma.precoding import COND_LIMIT, PrecodingError
 from beamspace_noma.runner import DROP_ERRORS, _lens
 
 
@@ -132,7 +135,7 @@ def interference_vector(lg, powers, noise_mw):
 def rate_report(lg, powers, xi):
     gamma = lg.own_gain * powers / xi
     rates = np.log2(1.0 + gamma)
-    return RateReport(users=lg.users, sinr=gamma, interference=xi, rates=rates,
+    return RateReport(users=lg.users, sinr=gamma, rates=rates,
                       sum_rate=float(rates.sum()), n_rf=lg.n_rf)
 
 
@@ -214,14 +217,14 @@ def sequential_allocate(grouping, precoder, budget, max_iters, min_rate):
 
 def reference_fully_digital_zf(spatial, budget):
     n, k = spatial.shape
-    w, _ = zf_columns(spatial, "channel")
+    w, _ = reference_zf_columns(spatial, "channel")
     g = np.abs(spatial.conj().T @ w) ** 2
     per_user = budget.total_power_mw / k
     desired = np.diag(g) * per_user
     interf = (g.sum(axis=1) - np.diag(g)) * per_user + budget.noise_mw
     gamma = desired / interf
     rates = np.log2(1.0 + gamma)
-    return RateReport(users=np.arange(k), sinr=gamma, interference=interf, rates=rates,
+    return RateReport(users=np.arange(k), sinr=gamma, rates=rates,
                       sum_rate=float(rates.sum()), n_rf=n)
 
 
@@ -249,7 +252,7 @@ def reference_beamspace_mimo(beamspace, budget):
     for user, beam in claimed.items():
         beams[beam_rank[beam]] = np.array([user])
     grouping = BeamGrouping(beams=beams, reduced=beamspace[selected, :], selected=selected)
-    lg = link_gains(grouping, zf_precoder(equivalent_channel_strongest(grouping)))
+    lg = link_gains(grouping, reference_zf_precoder(equivalent_channel_strongest(grouping)))
     powers = np.full(k, budget.total_power_mw / k)
     return rate_report(lg, powers, interference_vector(lg, powers, budget.noise_mw))
 
@@ -262,7 +265,7 @@ def reference_mimo_oma(grouping, precoder, budget):
     gamma = lg.own_gain * per_beam / xi
     share = 1.0 / np.array([len(grouping.beams[b]) for b in lg.beam_of])
     rates = share * np.log2(1.0 + gamma)
-    return RateReport(users=lg.users, sinr=gamma, interference=xi, rates=rates,
+    return RateReport(users=lg.users, sinr=gamma, rates=rates,
                       sum_rate=float(rates.sum()), n_rf=lg.n_rf)
 
 
@@ -286,7 +289,7 @@ def reference_trial(config, trial_index):
     noma_link, noma_error = None, None
     if "noma" in config.schemes or "oma" in config.schemes:
         try:
-            noma_link = build_noma_link(beamspace, config.variant)
+            noma_link = reference_noma_link(beamspace, config.variant)
         except DROP_ERRORS as err:
             noma_error = err
     records = []
@@ -337,6 +340,36 @@ def reference_zf_columns(h, what):
     w_raw = h @ np.linalg.inv(h.conj().T @ h)
     residual = float(np.max(np.abs(h.conj().T @ w_raw - np.eye(h.shape[1]))))
     return w_raw / np.linalg.norm(w_raw, axis=0, keepdims=True), residual
+
+
+def reference_zf_precoder(equivalent):
+    """`zf_precoder` through `reference_zf_columns`."""
+    if not np.isfinite(equivalent).all():
+        raise PrecodingError("equivalent channel has non-finite entries",
+                             condition=float("nan"))
+    w, residual = reference_zf_columns(equivalent, "equivalent channel")
+    return Precoder(matrix=w, zf_residual=residual)
+
+
+def reference_noma_link(beamspace, variant):
+    """`runner.build_noma_link` from the reference grouping, SVD equivalent
+    channel, ZF and order check: the violating beams re-sorted once and the
+    precoder rebuilt once."""
+    def precoder_of(grouping):
+        if variant == "svd":
+            return reference_zf_precoder(reference_equivalent_channel_svd(grouping))
+        return reference_zf_precoder(grouping.reduced[:, [m[0] for m in grouping.beams]])
+
+    grouping = reference_group_users(select_beams(beamspace), beamspace)
+    precoder = precoder_of(grouping)
+    repairs = reference_verify_order(grouping, precoder)
+    if repairs:
+        beams = [members[repairs[n]] if n in repairs else members
+                 for n, members in enumerate(grouping.beams)]
+        grouping = BeamGrouping(beams=beams, reduced=grouping.reduced,
+                                selected=grouping.selected)
+        precoder = precoder_of(grouping)
+    return grouping, precoder
 
 
 def reference_top_left_singular_vector(mat, tol=1e-12, max_iters=10_000):

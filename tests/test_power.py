@@ -6,7 +6,7 @@ import pytest
 from beamspace_noma import (BeamGrouping, LinkBudget, OptimizerConfig, Precoder, allocate,
                             link_gains, mmse_error, proposition1_check, sinr, sum_rate,
                             update_p)
-from beamspace_noma.power import (_base_denominator, _equalizers, _mmse, _powers_at,
+from beamspace_noma.power import (_base_denominator, _mmse_terms, _powers_at,
                                   _with_rate_multipliers)
 
 from conftest import xi_one
@@ -30,7 +30,7 @@ def test_update_c_reference_point():
     for p, want in ((1.0, pytest.approx(0.5, abs=1e-15)), (0.0, 0.0)):
         powers = np.array([p])
         xi = xi_one(lg, powers, 1.0)
-        assert _equalizers(lg, powers, xi)[0] == want
+        assert _mmse_terms(lg, powers, xi)[0][0] == want
 
 
 def test_update_c_beats_local_grid(random_link, budget):
@@ -39,7 +39,7 @@ def test_update_c_beats_local_grid(random_link, budget):
     powers = rng.uniform(0.2, 2.0, size=5)
     lg = link_gains(grouping, precoder)
     xi_all = xi_one(lg, powers, budget.noise_mw)
-    c = _equalizers(lg, powers, xi_all)
+    c = _mmse_terms(lg, powers, xi_all)[0]
     for n, members in enumerate(grouping.beams):
         for m, user in enumerate(members):
             u = list(lg.users).index(user)
@@ -56,7 +56,7 @@ def test_update_a_reference_points():
     # p = 1, gain 1, noise 1 -> sinr 1 -> e = 1/2, a = 2
     for p, want, tol in ((1.0, 2.0, 1e-12), (0.0, 1.0, 1e-15)):
         powers = np.array([p])
-        a = 1.0 / _mmse(lg, powers, xi_one(lg, powers, 1.0))
+        a = 1.0 / _mmse_terms(lg, powers, xi_one(lg, powers, 1.0))[1]
         assert a[0] == pytest.approx(want, abs=tol)
 
 
@@ -66,7 +66,7 @@ def test_update_a_equals_one_plus_sinr(random_link, budget):
     powers = rng.uniform(0.0, 2.0, size=6)
     lg = link_gains(grouping, precoder)
     xi = xi_one(lg, powers, budget.noise_mw)
-    a = 1.0 / _mmse(lg, powers, xi)
+    a = 1.0 / _mmse_terms(lg, powers, xi)[1]
     for n, members in enumerate(grouping.beams):
         for m, user in enumerate(members):
             u = list(lg.users).index(user)
@@ -95,7 +95,8 @@ def test_update_p_single_user_takes_full_budget():
     p0 = np.array([budget.total_power_mw])
     lg = link_gains(g, w)
     xi = xi_one(lg, p0, budget.noise_mw)
-    c, a = _equalizers(lg, p0, xi), 1.0 / _mmse(lg, p0, xi)
+    c, e = _mmse_terms(lg, p0, xi)
+    a = 1.0 / e
     p, duals = update_p(c, a, g, w, config, budget)
     assert p[0] == pytest.approx(5.0, rel=1e-8)
     assert duals.budget_multiplier > 0
@@ -116,7 +117,8 @@ def test_update_p_fills_budget_on_multiuser_instance(random_link):
         p = np.full(3, budget.total_power_mw / 3)
         lg = link_gains(grouping, precoder)
         xi = xi_one(lg, p, budget.noise_mw)
-        c, a = _equalizers(lg, p, xi), 1.0 / _mmse(lg, p, xi)
+        c, e = _mmse_terms(lg, p, xi)
+        a = 1.0 / e
         p_new, _ = update_p(c, a, grouping, precoder, OptimizerConfig(), budget)
         assert abs(p_new.sum() - 1.0) <= 1e-9
         assert np.all(p_new >= 0)
@@ -127,7 +129,8 @@ def test_budget_multiplier_monotonically_drains_power(random_link, budget):
     lg = link_gains(grouping, precoder)
     p0 = np.full(5, 1.0)
     xi = xi_one(lg, p0, budget.noise_mw)
-    c, a = _equalizers(lg, p0, xi), 1.0 / _mmse(lg, p0, xi)
+    c, e = _mmse_terms(lg, p0, xi)
+    a = 1.0 / e
     numer = a * np.real(c * lg.own)
     denom = _with_rate_multipliers(lg, _base_denominator(lg, c, a), np.zeros(5), 0.0)
     totals = [_powers_at(numer, denom, lam).sum() for lam in np.geomspace(1e-4, 1e3, 40)]
@@ -225,7 +228,7 @@ def test_allocate_report_is_sum_rate_at_final_powers(random_link, snr_db, min_ra
         alloc = allocate(grouping, precoder, budget,
                          OptimizerConfig(max_iters=15, min_rate=min_rate))
         ref = sum_rate(grouping, precoder, alloc.powers, budget)
-        for name in ("users", "sinr", "interference", "rates"):
+        for name in ("users", "sinr", "rates"):
             np.testing.assert_array_equal(getattr(alloc.report, name), getattr(ref, name))
         assert alloc.report.sum_rate == ref.sum_rate
         assert alloc.report.n_rf == ref.n_rf
