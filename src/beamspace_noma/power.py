@@ -360,7 +360,7 @@ def _certify(numer: np.ndarray, denom_base: np.ndarray, picks: list, totals: lis
             picks, table.sum(axis=-1).tolist(), table):
         total, tol = totals[row], BUDGET_TOL * totals[row]
         if below > total >= at and (
-                above <= total and total - above > tol if total - at <= tol
+                total - above > tol if total - at <= tol
                 else math.nextafter(below_node, math.inf) == node):
             lam[row], powers[row] = node, row_table[1]
             certified.add(row)

@@ -134,23 +134,22 @@ def equivalent_channel_svd(grouping: BeamGrouping) -> np.ndarray:
     lone = [n for n, members in enumerate(grouping.beams) if len(members) == 1]
     iterate = [n for n, members in enumerate(grouping.beams) if len(members) > 1]
     eq = np.empty((grouping.reduced.shape[0], grouping.n_rf), dtype=complex)
-    # a beam whose squares overflow (a huge LoS variance) ends in non-finite
-    # entries, which `zf_precoder` drops with its one check per link
-    with np.errstate(over="ignore", invalid="ignore"):
-        if lone:
-            users = [grouping.beams[n][0] for n in lone]
-            rows = np.ascontiguousarray(grouping.reduced[:, users].T)
-            # ||h||_F == 0 exactly when every squared part underflows to zero
-            if not (rows.real ** 2 + rows.imag ** 2).any(axis=1).all():
-                raise ValueError("zero matrix has no dominant singular vector")
-            closed = _one_row_closed((rows[:, None, :] @ rows.conj()[:, :, None])[:, 0, 0])
-            cols = rows[closed][:, :, None] @ np.array([[1.0 + 0j]]).conj()  # h @ u* at u = [1+0j]
-            eq[:, np.asarray(lone)[closed]] = cols[:, :, 0].T
-            iterate += [n for n, c in zip(lone, closed.tolist()) if not c]
-        for n in iterate:
-            h_n = grouping.beam_channels(n)
-            u, _ = top_left_singular_vector(h_n.T)
-            eq[:, n] = h_n @ u.conj()
+    # squares that overflow (a huge LoS variance) end in non-finite entries, which
+    # `zf_precoder` drops with its one check per link, silently in `run_trial`
+    if lone:
+        users = [grouping.beams[n][0] for n in lone]
+        rows = np.ascontiguousarray(grouping.reduced[:, users].T)
+        # ||h||_F == 0 exactly when every squared part underflows to zero
+        if not (rows.real ** 2 + rows.imag ** 2).any(axis=1).all():
+            raise ValueError("zero matrix has no dominant singular vector")
+        closed = _one_row_closed((rows[:, None, :] @ rows.conj()[:, :, None])[:, 0, 0])
+        cols = rows[closed][:, :, None] @ np.array([[1.0 + 0j]]).conj()  # h @ u* at u = [1+0j]
+        eq[:, np.asarray(lone)[closed]] = cols[:, :, 0].T
+        iterate += [n for n, c in zip(lone, closed.tolist()) if not c]
+    for n in iterate:
+        h_n = grouping.beam_channels(n)
+        u, _ = top_left_singular_vector(h_n.T)
+        eq[:, n] = h_n @ u.conj()
     return eq
 
 

@@ -154,10 +154,9 @@ def interference_vector(lg: LinkGains, powers: np.ndarray, noise_mw: np.ndarray)
 def _log_rates(desired: np.ndarray, interference: np.ndarray,
                share: float | np.ndarray = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """sinr = desired / interference and rates = share * log2(1 + sinr), share being
-    each user's resource fraction; a NaN iterate rates NaN without a warning."""
-    with np.errstate(invalid="ignore"):
-        gamma = desired / interference
-        return gamma, share * np.log2(1.0 + gamma)
+    each user's resource fraction; a NaN iterate rates NaN, silently in `run_trial`."""
+    gamma = desired / interference
+    return gamma, share * np.log2(1.0 + gamma)
 
 
 def reports(users: np.ndarray, n_rf: int, desired: np.ndarray, interference: np.ndarray,

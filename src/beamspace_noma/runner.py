@@ -104,6 +104,7 @@ def trial_link(config: SystemConfig, trial_index: int) -> tuple[np.ndarray, np.n
     return realization.matrix, beamspace, link
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def run_trial(config: SystemConfig, trial_index: int) -> list[ExperimentRecord]:
     """Execute every configured scheme at every SNR point on one realization.
 
@@ -112,6 +113,7 @@ def run_trial(config: SystemConfig, trial_index: int) -> list[ExperimentRecord]:
     at each point, after `trial_link`. A scheme failing with one of
     DROP_ERRORS, its link build included, is dropped at every SNR point; a
     non-finite sum rate (for NOMA, at any iteration) drops that SNR point.
+    Non-finite arithmetic ends in these drops, so numpy's warnings are off here.
     """
     spatial, beamspace, link = trial_link(config, trial_index)
     budgets = [config.budget(snr_db) for snr_db in config.snr_db]

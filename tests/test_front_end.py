@@ -256,7 +256,7 @@ def _overflow_config(variant):
                         los_variance=1e300, snr_db=[10.0])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_svd_mix_is_a_recorded_drop():
     svd = run_trial(_overflow_config("svd"), 0)
     strongest = run_trial(_overflow_config("strongest"), 0)
@@ -282,7 +282,7 @@ def test_overflowing_svd_mix_drops_without_a_warning():
         ("beamspace_mimo", False, ""), ("fully_digital", False, "")]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_svd_mix_keeps_the_cli_running(tmp_path):
     cfg = tmp_path / "overflow.cfg"
     cfg.write_text("n_antennas = 16\nn_users = 4\nlos_variance = 1e300\n")

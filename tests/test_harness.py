@@ -607,7 +607,7 @@ def test_failed_link_build_drops_noma_and_oma_at_every_snr_point(tmp_path, monke
             assert not rec.dropped and math.isfinite(rec.sum_rate)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_drops_nan_sum_rates_at_200_db(tmp_path, capsys):
     # at 200 dB two of the four full-scale NOMA allocations end in NaN rates
     # and the other two pass through NaN iterates on the way, so all four are
@@ -637,7 +637,7 @@ def test_cli_drops_nan_sum_rates_at_200_db(tmp_path, capsys):
     assert math.isfinite(oma_cell["mean_se"]) and math.isfinite(oma_cell["mean_ee"])
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("variant", ["strongest", "svd"])
 def test_overflowing_gains_are_recorded_drops(variant):
     # the gains overflow at this LoS variance while every ZF certificate
@@ -820,7 +820,7 @@ def test_config_file_rejects_an_empty_or_descending_sweep_naming_the_line(tmp_pa
     assert earlier.read_bytes() == b"earlier results\n"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("los_variance, iteration", [(1e250, 1), (1e200, 2)])
 def test_noma_with_a_non_finite_iterate_is_a_recorded_drop(los_variance, iteration):
     # the traces were [nan, 0.0, 0.0, 0.0] and [1999.9, nan, 666.3, 666.3]:

@@ -2,6 +2,7 @@
 one-budget-at-a-time references in oracles.py, bit for bit."""
 
 import math
+import warnings
 from dataclasses import asdict
 from types import SimpleNamespace
 from unittest.mock import patch
@@ -303,6 +304,36 @@ def test_nan_iterates_drop_noma_without_a_warning(los_variance, variant):
     others = [rec for rec in records if rec.scheme != "noma"]
     assert len(others) == 9 and not any(rec.dropped for rec in others)
     assert all(math.isfinite(rec.sum_rate) for rec in others)
+
+
+@st.composite
+def _extreme_configs(draw):
+    """Configs of every scheme at any LoS variance a float holds (10^u, u in
+    -300..308) and SNR points in -50..300 dB, where the link's arithmetic
+    overflows, underflows and goes NaN."""
+    n = draw(st.integers(8, 16))
+    return SystemConfig(n_antennas=n, n_users=draw(st.integers(2, min(8, n))),
+                        n_nlos=draw(st.integers(0, 3)),
+                        los_variance=10.0 ** draw(st.floats(-300.0, 308.0)),
+                        snr_db=list(dict.fromkeys(draw(st.lists(st.floats(-50.0, 300.0),
+                                                                min_size=1, max_size=3)))),
+                        max_iters=draw(st.integers(0, 5)), min_rate=0.0,
+                        variant=draw(st.sampled_from(["strongest", "svd"])),
+                        trials=1, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(config=_extreme_configs())
+def test_run_trial_keeps_finite_records_or_drops_them_without_a_warning(config):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        records = run_trial(config, 0)
+    assert len(records) == len(config.snr_db) * len(config.schemes)
+    for rec in records:
+        if rec.dropped:
+            assert rec.drop_reason
+        else:
+            assert math.isfinite(rec.sum_rate) and math.isfinite(rec.energy_eff), rec
 
 
 @st.composite
