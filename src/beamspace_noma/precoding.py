@@ -6,17 +6,17 @@ either its strongest user's channel or a dominant-singular-vector mix of
 all its users' channels. `make_equivalent` returns the square equivalent
 matrix as a plain array, and `zf_precoder` takes ZF on it.
 
-A channel whose condition number exceeds COND_LIMIT drops the trial. ZF
-builds the Gram inverse anyway, so it first tries to certify the
-conditioning from that inverse. For G = H^H H, its computed inverse X and
-E = G X - I (the ZF residual H^H W - I, up to rounding far below 1/2),
-||E||_2 <= n max|E_ij| <= 1/2 gives ||G^-1||_2 <= 2 ||X||_2, hence
-cond_2(G) <= 2n ||G||_1 ||X||_1, and cond(H) = sqrt(cond_2(G)). With the
-product of 1-norms at most CERT_LIMIT, cond(H) <= 1e4 sqrt(2n): for any
-realistic n that is many orders of magnitude below COND_LIMIT, far outside
-the SVD's own rounding, so the SVD would pass the channel too. Only channels
-the bound cannot place (a singular Gram, a NaN, a loose bound) pay for the
-SVD, which then decides exactly as before.
+A channel whose condition number exceeds COND_LIMIT drops the trial, and
+any other gets columns that zero-force it. ZF first tries to certify the
+Gram inverse. For G = H^H H, its computed inverse X and E = G X - I (the ZF
+residual H^H W - I, up to rounding far below 1/2), ||E||_2 <= n max|E_ij|
+<= 1/2 gives ||G^-1||_2 <= 2 ||X||_2, hence cond_2(G) <= 2n ||G||_1 ||X||_1,
+and cond(H) = sqrt(cond_2(G)). With the product of 1-norms at most
+CERT_LIMIT, cond(H) <= 1e4 sqrt(2n): for any realistic n that is many orders
+of magnitude below COND_LIMIT, far outside the SVD's own rounding, so the SVD
+would pass the channel too. Past the certificate (a singular Gram, a NaN, a
+loose bound) the SVD condition number decides the drop, and since the Gram
+squares cond(H), a kept channel takes its columns from one SVD instead.
 """
 
 from __future__ import annotations
@@ -160,28 +160,28 @@ def zf_columns(h: np.ndarray, what: str) -> tuple[np.ndarray, float]:
 
     The SVD behind np.linalg.cond runs only when the Gram-inverse certificate
     (module docstring) fails: n * residual <= 1/2 and
-    ||H^H H||_1 ||(H^H H)^{-1}||_1 <= CERT_LIMIT. The fallback keeps the
-    SVD's verdict, message, `.condition` and LinAlgError exactly.
+    ||H^H H||_1 ||(H^H H)^{-1}||_1 <= CERT_LIMIT. A wide H has cond inf; a kept
+    uncertified H takes W = U S^-1 V^H from one thin SVD, with that W's residual.
     """
-    n = h.shape[1]
+    m, n = h.shape
     gram = h.conj().T @ h
     try:
         inv = np.linalg.inv(gram)
-    except np.linalg.LinAlgError as exc:
-        singular, certified = exc, False
+    except np.linalg.LinAlgError:
+        certified = False
     else:
-        singular = None
         w_raw = h @ inv
         residual = float(np.max(np.abs(h.conj().T @ w_raw - np.eye(n))))
         bound = float(np.linalg.norm(gram, 1)) * float(np.linalg.norm(inv, 1))
         certified = n * residual <= 0.5 and bound <= CERT_LIMIT
     if not certified:
-        cond = float(np.linalg.cond(h))
+        cond = float(np.linalg.cond(h)) if m >= n else np.inf
         if not np.isfinite(cond) or cond > COND_LIMIT:
             raise PrecodingError(f"{what} condition {cond:.3e} exceeds {COND_LIMIT:.0e}",
                                  condition=cond)
-        if singular is not None:
-            raise singular
+        u, s, vh = np.linalg.svd(h, full_matrices=False)
+        w_raw = (u / s) @ vh
+        residual = float(np.max(np.abs(h.conj().T @ w_raw - np.eye(n))))
     return w_raw / np.linalg.norm(w_raw, axis=0, keepdims=True), residual
 
 

@@ -6,6 +6,20 @@ from beamspace_noma import (ChannelParams, LinkBudget, build_noma_link,
                             trial_rng)
 
 
+# A kept ZF residual r stays within ZF_RESIDUAL_C * cond(H) * eps. Measured on
+# 70,000 drawn channels (cond 1..1e12, 30,000 of them near cond 1e4) under each
+# of the SkylakeX, Haswell and Prescott kernels: r / (cond eps) reached 2.6 on
+# the SVD route and 7.2e3 on the certified Gram route, whose residual grows
+# like cond^2 eps up to its certificate's edge near cond = 1e4.
+ZF_RESIDUAL_C = 2e4
+
+
+def assert_zf_residual_bounded(h, residual):
+    """The ZF residual of channel h zero-forces it to within the measured bound."""
+    bound = ZF_RESIDUAL_C * np.linalg.cond(h) * np.finfo(float).eps
+    assert residual < 0.5 and residual <= bound, (residual, bound)
+
+
 def xi_one(lg, powers, noise_mw):
     """Interference plus noise of one (K,) power vector under one noise power."""
     return interference_vector(lg, powers[None], np.array([noise_mw]))[0]

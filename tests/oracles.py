@@ -11,7 +11,7 @@ batched code must reproduce them bit for bit.
 
 The link-layer references (`reference_zf_columns`,
 `reference_top_left_singular_vector`, `reference_verify_order`) are the
-ZF build that always ran the SVD condition check, the power iteration
+ZF build that runs the SVD condition check on every channel, the power iteration
 without its one-row closed form and the order check that evaluated
 one-member beams; the current code must match them bit for bit.
 `reference_noma_link` builds the NOMA link from them and the front-end
@@ -43,7 +43,7 @@ from beamspace_noma import (BeamGrouping, ChannelRealization, DualSolution,
 from beamspace_noma.channel import DIRECTION_RANGE
 from beamspace_noma.power import (BUDGET_TOL, OUTER_CAP, RATE_SLACK, STAGNATION_PATIENCE,
                                   STAGNATION_TOL, VIOLATION_TOL)
-from beamspace_noma.precoding import COND_LIMIT, PrecodingError
+from beamspace_noma.precoding import CERT_LIMIT, COND_LIMIT, PrecodingError
 from beamspace_noma.runner import DROP_ERRORS, _lens
 
 
@@ -332,13 +332,26 @@ def reference_trial(config, trial_index):
 
 
 def reference_zf_columns(h, what):
-    """ZF columns with the SVD condition check run on every channel."""
-    cond = float(np.linalg.cond(h))
+    """ZF columns with the SVD condition check run on every channel, a wide one
+    padded to square with zero rows: the Gram inverse's columns where its
+    certificate holds, and one thin SVD's columns otherwise."""
+    n = h.shape[1]
+    cond = float(np.linalg.cond(np.vstack([h, np.zeros((max(n - h.shape[0], 0), n))])))
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise PrecodingError(f"{what} condition {cond:.3e} exceeds {COND_LIMIT:.0e}",
                              condition=cond)
-    w_raw = h @ np.linalg.inv(h.conj().T @ h)
-    residual = float(np.max(np.abs(h.conj().T @ w_raw - np.eye(h.shape[1]))))
+    gram = h.conj().T @ h
+    try:
+        inv = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        inv = np.full_like(gram, np.nan)  # fails the certificate below
+    w_raw = h @ inv
+    residual = float(np.max(np.abs(h.conj().T @ w_raw - np.eye(n))))
+    if not (n * residual <= 0.5
+            and float(np.linalg.norm(gram, 1)) * float(np.linalg.norm(inv, 1)) <= CERT_LIMIT):
+        u, s, vh = np.linalg.svd(h, full_matrices=False)
+        w_raw = (u / s) @ vh
+        residual = float(np.max(np.abs(h.conj().T @ w_raw - np.eye(n))))
     return w_raw / np.linalg.norm(w_raw, axis=0, keepdims=True), residual
 
 

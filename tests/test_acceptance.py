@@ -6,6 +6,7 @@ fixtures; everything is seeded and deterministic.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,7 +282,7 @@ def test_criterion_12_deterministic_output(tmp_path):
                               out=str(tmp_path / tag))
         return sweep(config, "snr").csv_path
 
-    first = open(run("a"), "rb").read()
-    second = open(run("b"), "rb").read()
+    first = Path(run("a")).read_bytes()
+    second = Path(run("b")).read_bytes()
     ok = first == second and len(first) > 0
     _report(12, "determinism", ok, f"{len(first)} CSV bytes, identical: {first == second}")

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,7 +93,7 @@ def test_sweep_snr_csv_schema_and_summary(tmp_path):
         key = (float(rec["snr_db"]), int(rec["k"]), rec["scheme"])
         by_cell.setdefault(key, []).append(
             (float(rec["sum_rate_bpshz"]), float(rec["energy_eff_bpshzw"])))
-    summary = json.load(open(result.json_path))["summary"]
+    summary = json.loads(Path(result.json_path).read_text())["summary"]
     assert len(summary) == 2 * 4
     for cell in summary:
         vals = by_cell[(cell["snr_db"], cell["k"], cell["scheme"])]
@@ -116,7 +117,7 @@ def test_sweep_users_mode(tmp_path):
 def test_sweep_convergence_mode(tmp_path):
     config = _small_config(tmp_path, schemes=["noma"], max_iters=7)
     result = sweep(config, "convergence")
-    payload = json.load(open(result.json_path))
+    payload = json.loads(Path(result.json_path).read_text())
     trace = payload["convergence_trace"]
     assert len(trace) == 7
     assert np.all(np.diff(trace) >= -1e-8)
@@ -126,7 +127,7 @@ def test_sweep_fairness_mode(tmp_path):
     config = _small_config(tmp_path, n_antennas=32, n_users=6, schemes=["noma"],
                            snr_db=[20.0], min_rate=1.0, max_iters=20, trials=4)
     result = sweep(config, "fairness")
-    payload = json.load(open(result.json_path))
+    payload = json.loads(Path(result.json_path).read_text())
     assert payload["min_rate"] == 1.0
     entries = payload["fairness"]
     assert entries
@@ -140,7 +141,7 @@ def test_sweep_is_byte_deterministic(tmp_path):
     config_b = _small_config(tmp_path, out=str(tmp_path / "b"))
     ra = sweep(config_a, "snr")
     rb = sweep(config_b, "snr")
-    assert open(ra.csv_path, "rb").read() == open(rb.csv_path, "rb").read()
+    assert Path(ra.csv_path).read_bytes() == Path(rb.csv_path).read_bytes()
 
 
 def test_worker_pool_matches_sequential(tmp_path):
@@ -149,8 +150,8 @@ def test_worker_pool_matches_sequential(tmp_path):
         seq = sweep(_small_config(tmp_path, out=str(tmp_path / f"{mode}-seq"), **kw), mode)
         par = sweep(_small_config(tmp_path, out=str(tmp_path / f"{mode}-par"), workers=2, **kw),
                     mode)
-        assert open(seq.csv_path, "rb").read() == open(par.csv_path, "rb").read()
-        assert open(seq.json_path, "rb").read() == open(par.json_path, "rb").read()
+        assert Path(seq.csv_path).read_bytes() == Path(par.csv_path).read_bytes()
+        assert Path(seq.json_path).read_bytes() == Path(par.json_path).read_bytes()
 
 
 def test_cli_import_leaves_out_the_process_pool():
@@ -193,7 +194,7 @@ def test_convergence_json_without_a_kept_trace_has_no_trace_key(tmp_path, monkey
     config = _small_config(tmp_path, schemes=["noma"], max_iters=5 if failed_build else 0)
     result = sweep(config, "convergence")
     assert all(rec.dropped is failed_build for rec in result.records)
-    assert "convergence_trace" not in json.load(open(result.json_path))
+    assert "convergence_trace" not in json.loads(Path(result.json_path).read_text())
     _assert_json_is_reference(result, config, "convergence")
 
 
@@ -280,7 +281,8 @@ def test_csv_sanitizes_drop_reason(tmp_path):
     path = tmp_path / "drops.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
         write_csv([rec], fh)
-    rows = list(csv.reader(open(path, newline="")))
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[1][-1] == "bad; very bad"
     assert rows[1][CSV_COLUMNS.index("sum_rate_bpshz")] == "nan"
 
@@ -352,7 +354,8 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert code == 0
     printed = capsys.readouterr().out
     assert "noma" in printed and "wrote" in printed
-    rows = list(csv.reader(open(str(out) + ".csv", newline="")))
+    with open(str(out) + ".csv", newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == CSV_COLUMNS
     assert len(rows) - 1 == 2 * 2
 
@@ -368,7 +371,7 @@ def test_cli_fairness_defaults(tmp_path):
     code = cli_main(["fairness", "--trials", "1", "--seed", "2", "--out", str(out),
                      "--config", _write_cfg(tmp_path), "--iters", "10"])
     assert code == 0
-    payload = json.load(open(str(out) + ".json"))
+    payload = json.loads(Path(str(out) + ".json").read_text())
     assert payload["mode"] == "fairness"
     assert payload["min_rate"] == 1.0
     assert payload["summary"][0]["snr_db"] == 20.0
@@ -385,7 +388,7 @@ def test_cli_sweep_users_defaults(tmp_path):
     code = cli_main(["sweep-users", "--users", "2,4", "--out", str(out),
                      "--config", _desk_cfg(tmp_path)])
     assert code == 0
-    payload = json.load(open(str(out) + ".json"))
+    payload = json.loads(Path(str(out) + ".json").read_text())
     assert payload["mode"] == "users"
     summary = payload["summary"]
     assert {cell["snr_db"] for cell in summary} == {10.0}
@@ -397,7 +400,7 @@ def test_cli_convergence_defaults(tmp_path):
     out = tmp_path / "conv"
     code = cli_main(["convergence", "--out", str(out), "--config", _desk_cfg(tmp_path)])
     assert code == 0
-    payload = json.load(open(str(out) + ".json"))
+    payload = json.loads(Path(str(out) + ".json").read_text())
     assert payload["mode"] == "convergence"
     assert [(cell["scheme"], cell["snr_db"]) for cell in payload["summary"]] == [("noma", 10.0)]
     trace = payload["convergence_trace"]
@@ -433,8 +436,8 @@ def test_numpy_scalar_config_writes_the_csv_of_plain_numbers(tmp_path):
                             min_rate=np.float64(0.0), out=str(tmp_path / "numpy"), **common)
     assert [type(v) for v in scalars.snr_db] == [float, float]
     assert (type(scalars.total_power_mw), type(scalars.n_users)) == (float, int)
-    want = open(sweep(plain, "snr").csv_path, "rb").read()
-    got = open(sweep(scalars, "snr").csv_path, "rb").read()
+    want = Path(sweep(plain, "snr").csv_path).read_bytes()
+    got = Path(sweep(scalars, "snr").csv_path).read_bytes()
     assert b"np." not in got
     assert got == want
 
@@ -488,7 +491,7 @@ def test_failed_sweep_keeps_previous_outputs(tmp_path, monkeypatch):
 
     config = _small_config(tmp_path, schemes=["noma"])
     first = sweep(config, "snr")
-    before = {p: open(p, "rb").read() for p in (first.csv_path, first.json_path)}
+    before = {p: Path(p).read_bytes() for p in (first.csv_path, first.json_path)}
 
     real_run_trial = runner.run_trial
 
@@ -501,7 +504,7 @@ def test_failed_sweep_keeps_previous_outputs(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="interrupted"):
         sweep(_small_config(tmp_path, schemes=["noma"], seed=6), "snr")
     for path, data in before.items():
-        assert open(path, "rb").read() == data
+        assert Path(path).read_bytes() == data
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.csv", "run.json"]
 
 
@@ -632,7 +635,7 @@ def test_cli_drops_nan_sum_rates_at_200_db(tmp_path, capsys):
             assert math.isfinite(float(row["energy_eff_bpshzw"]))
     assert sorted(reasons) == (["non-finite sum rate nan"] * 2
                                + ["non-finite sum rate nan at iteration 1"] * 2)
-    noma_cell, oma_cell = json.load(open(tmp_path / "snr200.json"))["summary"]
+    noma_cell, oma_cell = json.loads((tmp_path / "snr200.json").read_text())["summary"]
     assert noma_cell["dropped"] == 4 and oma_cell["dropped"] == 0
     assert math.isfinite(oma_cell["mean_se"]) and math.isfinite(oma_cell["mean_ee"])
 

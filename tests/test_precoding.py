@@ -227,20 +227,21 @@ def test_zf_certificate_matches_the_svd_check_on_a_seeded_sweep(monkeypatch):
             if isinstance(expected[0], type) and issubclass(expected[0], Exception):
                 kinds[expected[0].__name__] += 1
             else:
+                # a kept channel is zero-forced, on either route
+                assert np.frombuffer(expected[-1])[0] < 0.5
                 kinds["fallback kept" if len(svd_calls) > before else "certified"] += 1
     # every branch of the certificate and of its fallback is exercised
     assert min(kinds.values()) >= 20, kinds
 
 
-def test_zf_certificate_keeps_the_singular_gram_error():
-    # cond(H) passes (a wide matrix has a finite ratio over its m singular values),
-    # the Gram is exactly singular and inv raises, as it did after the SVD check
+def test_zf_drops_a_wide_matrix_as_infinitely_conditioned():
+    # over its two columns a 1 x 2 matrix has a zero singular value, so its
+    # condition is inf: a drop, and its exactly singular Gram raises nothing
     h = np.array([[1.0, 0.0]])
-    with pytest.raises(np.linalg.LinAlgError) as new:
-        zf_columns(h, "channel")
-    with pytest.raises(np.linalg.LinAlgError) as old:
-        reference_zf_columns(h, "channel")
-    assert str(new.value) == str(old.value)
+    for zf in (zf_columns, reference_zf_columns):
+        with pytest.raises(PrecodingError, match=r"^channel condition inf exceeds 1e\+12$") as exc:
+            zf(h, "channel")
+        assert exc.value.condition == np.inf
 
 
 def test_full_scale_links_rarely_fall_back_to_the_svd(monkeypatch):

@@ -14,14 +14,17 @@ from hypothesis import strategies as st
 
 import oracles
 from beamspace_noma import (ChannelParams, LinkBudget, OptimizerConfig, PrecodingError,
-                            SystemConfig, allocate, allocate_batch, beamspace_mimo_single_user,
-                            beamspace_mimo_single_user_batch, build_noma_link, fully_digital_zf,
-                            fully_digital_zf_batch, lens_transform_matrix, link_gains, mimo_oma,
-                            mimo_oma_batch, run_trial, runner, sample_realization, trial_rng,
+                            SystemConfig, allocate, allocate_batch, baselines,
+                            beamspace_mimo_single_user, beamspace_mimo_single_user_batch,
+                            build_noma_link, fully_digital_zf, fully_digital_zf_batch,
+                            lens_transform_matrix, link_gains, mimo_oma, mimo_oma_batch,
+                            precoding, run_trial, runner, sample_realization, trial_rng,
                             update_p)
 from beamspace_noma.power import (OUTER_CAP, _base_denominator, _update_p_rows,
                                   _with_rate_multipliers)
 from beamspace_noma.rates import budget_arrays
+
+from conftest import assert_zf_residual_bounded
 
 # Seven points above the default sweep: below 10 dB a min-rate of 1 bps/Hz is
 # infeasible for most users, so every iteration runs the 200-round dual cap
@@ -358,8 +361,10 @@ def _trial_configs(draw):
 @given(config=_trial_configs(), twin=st.none() | st.floats(0.0, 17.0))
 def test_run_trial_matches_per_snr_reference_on_drawn_configs(config, twin):
     # a drawn twin makes user 1 user 0 plus 10**-twin of its own channel, so
-    # cond(H) spans the ZF drop at COND_LIMIT up to an exact copy
-    real_sample = runner.sample_realization
+    # cond(H) spans the ZF drop at COND_LIMIT up to an exact copy, and every
+    # link ZF keeps must zero-force its channel
+    real_sample, real_zf = runner.sample_realization, precoding.zf_columns
+    kept = []
 
     def sample(params, rng):
         realization = real_sample(params, rng)
@@ -368,12 +373,20 @@ def test_run_trial_matches_per_snr_reference_on_drawn_configs(config, twin):
             h[:, 1] = h[:, 0] + 10.0 ** -twin * h[:, 1]
         return realization
 
+    def zf(h, what):
+        w, residual = real_zf(h, what)
+        kept.append((h, residual))
+        return w, residual
+
     with patch.object(runner, "sample_realization", sample), \
-            patch.object(oracles, "sample_realization", sample):
+            patch.object(oracles, "sample_realization", sample), \
+            patch.object(precoding, "zf_columns", zf), patch.object(baselines, "zf_columns", zf):
         got = run_trial(config, 0)
         with np.errstate(all="ignore"):  # the oracle rates NaN iterates with warnings
             want = oracles.reference_trial(config, 0)
     assert _records(got) == _records(want)
+    for h, residual in kept:
+        assert_zf_residual_bounded(h, residual)
 
 
 def test_run_trial_drops_every_snr_point_of_a_singular_channel(monkeypatch):
