@@ -60,10 +60,10 @@ def equivalent_channel_strongest(grouping: BeamGrouping) -> np.ndarray:
 
 
 def _one_row_closed(b00):
-    """Whether the one-row power iteration stops at its start [1+0j]: with a
-    real, finite b00 = m m^H its first iteration meets the residual test
-    exactly. Elementwise over an array of b00 values."""
-    return (b00.imag == 0) & np.isfinite(b00.real)
+    """Whether the one-row power iteration answers its start [1+0j]: a real
+    b00 = m m^H meets the residual test at once, or skips the loop if it is
+    not finite. Elementwise over an array of b00 values."""
+    return b00.imag == 0
 
 
 def top_left_singular_vector(mat: np.ndarray) -> tuple[np.ndarray, float]:
@@ -73,17 +73,17 @@ def top_left_singular_vector(mat: np.ndarray) -> tuple[np.ndarray, float]:
     restart if the residual stagnates. The returned vector is unit norm with
     its largest-magnitude entry made real positive; if the top two singular
     values (nearly) coincide any vector of the dominant subspace may come back.
+    The start comes back from a zero matrix (sigma 0), which meets the
+    residual test at once, and from a non-finite M M^H, which skips the loop.
     """
     mat = np.atleast_2d(np.asarray(mat))
     scale = np.linalg.norm(mat)
-    if scale == 0:
-        raise ValueError("zero matrix has no dominant singular vector")
     b = mat @ mat.conj().T
     r = b.shape[0]
     x = np.ones(r) / np.sqrt(r)
     best_x, best_res, lam = x, np.inf, 0.0
     stall, restarted = 0, False
-    for _ in range(POWER_ITER_CAP):
+    for _ in range(POWER_ITER_CAP if np.isfinite(b).all() else 0):
         y = b @ x
         lam = float(np.real(x.conj() @ y))
         res = float(np.linalg.norm(y - lam * x))
@@ -121,13 +121,12 @@ def equivalent_channel_svd(grouping: BeamGrouping) -> np.ndarray:
     """The square equivalent channel whose column n is H_n u_n*, with u_n the
     dominant left singular vector of H_n^T, mixing all of the beam's users.
 
-    One-member beams are built together from their stacked rows h^T, with
-    the steps `top_left_singular_vector` takes on one row: the zero-matrix
-    ValueError, b00 = h^T conj(h) and, where `_one_row_closed(b00)` says its
-    loop stops at u = [1+0j], the column h @ [1-0j]. b00 and the column are
-    stacked matmuls with the one-beam shapes, so they run the same numpy
-    kernels and keep the bits. One-member beams that fail the closed form,
-    and every beam with more members, run the power iteration one by one.
+    One-member beams are built together from their stacked rows h^T as
+    `top_left_singular_vector` would: b00 = h^T conj(h) and, where
+    `_one_row_closed(b00)`, the column h @ [1-0j], as stacked matmuls with
+    the one-beam shapes, which run the same numpy kernels and keep the bits.
+    Other beams run the power iteration one by one. A zero beam's column is
+    zero, and `zf_precoder`'s condition check drops it.
     """
     if any(len(members) == 0 for members in grouping.beams):
         raise ValueError("every beam must contain at least one user")
@@ -139,9 +138,6 @@ def equivalent_channel_svd(grouping: BeamGrouping) -> np.ndarray:
     if lone:
         users = [grouping.beams[n][0] for n in lone]
         rows = np.ascontiguousarray(grouping.reduced[:, users].T)
-        # ||h||_F == 0 exactly when every squared part underflows to zero
-        if not (rows.real ** 2 + rows.imag ** 2).any(axis=1).all():
-            raise ValueError("zero matrix has no dominant singular vector")
         closed = _one_row_closed((rows[:, None, :] @ rows.conj()[:, :, None])[:, 0, 0])
         cols = rows[closed][:, :, None] @ np.array([[1.0 + 0j]]).conj()  # h @ u* at u = [1+0j]
         eq[:, np.asarray(lone)[closed]] = cols[:, :, 0].T

@@ -12,19 +12,21 @@ batched code must reproduce them bit for bit.
 The link-layer references (`reference_zf_columns`,
 `reference_top_left_singular_vector`, `reference_verify_order`) are the
 ZF build that runs the SVD condition check on every channel, the power iteration
-without its one-row closed form and the order check that evaluated
-one-member beams; the current code must match them bit for bit.
+without its one-row closed form or its finite-Gram gate and the order check
+that evaluated one-member beams; the current code must match them bit for bit.
 `reference_noma_link` builds the NOMA link from them and the front-end
 references, and `reference_trial` and the baseline references take their ZF
 from them, so a trial's link shares no code with `runner.build_noma_link`
 past the beam selection.
 
-The front-end references (`reference_sample_realization`,
+The front-end references (`reference_sample_realization`, `reference_lens`,
 `reference_group_users`, `reference_equivalent_channel_svd`,
 `reference_claim_beams`) are the channel draw that ran the complex exp on
-every antenna row, the per-beam grouping loop, the one-beam-at-a-time SVD
-equivalent channel and the greedy beam claim that scanned the free beams for
-every user; the current code must match them bit for bit.
+every antenna row, the lens as the direct complex exp, the per-beam grouping
+loop, the one-beam-at-a-time SVD equivalent channel and the greedy beam claim
+that scanned the free beams for every user; the current code must match them
+bit for bit. `reference_trial` draws its channel and beamspace from the first
+two.
 
 `reference_payload` is the JSON document `runner.sweep` wrote when it padded
 the convergence traces with a helper of its own; `sweep` must write it byte
@@ -39,12 +41,12 @@ import numpy as np
 from beamspace_noma import (BeamGrouping, ChannelRealization, DualSolution,
                             ExperimentRecord, PowerAllocation, Precoder, RateReport,
                             equivalent_channel_strongest, energy_efficiency, link_gains,
-                            sample_realization, select_beams, to_beamspace, trial_rng)
+                            select_beams, trial_rng)
 from beamspace_noma.channel import DIRECTION_RANGE
 from beamspace_noma.power import (BUDGET_TOL, OUTER_CAP, RATE_SLACK, STAGNATION_PATIENCE,
                                   STAGNATION_TOL, VIOLATION_TOL)
 from beamspace_noma.precoding import CERT_LIMIT, COND_LIMIT, PrecodingError
-from beamspace_noma.runner import DROP_ERRORS, _lens
+from beamspace_noma.runner import DROP_ERRORS
 
 
 @lru_cache(maxsize=4)
@@ -285,7 +287,7 @@ def reference_trial(config, trial_index):
     with its drop rule: a DROP_ERRORS failure, a non-finite sum rate or a
     non-finite NOMA iterate drops the record."""
     realization = sample_realization(config.channel_params(), trial_rng(config.seed, trial_index))
-    beamspace = to_beamspace(realization.matrix, _lens(config.n_antennas))
+    beamspace = reference_lens(config.n_antennas) @ realization.matrix
     noma_link, noma_error = None, None
     if "noma" in config.schemes or "oma" in config.schemes:
         try:
@@ -386,11 +388,10 @@ def reference_noma_link(beamspace, variant):
 
 
 def reference_top_left_singular_vector(mat, tol=1e-12, max_iters=10_000):
-    """Power iteration on M M^H for every shape, one-row matrices included."""
+    """Power iteration on M M^H for every shape, one-row matrices included,
+    run to its cap on a non-finite M M^H too."""
     mat = np.atleast_2d(np.asarray(mat))
     scale = np.linalg.norm(mat)
-    if scale == 0:
-        raise ValueError("zero matrix has no dominant singular vector")
     b = mat @ mat.conj().T
     r = b.shape[0]
     x = np.ones(r) / np.sqrt(r)
@@ -457,6 +458,21 @@ def reference_sample_realization(params, rng):
     steer = np.exp(-2j * np.pi * np.outer(m, directions.ravel())) / np.sqrt(n)
     h = np.einsum("nkl,kl->nk", steer.reshape(n, k, n_paths), gains)
     return ChannelRealization(matrix=h, path_gains=gains, path_directions=directions)
+
+
+# the draw `reference_trial` takes, under this name so that a test can edit its channel
+sample_realization = reference_sample_realization
+
+
+@lru_cache(maxsize=4)
+def reference_lens(n):
+    """The N x N lens matrix as the direct complex exp: row i is the conjugate
+    steering vector at grid direction (i + 1 - (N + 1)/2) / N; read-only."""
+    directions = (np.arange(1, n + 1) - (n + 1) / 2.0) / n
+    m = np.arange(n) - (n - 1) / 2.0
+    lens = np.exp(2j * np.pi * np.outer(directions, m)) / np.sqrt(n)
+    lens.flags.writeable = False
+    return lens
 
 
 def reference_group_users(assignment, beamspace):

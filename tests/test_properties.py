@@ -9,8 +9,9 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from beamspace_noma import (ChannelParams, LinkBudget, OptimizerConfig, PrecodingError,
-                            SystemConfig, allocate_batch, build_noma_link, lens_transform_matrix,
-                            link_gains, run_trial, runner, sample_realization, trial_rng)
+                            SystemConfig, allocate_batch, baselines, build_noma_link,
+                            lens_transform_matrix, link_gains, run_trial, runner,
+                            sample_realization, trial_rng)
 from beamspace_noma.power import BUDGET_TOL, DOUBLINGS, _solve_budgets
 from beamspace_noma.precoding import zf_columns
 
@@ -177,7 +178,10 @@ def _swapped(k, *pairs):
 # continuous draws here have no exact norm or gain ties. Only the rounding of
 # sums taken in another user order differs, hence the tolerances:
 # - fully digital ZF goes through the Gram inverse, whose rounding grows as
-#   eps * cond(H)^2 (the K = N example has cond(H) = 5.7e3); a draw where that
+#   eps * cond(H)^2 (the K = N example has cond(H) = 5.7e3); beamspace MIMO's
+#   ZF inverts the K x K claimed beamspace rows B the same way, so its bound
+#   is eps * cond(B)^2 (the rotated K = N example moves 1.38e-9 relative
+#   with cond(B) = 5.73e3, eps * cond(B)^2 = 7.28e-9); a draw where either
 #   bound passes 1e-6 would check nothing there and is rejected;
 # - a NOMA user's rate is a share of the sum rate, so its rounding is bounded
 #   against that sum, not against the rate itself (the svd example's user
@@ -187,13 +191,18 @@ def _swapped(k, *pairs):
        variant=st.sampled_from(["strongest", "svd"]))
 @example(case=(23, 23, _swapped(23, (3, 4), (7, 8))), seed=23, variant="strongest")
 @example(case=(247, 21, _swapped(21, (6, 20))), seed=325941, variant="svd")
+@example(case=(23, 23, np.r_[:14, 15:21, 14, 21:23]), seed=23,  # users 14-20 rotated
+         variant="strongest")
 def test_records_are_equivariant_under_user_permutation(case, seed, variant):
     n, k, perm = case
     config = SystemConfig(n_antennas=n, n_users=k, seed=seed, variant=variant,
                           snr_db=[0.0, 10.0, 20.0, 30.0])
     h = sample_realization(config.channel_params(), trial_rng(seed, 0)).matrix
-    zf_rtol = max(1e-9, np.finfo(float).eps * np.linalg.cond(h) ** 2)
-    if zf_rtol > 1e-6:
+    beamspace = lens_transform_matrix(n).matrix @ h
+    claimed = beamspace[np.sort(baselines._claim_beams(beamspace))]
+    rtol = {scheme: max(1e-9, np.finfo(float).eps * np.linalg.cond(m) ** 2)
+            for scheme, m in (("fully_digital", h), ("beamspace_mimo", claimed))}
+    if max(rtol.values()) > 1e-6:
         reject()
     real_sample = runner.sample_realization
 
@@ -211,7 +220,7 @@ def test_records_are_equivariant_under_user_permutation(case, seed, variant):
         assert ((b.scheme, b.snr_db, b.dropped, b.drop_reason, b.n_rf)
                 == (a.scheme, a.snr_db, a.dropped, a.drop_reason, a.n_rf))
         np.testing.assert_allclose([b.sum_rate, b.energy_eff], [a.sum_rate, a.energy_eff],
-                                   rtol=zf_rtol if a.scheme == "fully_digital" else 1e-9)
+                                   rtol=rtol.get(a.scheme, 1e-9))
         assert (b.trace is None) == (a.trace is None)
         if a.trace is not None:
             np.testing.assert_allclose(b.trace, a.trace, rtol=1e-9)

@@ -309,6 +309,21 @@ def test_nan_iterates_drop_noma_without_a_warning(los_variance, variant):
     assert all(math.isfinite(rec.sum_rate) for rec in others)
 
 
+@pytest.mark.parametrize("trial", range(3))
+def test_an_underflowing_svd_link_runs_as_the_reference_without_a_warning(trial):
+    # the squared channel entries underflow, on trial 1's one-user beams to
+    # zero: the SVD mix passes such beams on to ZF, whose condition check
+    # alone judges them, and the trial is records, not a traceback
+    config = SystemConfig(n_antennas=16, n_users=4, los_variance=1e-322, nlos_variance=0.0,
+                          variant="svd", snr_db=[10.0], trials=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = run_trial(config, trial)
+    with np.errstate(all="ignore"):
+        want = oracles.reference_trial(config, trial)
+    assert _records(got) == _records(want)
+
+
 @st.composite
 def _extreme_configs(draw):
     """Configs of every scheme at any LoS variance a float holds (10^u, u in
