@@ -59,20 +59,15 @@ def equivalent_channel_strongest(grouping: BeamGrouping) -> np.ndarray:
     return grouping.reduced[:, first].copy()
 
 
-def _one_row_closed(b00):
-    """Whether the one-row power iteration answers its start [1+0j]: a real
-    b00 = m m^H meets the residual test at once, or skips the loop if it is
-    not finite. Elementwise over an array of b00 values."""
-    return b00.imag == 0
-
-
 def top_left_singular_vector(mat: np.ndarray) -> tuple[np.ndarray, float]:
     """Dominant left singular pair of a complex matrix via power iteration.
 
     Iterates on M M^H from a fixed real positive start, with one seeded random
     restart if the residual stagnates. The returned vector is unit norm with
     its largest-magnitude entry made real positive; if the top two singular
-    values (nearly) coincide any vector of the dominant subspace may come back.
+    values (nearly) coincide any vector of the dominant subspace may come back,
+    and the best-residual fallback can even return the second singular pair
+    (sigma = sqrt(1 - 1e-4) for singular values sqrt(1 +- 1e-4)).
     The start comes back from a zero matrix (sigma 0), which meets the
     residual test at once, and from a non-finite M M^H, which skips the loop.
     """
@@ -100,14 +95,7 @@ def top_left_singular_vector(mat: np.ndarray) -> tuple[np.ndarray, float]:
             x /= np.linalg.norm(x)
             stall, restarted = 0, True
             continue
-        ny = np.linalg.norm(y)
-        if ny == 0:
-            # start vector in the null space; restart from random
-            rng = np.random.default_rng(1)
-            x = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-            x /= np.linalg.norm(x)
-            continue
-        x = y / ny
+        x = y / np.linalg.norm(y)  # y = 0 has residual 0 and broke above
     else:
         x = best_x
         lam = float(np.real(x.conj() @ (b @ x)))
@@ -121,27 +109,25 @@ def equivalent_channel_svd(grouping: BeamGrouping) -> np.ndarray:
     """The square equivalent channel whose column n is H_n u_n*, with u_n the
     dominant left singular vector of H_n^T, mixing all of the beam's users.
 
-    One-member beams are built together from their stacked rows h^T as
-    `top_left_singular_vector` would: b00 = h^T conj(h) and, where
-    `_one_row_closed(b00)`, the column h @ [1-0j], as stacked matmuls with
-    the one-beam shapes, which run the same numpy kernels and keep the bits.
-    Other beams run the power iteration one by one. A zero beam's column is
-    zero, and `zf_precoder`'s condition check drops it.
+    The power iteration returns its start [1+0j] for every one-row matrix,
+    finite or not (its residual |Im h^T conj(h)| is rounding, or the Gram
+    skips the loop), so every one-member beam takes the column h @ [1-0j],
+    all in one stacked matmul with the one-beam shapes, which runs the same
+    numpy kernel and keeps the bits. Other beams run the power iteration one
+    by one. A zero beam's column is zero, and `zf_precoder`'s condition check
+    drops it.
     """
     if any(len(members) == 0 for members in grouping.beams):
         raise ValueError("every beam must contain at least one user")
     lone = [n for n, members in enumerate(grouping.beams) if len(members) == 1]
     iterate = [n for n, members in enumerate(grouping.beams) if len(members) > 1]
     eq = np.empty((grouping.reduced.shape[0], grouping.n_rf), dtype=complex)
-    # squares that overflow (a huge LoS variance) end in non-finite entries, which
-    # `zf_precoder` drops with its one check per link, silently in `run_trial`
-    if lone:
-        users = [grouping.beams[n][0] for n in lone]
-        rows = np.ascontiguousarray(grouping.reduced[:, users].T)
-        closed = _one_row_closed((rows[:, None, :] @ rows.conj()[:, :, None])[:, 0, 0])
-        cols = rows[closed][:, :, None] @ np.array([[1.0 + 0j]]).conj()  # h @ u* at u = [1+0j]
-        eq[:, np.asarray(lone)[closed]] = cols[:, :, 0].T
-        iterate += [n for n, c in zip(lone, closed.tolist()) if not c]
+    # a huge LoS variance can leave non-finite entries, which `zf_precoder`
+    # drops with its one check per link, silently in `run_trial`
+    users = [grouping.beams[n][0] for n in lone]
+    rows = np.ascontiguousarray(grouping.reduced[:, users].T)
+    cols = rows[:, :, None] @ np.array([[1.0 + 0j]]).conj()  # h @ u* at u = [1+0j]
+    eq[:, lone] = cols[:, :, 0].T
     for n in iterate:
         h_n = grouping.beam_channels(n)
         u, _ = top_left_singular_vector(h_n.T)

@@ -9,8 +9,8 @@ import pytest
 
 from beamspace_noma import (BeamAssignment, BeamGrouping, ChannelParams, SystemConfig,
                             beamspace_mimo_single_user, channel, equivalent_channel_svd,
-                            group_users, lens_transform_matrix, run_trial, sample_realization,
-                            select_beams, trial_rng)
+                            group_users, lens_transform_matrix, precoding, run_trial,
+                            sample_realization, select_beams, trial_rng)
 from beamspace_noma.baselines import _claim_beams
 from beamspace_noma.cli import main as cli_main
 
@@ -190,6 +190,21 @@ def test_one_member_svd_beams_keep_every_bit(lone_entries):
     g = _grouping(reduced, [[2], [0], [4, 1], [3]])
     assert _svd_outcome(equivalent_channel_svd, g) == \
         _svd_outcome(reference_equivalent_channel_svd, g)
+
+
+@pytest.mark.parametrize("lone_entries", [[1e200 + 1e200j, 1.0, 0.0, 0.0],
+                                          [math.inf, 1.0, 2.0, 3.0]])
+def test_only_beams_of_two_or_more_users_run_the_power_iteration(monkeypatch, lone_entries):
+    # b00 of these lone rows has a NaN imaginary part, and the closed form
+    # still answers them
+    shapes, loop = [], precoding.top_left_singular_vector
+    monkeypatch.setattr(precoding, "top_left_singular_vector",
+                        lambda mat: shapes.append(mat.shape) or loop(mat))
+    reduced = _random_reduced(np.random.default_rng(11), 4, 5)
+    reduced[:, 2] = lone_entries
+    with np.errstate(all="ignore"):
+        equivalent_channel_svd(_grouping(reduced, [[2], [0], [4, 1], [3]]))
+    assert shapes == [(2, 4)]
 
 
 @pytest.mark.parametrize("seed", range(4))

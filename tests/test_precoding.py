@@ -299,26 +299,38 @@ def test_full_scale_links_rarely_fall_back_to_the_svd(monkeypatch):
 
 @pytest.mark.parametrize("part", ["real", "imag", "complex"])
 def test_one_row_singular_vector_matches_the_power_iteration(part):
-    # equivalent_channel_svd answers a one-member beam without the loop
-    # wherever _one_row_closed(b00) holds: the loop must stop at u = [1+0j]
-    # with sigma = sqrt(max(Re b00, 0)) there, bit for bit
+    # equivalent_channel_svd answers every one-member beam without the loop:
+    # the loop must stop at u = [1+0j] with sigma = sqrt(max(Re b00, 0)) on
+    # every finite row, bit for bit
     rng = np.random.default_rng({"real": 5, "imag": 6, "complex": 7}[part])
-    closed = 0
     for n in range(1, 65):
         for scale in 10.0 ** np.linspace(-150, 150, 13):
             re, im = rng.standard_normal(n), rng.standard_normal(n)
             row = {"real": re + 0j, "imag": 1j * im, "complex": re + 1j * im}[part] * scale
             for mat in (row, row[None, :]):
                 b00 = (np.atleast_2d(mat) @ np.atleast_2d(mat).conj().T)[0, 0]
-                if not precoding._one_row_closed(b00):
-                    continue
-                closed += 1
                 u, sigma = top_left_singular_vector(mat)
                 assert (u.dtype, u.shape, u.tobytes()) == (np.dtype(complex), (1,),
                                                            np.array([1.0 + 0j]).tobytes())
                 want = np.sqrt(max(float(b00.real), 0.0))
                 assert np.float64(sigma).tobytes() == np.float64(want).tobytes()
-    assert closed == 64 * 13 * 2  # every drawn row, at every scale, takes the closed form
+
+
+def test_stagnating_power_iteration_restarts_once(monkeypatch):
+    # the start vector lies near the second singular vector and
+    # sigma_2 / sigma_1 is near 1, so the residual stalls and the seeded
+    # restart runs; sigma is the top singular value sqrt(1 + delta)
+    delta, eps = 1e-3, 1e-7
+    t = 0.5 * np.arccos(-delta)
+    mat = np.array([[np.cos(t) * (1 + eps), np.sin(t)], [np.cos(t), -np.sin(t)]], dtype=complex)
+    seeds, default_rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or default_rng(seed))
+    u, sigma = top_left_singular_vector(mat)
+    assert seeds == [0]
+    u_ref, sigma_ref = reference_top_left_singular_vector(mat)
+    assert u.tobytes() == u_ref.tobytes()
+    assert np.float64(sigma).tobytes() == np.float64(sigma_ref).tobytes()
+    assert sigma == pytest.approx(np.sqrt(1 + delta), rel=1e-12)
 
 
 @pytest.mark.parametrize("row", [np.zeros(5, complex), np.full((1, 3), 1e-170 + 0j)])
