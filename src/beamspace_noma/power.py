@@ -45,7 +45,7 @@ import numpy as np
 from .beams import BeamGrouping
 from .precoding import Precoder
 from .rates import (LinkBudget, LinkGains, RateReport, budget_arrays, interference_vector,
-                    link_gains, rate_reports, seg_excl_cumsum, sum_rates)
+                    link_and_powers, link_gains, rate_reports, seg_excl_cumsum, sum_rates)
 
 RATE_SLACK = 1e-6       # achieved-rate tolerance when judging feasibility
 MAX_MIN_RATE = 1024.0   # 2**min_rate overflows a double from here on
@@ -137,7 +137,7 @@ def _mmse_terms(lg: LinkGains, p: np.ndarray, xi: np.ndarray) -> tuple[np.ndarra
 def mmse_error(powers: np.ndarray, grouping: BeamGrouping, precoder: Precoder,
                noise_mw: float) -> np.ndarray:
     """Minimized per-user MSE values e_opt at the given powers."""
-    lg, powers = link_gains(grouping, precoder), np.asarray(powers, dtype=float)
+    lg, powers = link_and_powers(grouping, precoder, powers)
     xi = interference_vector(lg, powers[None], np.array([noise_mw]))[0]
     return _mmse_terms(lg, powers, xi)[1]
 

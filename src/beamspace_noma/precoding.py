@@ -30,7 +30,7 @@ from .beams import BeamGrouping
 COND_LIMIT = 1e12
 # power-iteration stop: residual ||M M^H x - lam x|| at most this times ||M||_F^2
 POWER_ITER_TOL = 1e-12
-POWER_ITER_CAP = 10_000  # iterations before the best iterate is returned
+POWER_ITER_CAP = 10_000  # iterations before the SVD answers
 # ||H^H H||_1 ||(H^H H)^-1||_1 below which ZF skips the SVD: cond(H) <= 1e4 sqrt(2n)
 CERT_LIMIT = 1e8
 
@@ -62,47 +62,38 @@ def equivalent_channel_strongest(grouping: BeamGrouping) -> np.ndarray:
 def top_left_singular_vector(mat: np.ndarray) -> tuple[np.ndarray, float]:
     """Dominant left singular pair of a complex matrix via power iteration.
 
-    Iterates on M M^H from a fixed real positive start, with one seeded random
-    restart if the residual stagnates. The returned vector is unit norm with
-    its largest-magnitude entry made real positive; if the top two singular
-    values (nearly) coincide any vector of the dominant subspace may come back,
-    and the best-residual fallback can even return the second singular pair
-    (sigma = sqrt(1 - 1e-4) for singular values sqrt(1 +- 1e-4)).
-    The start comes back from a zero matrix (sigma 0), which meets the
-    residual test at once, and from a non-finite M M^H, which skips the loop.
+    Iterates on M M^H from a fixed real positive start until the residual test
+    passes; past POWER_ITER_CAP iterations the top pair of one SVD of M answers.
+    The returned vector is unit norm with its largest-magnitude entry made real
+    positive; if the top two singular values coincide any vector of the
+    dominant subspace may come back. The start comes back from a zero matrix
+    (sigma 0), which meets the residual test at once, and from a non-finite
+    M M^H, which no SVD takes and which skips the loop.
     """
     mat = np.atleast_2d(np.asarray(mat))
     scale = np.linalg.norm(mat)
     b = mat @ mat.conj().T
     r = b.shape[0]
     x = np.ones(r) / np.sqrt(r)
-    best_x, best_res, lam = x, np.inf, 0.0
-    stall, restarted = 0, False
-    for _ in range(POWER_ITER_CAP if np.isfinite(b).all() else 0):
+    finite = np.isfinite(b).all()
+    for _ in range(POWER_ITER_CAP if finite else 0):
         y = b @ x
         lam = float(np.real(x.conj() @ y))
         res = float(np.linalg.norm(y - lam * x))
-        if res < best_res:
-            best_x, best_res, stall = x, res, 0
-        else:
-            stall += 1
         if res <= POWER_ITER_TOL * scale**2:
+            sigma = np.sqrt(max(lam, 0.0))
             break
-        if stall > 50 and not restarted:
-            # stagnation: one random restart, then keep the better run
-            rng = np.random.default_rng(0)
-            x = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-            x /= np.linalg.norm(x)
-            stall, restarted = 0, True
-            continue
         x = y / np.linalg.norm(y)  # y = 0 has residual 0 and broke above
     else:
-        x = best_x
-        lam = float(np.real(x.conj() @ (b @ x)))
+        if finite:  # past the cap
+            left, s, _ = np.linalg.svd(mat)
+            x, sigma = left[:, 0], s[0]
+        else:
+            sigma = np.sqrt(max(float(np.real(x.conj() @ (b @ x))), 0.0))
     pivot = np.argmax(np.abs(x))
     phase = x[pivot] / abs(x[pivot])
     u = np.asarray(x / phase, dtype=complex)
-    return u, float(np.sqrt(max(lam, 0.0)))
+    return u, float(sigma)
 
 
 def equivalent_channel_svd(grouping: BeamGrouping) -> np.ndarray:

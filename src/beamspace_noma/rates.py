@@ -178,11 +178,25 @@ def rate_reports(lg: LinkGains, powers: np.ndarray, xi: np.ndarray) -> list[Rate
     return reports(lg.users, lg.n_rf, lg.own_gain * powers, xi)
 
 
+def link_and_powers(grouping: BeamGrouping, precoder: Precoder,
+                    powers: np.ndarray) -> tuple[LinkGains, np.ndarray]:
+    """The link gains of a one-budget call and its (K,) float powers, one per
+    user in flat order; any other shape is a ValueError."""
+    powers = np.asarray(powers, dtype=float)
+    lg = link_gains(grouping, precoder)
+    if powers.shape != lg.users.shape:
+        raise ValueError(f"expected {lg.users.shape[0]} powers, got {powers.shape}")
+    return lg, powers
+
+
 def sinr(m: int, n: int, grouping: BeamGrouping, precoder: Precoder,
          powers: np.ndarray, noise_mw: float) -> float:
     """Post-SIC SINR of the m-th user (0-based) of beam n."""
-    powers = np.asarray(powers, dtype=float)
-    lg = link_gains(grouping, precoder)
+    if not 0 <= n < grouping.n_rf:
+        raise ValueError(f"beam {n} is not one of the {grouping.n_rf} beams")
+    if not 0 <= m < len(grouping.beams[n]):
+        raise ValueError(f"beam {n} has {len(grouping.beams[n])} users, so no user {m}")
+    lg, powers = link_and_powers(grouping, precoder, powers)
     xi = interference_vector(lg, powers[None], np.array([noise_mw]))
     return float(rate_reports(lg, powers[None], xi)[0].sinr[np.searchsorted(lg.beam_of, n) + m])
 
@@ -190,10 +204,7 @@ def sinr(m: int, n: int, grouping: BeamGrouping, precoder: Precoder,
 def sum_rate(grouping: BeamGrouping, precoder: Precoder, powers: np.ndarray,
              budget: LinkBudget) -> RateReport:
     """Assemble every user's SINR and rate and the sum spectral efficiency."""
-    powers = np.asarray(powers, dtype=float)
-    lg = link_gains(grouping, precoder)
-    if powers.shape != lg.users.shape:
-        raise ValueError(f"expected {lg.users.shape[0]} powers, got {powers.shape}")
+    lg, powers = link_and_powers(grouping, precoder, powers)
     xi = interference_vector(lg, powers[None], np.array([budget.noise_mw]))
     return rate_reports(lg, powers[None], xi)[0]
 

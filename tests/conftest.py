@@ -1,3 +1,8 @@
+import ctypes
+import functools
+import glob
+import os
+
 import numpy as np
 import pytest
 
@@ -18,6 +23,29 @@ def assert_zf_residual_bounded(h, residual):
     """The ZF residual of channel h zero-forces it to within the measured bound."""
     bound = ZF_RESIDUAL_C * np.linalg.cond(h) * np.finfo(float).eps
     assert residual < 0.5 and residual <= bound, (residual, bound)
+
+
+@functools.cache
+def openblas_kernel() -> str:
+    """The OpenBLAS kernel numpy's bundled BLAS picked at run time, from the
+    CPU or OPENBLAS_CORETYPE: SkylakeX (AVX-512), Haswell (AVX2, also Zen) or
+    Katmai, the name the SSE3 kernel of OPENBLAS_CORETYPE=Prescott reports."""
+    lib, = glob.glob(os.path.join(os.path.dirname(np.__file__) + ".libs",
+                                  "libscipy_openblas64_*.so"))
+    corename = ctypes.CDLL(lib).scipy_openblas_get_corename64_
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def per_kernel(expected):
+    """The entry of `expected`, keyed by kernel name, for the running OpenBLAS
+    kernel: outcomes of cancelling link arithmetic follow its rounding. A
+    kernel with no entry fails the test, naming it."""
+    kernel = openblas_kernel()
+    if kernel not in expected:
+        pytest.fail(f"no expectation for the OpenBLAS kernel {kernel!r}; "
+                    f"known: {', '.join(expected)}")
+    return expected[kernel]
 
 
 def xi_one(lg, powers, noise_mw):

@@ -389,45 +389,31 @@ def reference_noma_link(beamspace, variant):
 
 def reference_top_left_singular_vector(mat, tol=1e-12, max_iters=10_000):
     """Power iteration on M M^H for every shape, one-row matrices included,
-    run to its cap on a non-finite M M^H too."""
+    run to its cap on a non-finite M M^H too. Past the cap the top pair of
+    one SVD of M answers, or the start vector where M M^H is not finite."""
     mat = np.atleast_2d(np.asarray(mat))
     scale = np.linalg.norm(mat)
     b = mat @ mat.conj().T
     r = b.shape[0]
     x = np.ones(r) / np.sqrt(r)
-    best_x, best_res, lam = x, np.inf, 0.0
-    stall, restarted = 0, False
     for _ in range(max_iters):
         y = b @ x
         lam = float(np.real(x.conj() @ y))
         res = float(np.linalg.norm(y - lam * x))
-        if res < best_res:
-            best_x, best_res, stall = x, res, 0
-        else:
-            stall += 1
         if res <= tol * scale**2:
-            best_x, best_res = x, res
+            sigma = math.sqrt(max(lam, 0.0))
             break
-        if stall > 50 and not restarted:
-            rng = np.random.default_rng(0)
-            x = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-            x /= np.linalg.norm(x)
-            stall, restarted = 0, True
-            continue
-        ny = np.linalg.norm(y)
-        if ny == 0:
-            rng = np.random.default_rng(1)
-            x = rng.standard_normal(r) + 1j * rng.standard_normal(r)
-            x /= np.linalg.norm(x)
-            continue
-        x = y / ny
+        x = y / np.linalg.norm(y)
     else:
-        x = best_x
-        lam = float(np.real(x.conj() @ (b @ x)))
+        if np.isfinite(b).all():
+            left, s, _ = np.linalg.svd(mat)
+            x, sigma = left[:, 0], float(s[0])
+        else:
+            x = np.ones(r) / np.sqrt(r)
+            sigma = float(np.sqrt(max(float(np.real(x.conj() @ (b @ x))), 0.0)))
     pivot = np.argmax(np.abs(x))
     phase = x[pivot] / abs(x[pivot])
-    u = np.asarray(x / phase, dtype=complex)
-    return u, float(np.sqrt(max(lam, 0.0)))
+    return np.asarray(x / phase, dtype=complex), sigma
 
 
 def reference_verify_order(grouping, precoder):

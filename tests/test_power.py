@@ -88,6 +88,13 @@ def test_mmse_error_matches_identity(random_link, budget):
                 assert abs(e[u] - 1.0 / (1.0 + gamma)) <= 1e-12
 
 
+@pytest.mark.parametrize("count", [5, 7])
+def test_mmse_error_rejects_a_power_per_user_of_the_wrong_length(random_link, budget, count):
+    _, _, grouping, precoder = random_link(seed=3, n=16, k=6)
+    with pytest.raises(ValueError, match=rf"^expected 6 powers, got \({count},\)$"):
+        mmse_error(np.ones(count), grouping, precoder, budget.noise_mw)
+
+
 def test_update_p_single_user_takes_full_budget():
     g, w = _single_user(gain=0.8)
     budget = LinkBudget(noise_mw=0.4, total_power_mw=5.0)

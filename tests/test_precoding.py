@@ -2,10 +2,12 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from beamspace_noma import (BeamGrouping, LinkBudget, PrecodingError, SystemConfig, baselines,
                             equivalent_channel_strongest, equivalent_channel_svd,
-                            precoding, run_trial, sum_rate, top_left_singular_vector,
+                            precoding, run_trial, runner, sum_rate, top_left_singular_vector,
                             zf_precoder)
 from beamspace_noma.precoding import zf_columns
 
@@ -316,21 +318,90 @@ def test_one_row_singular_vector_matches_the_power_iteration(part):
                 assert np.float64(sigma).tobytes() == np.float64(want).tobytes()
 
 
-def test_stagnating_power_iteration_restarts_once(monkeypatch):
-    # the start vector lies near the second singular vector and
-    # sigma_2 / sigma_1 is near 1, so the residual stalls and the seeded
-    # restart runs; sigma is the top singular value sqrt(1 + delta)
-    delta, eps = 1e-3, 1e-7
+def _counting_svd(calls):
+    svd = np.linalg.svd
+    return lambda *args, **kwargs: calls.append(args[0].shape) or svd(*args, **kwargs)
+
+
+def _near_twin(delta, eps):
+    """2 x 2 with singular values near sqrt(1 +- delta) whose second left
+    singular vector lies near the power iteration's start."""
     t = 0.5 * np.arccos(-delta)
-    mat = np.array([[np.cos(t) * (1 + eps), np.sin(t)], [np.cos(t), -np.sin(t)]], dtype=complex)
-    seeds, default_rng = [], np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or default_rng(seed))
-    u, sigma = top_left_singular_vector(mat)
-    assert seeds == [0]
+    return np.array([[np.cos(t) * (1 + eps), np.sin(t)], [np.cos(t), -np.sin(t)]], dtype=complex)
+
+
+@pytest.mark.parametrize("delta, eps", [(1e-3, 1e-7), (1e-4, 1e-8)])
+def test_a_capped_power_iteration_returns_the_svd_top_pair(delta, eps):
+    # sigma_2 / sigma_1 is near 1, so the residual test is not met within
+    # the cap and the SVD's top pair answers: sigma is sqrt(1 + delta), never
+    # the second singular value sqrt(1 - delta)
+    mat = _near_twin(delta, eps)
+    calls = []
+    with patch.object(np.linalg, "svd", _counting_svd(calls)):
+        u, sigma = top_left_singular_vector(mat)
+    assert calls == [(2, 2)]
+    left, s, _ = np.linalg.svd(mat)
+    assert sigma == s[0] == pytest.approx(np.sqrt(1 + delta), rel=1e-12)
+    assert abs(np.vdot(left[:, 0], u)) == pytest.approx(1.0, abs=1e-12)
+    assert u[np.argmax(np.abs(u))].imag == 0 and u[np.argmax(np.abs(u))].real > 0
     u_ref, sigma_ref = reference_top_left_singular_vector(mat)
     assert u.tobytes() == u_ref.tobytes()
     assert np.float64(sigma).tobytes() == np.float64(sigma_ref).tobytes()
-    assert sigma == pytest.approx(np.sqrt(1 + delta), rel=1e-12)
+
+
+@st.composite
+def _gapped_matrices(draw):
+    """Complex 2-6 x 1-8 matrices whose largest entry has magnitude 10^e, with
+    a relative gap of at least 1e-6 below the top singular value.
+
+    e stays in -70..70, where the squared norms of M M^H x and of the
+    residual are normal floats: `np.linalg.norm` does not rescale, so past
+    about 1e77 the iterate's norm overflows and the iteration returns a NaN
+    vector with sigma 0, and below about 1e-71 the residual underflows. The
+    top left singular vector is not (nearly) orthogonal to the real positive
+    start either: there a fixed start sees the next pair first, and its
+    residual test passes on it."""
+    m, n = draw(st.integers(2, 6)), draw(st.integers(1, 8))
+    parts = st.floats(-1.0, 1.0, allow_subnormal=False)
+    raw = np.array(draw(st.lists(parts, min_size=2 * m * n, max_size=2 * m * n)))
+    mat = (raw[::2] + 1j * raw[1::2]).reshape(m, n)
+    peak = np.abs(mat).max()
+    assume(peak > 0)
+    mat = mat / peak * 10.0 ** draw(st.floats(-70.0, 70.0))
+    left, s, _ = np.linalg.svd(mat)
+    assume(len(s) == 1 or s[0] - s[1] >= 1e-6 * s[0])
+    assume(abs(left[:, 0].sum()) / np.sqrt(m) >= 1e-3)
+    return mat
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mat=_gapped_matrices())
+@example(mat=_near_twin(1e-4, 1e-8))
+def test_power_iteration_is_the_svd_top_pair(mat):
+    u, sigma = top_left_singular_vector(mat)
+    left, s, _ = np.linalg.svd(mat)
+    assert sigma == pytest.approx(s[0], rel=1e-9)
+    assert abs(np.vdot(left[:, 0], u)) == pytest.approx(1.0, abs=1e-9)
+    assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_drawn_svd_links_never_reach_the_svd_fallback(monkeypatch):
+    # every drawn multi-user beam meets the residual test well within the
+    # cap; a change that made ordinary beams stall would show here first
+    real, calls, svd_calls = precoding.top_left_singular_vector, [], []
+
+    def counted(mat):
+        calls.append(mat.shape)
+        with patch.object(np.linalg, "svd", _counting_svd(svd_calls)):
+            return real(mat)
+
+    monkeypatch.setattr(precoding, "top_left_singular_vector", counted)
+    for n, k, trials in ((16, 8, 200), (64, 40, 100)):
+        config = SystemConfig(n_antennas=n, n_users=k, variant="svd", schemes=["noma"],
+                              trials=trials)
+        for trial in range(trials):
+            runner.trial_link(config, trial)
+    assert len(calls) > 1000 and svd_calls == []
 
 
 @pytest.mark.parametrize("row", [np.zeros(5, complex), np.full((1, 3), 1e-170 + 0j)])

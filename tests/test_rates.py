@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,29 @@ def test_sinr_zero_power_and_single_user(budget):
                       selected=np.array([0]))
     w1 = _identity_precoder(1)
     assert sinr(0, 0, g1, w1, np.array([2.0]), 0.5) == pytest.approx(2.25 * 2.0 / 0.5)
+
+
+@pytest.mark.parametrize("m, n, message", [
+    (5, 0, "beam 0 has 2 users, so no user 5"),
+    (-1, 0, "beam 0 has 2 users, so no user -1"),
+    (1, 1, "beam 1 has 1 users, so no user 1"),
+    (0, 4, "beam 4 is not one of the 4 beams"),
+    (0, -1, "beam -1 is not one of the 4 beams"),
+])
+def test_sinr_rejects_a_user_outside_its_beam(random_link, budget, m, n, message):
+    # a flat index past beam n once read another beam's user: sinr(5, 0)
+    # and sinr(-1, 0) both gave the last user's SINR
+    _, _, grouping, precoder = random_link(seed=3, n=16, k=6)
+    assert [len(members) for members in grouping.beams] == [2, 1, 2, 1]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sinr(m, n, grouping, precoder, np.ones(6), budget.noise_mw)
+
+
+@pytest.mark.parametrize("count", [5, 7])
+def test_sinr_rejects_a_power_per_user_of_the_wrong_length(random_link, budget, count):
+    _, _, grouping, precoder = random_link(seed=3, n=16, k=6)
+    with pytest.raises(ValueError, match=rf"^expected 6 powers, got \({count},\)$"):
+        sinr(0, 0, grouping, precoder, np.ones(count), budget.noise_mw)
 
 
 def test_sinr_doubles_with_power_for_first_user_single_beam():

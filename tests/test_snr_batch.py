@@ -24,7 +24,7 @@ from beamspace_noma.power import (OUTER_CAP, _base_denominator, _update_p_rows,
                                   _with_rate_multipliers)
 from beamspace_noma.rates import budget_arrays
 
-from conftest import assert_zf_residual_bounded
+from conftest import assert_zf_residual_bounded, per_kernel
 
 # Seven points above the default sweep: below 10 dB a min-rate of 1 bps/Hz is
 # infeasible for most users, so every iteration runs the 200-round dual cap
@@ -288,9 +288,15 @@ def test_run_trial_matches_per_snr_reference_at_a_huge_los_variance(seed):
 
 
 # the iteration at which each of trials 0-2 meets a NaN NOMA iterate (None:
-# kept) at N = 16, K = 4 and 10 dB; the other schemes keep every trial
-NAN_ITERATE_DROPS = {(1e40, "strongest"): [2, 1, 1], (1e40, "svd"): [3, 1, 1],
-                     (1e100, "svd"): [None, 1, None]}
+# kept) at N = 16, K = 4 and 10 dB, under each OpenBLAS kernel, whose rounding
+# of the cancelling link arithmetic decides it; the other schemes keep every
+# trial
+NAN_ITERATE_DROPS = {
+    (1e40, "strongest"): {"SkylakeX": [2, 1, 1], "Haswell": [3, 3, None], "Katmai": [3, 1, 1]},
+    (1e40, "svd"): {"SkylakeX": [3, 1, 1], "Haswell": [1, 3, 1], "Katmai": [None, 1, 1]},
+    (1e100, "svd"): {"SkylakeX": [None, 1, None], "Haswell": [None, None, 2],
+                     "Katmai": [2, 1, None]},
+}
 
 
 @pytest.mark.filterwarnings("error")
@@ -302,7 +308,7 @@ def test_nan_iterates_drop_noma_without_a_warning(los_variance, variant):
     noma = [rec for rec in records if rec.scheme == "noma"]
     assert [rec.drop_reason for rec in noma] == [
         f"non-finite sum rate nan at iteration {t}" if t else ""
-        for t in NAN_ITERATE_DROPS[los_variance, variant]]
+        for t in per_kernel(NAN_ITERATE_DROPS[los_variance, variant])]
     assert all(rec.dropped == bool(rec.drop_reason) for rec in noma)
     others = [rec for rec in records if rec.scheme != "noma"]
     assert len(others) == 9 and not any(rec.dropped for rec in others)
