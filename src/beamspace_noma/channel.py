@@ -160,8 +160,7 @@ def sample_realization(params: ChannelParams, rng: np.random.Generator) -> Chann
     directions = rng.uniform(*DIRECTION_RANGE, size=(k, n_paths))
     gains = np.empty((k, n_paths), dtype=complex)
     gains[:, 0] = _complex_gaussian(rng, params.los_var, k)
-    if params.n_nlos:
-        gains[:, 1:] = _complex_gaussian(rng, params.nlos_var, (k, params.n_nlos))
+    gains[:, 1:] = _complex_gaussian(rng, params.nlos_var, (k, params.n_nlos))
     # (N, K*(L+1)) steering matrix, then per-user gain contraction
     steer = _steering_matrix(params.n_antennas, directions.ravel())
     steer = steer.reshape(params.n_antennas, k, n_paths)

@@ -100,29 +100,17 @@ def equivalent_channel_svd(grouping: BeamGrouping) -> np.ndarray:
     """The square equivalent channel whose column n is H_n u_n*, with u_n the
     dominant left singular vector of H_n^T, mixing all of the beam's users.
 
-    The power iteration returns its start [1+0j] for every one-row matrix,
-    finite or not (its residual |Im h^T conj(h)| is rounding, or the Gram
-    skips the loop), so every one-member beam takes the column h @ [1-0j],
-    all in one stacked matmul with the one-beam shapes, which runs the same
-    numpy kernel and keeps the bits. Other beams run the power iteration one
-    by one. A zero beam's column is zero, and `zf_precoder`'s condition check
-    drops it.
+    A one-member beam's u is [1], so its column is its user's channel, as in
+    the strongest variant; beams of two or more users run the power iteration
+    one by one. A zero or non-finite column reaches `zf_precoder`, whose
+    checks drop the link.
     """
-    if any(len(members) == 0 for members in grouping.beams):
-        raise ValueError("every beam must contain at least one user")
-    lone = [n for n, members in enumerate(grouping.beams) if len(members) == 1]
-    iterate = [n for n, members in enumerate(grouping.beams) if len(members) > 1]
-    eq = np.empty((grouping.reduced.shape[0], grouping.n_rf), dtype=complex)
-    # a huge LoS variance can leave non-finite entries, which `zf_precoder`
-    # drops with its one check per link, silently in `run_trial`
-    users = [grouping.beams[n][0] for n in lone]
-    rows = np.ascontiguousarray(grouping.reduced[:, users].T)
-    cols = rows[:, :, None] @ np.array([[1.0 + 0j]]).conj()  # h @ u* at u = [1+0j]
-    eq[:, lone] = cols[:, :, 0].T
-    for n in iterate:
-        h_n = grouping.beam_channels(n)
-        u, _ = top_left_singular_vector(h_n.T)
-        eq[:, n] = h_n @ u.conj()
+    eq = equivalent_channel_strongest(grouping).astype(complex, copy=False)
+    for n, members in enumerate(grouping.beams):
+        if len(members) > 1:
+            h_n = grouping.beam_channels(n)
+            u, _ = top_left_singular_vector(h_n.T)
+            eq[:, n] = h_n @ u.conj()
     return eq
 
 

@@ -12,8 +12,8 @@ batched code must reproduce them bit for bit.
 The link-layer references (`reference_zf_columns`,
 `reference_top_left_singular_vector`, `reference_verify_order`) are the
 ZF build that runs the SVD condition check on every channel, the power iteration
-without its one-row closed form or its finite-Gram gate and the order check
-that evaluated one-member beams; the current code must match them bit for bit.
+without its finite-Gram gate and the order check that evaluated one-member
+beams; the current code must match them bit for bit.
 `reference_noma_link` builds the NOMA link from them and the front-end
 references, and `reference_trial` and the baseline references take their ZF
 from them, so a trial's link shares no code with `runner.build_noma_link`
@@ -25,8 +25,11 @@ The front-end references (`reference_sample_realization`, `reference_lens`,
 every antenna row, the lens as the direct complex exp, the per-beam grouping
 loop, the one-beam-at-a-time SVD equivalent channel and the greedy beam claim
 that scanned the free beams for every user; the current code must match them
-bit for bit. `reference_trial` draws its channel and beamspace from the first
-two.
+bit for bit, but for the SVD channel's one-member columns. The package takes
+those as the user's channel, where the per-beam loop's h @ [1-0j] turns a -0.0
+real part into +0.0 and an infinite entry's other part into NaN; ZF keeps or
+drops the link alike. `reference_trial` draws its channel and beamspace from
+the first two.
 
 `reference_payload` is the JSON document `runner.sweep` wrote when it padded
 the convergence traces with a helper of its own; `sweep` must write it byte

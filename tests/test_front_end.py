@@ -1,6 +1,6 @@
 """The trial front end against the code it replaced, bit for bit: the channel
-draw with mirrored steering rows, the one-sort grouping, the batched
-one-member SVD beams and the direct single-user beam claim."""
+draw with mirrored steering rows, the one-sort grouping, the SVD equivalent
+channel and the direct single-user beam claim."""
 
 import math
 
@@ -8,16 +8,18 @@ import numpy as np
 import pytest
 
 from beamspace_noma import (BeamAssignment, BeamGrouping, ChannelParams, SystemConfig,
-                            beamspace_mimo_single_user, channel, equivalent_channel_svd,
-                            group_users, lens_transform_matrix, precoding, run_trial,
-                            sample_realization, select_beams, trial_rng)
+                            beamspace_mimo_single_user, build_noma_link, channel,
+                            equivalent_channel_svd, group_users, lens_transform_matrix,
+                            link_gains, precoding, run_trial, sample_realization,
+                            select_beams, trial_rng)
 from beamspace_noma.baselines import _claim_beams
 from beamspace_noma.cli import main as cli_main
+from beamspace_noma.runner import DROP_ERRORS
 
 from conftest import FixedDirections
 from oracles import (reference_beamspace_mimo, reference_claim_beams,
                      reference_equivalent_channel_svd, reference_group_users,
-                     reference_sample_realization)
+                     reference_sample_realization, reference_zf_precoder)
 
 
 def _bits(realization):
@@ -153,6 +155,15 @@ def _svd_outcome(fn, grouping):
     return eq.shape, eq.flags.c_contiguous, eq.tobytes()
 
 
+def _zf_outcome(fn, equivalent):
+    with np.errstate(all="ignore"):
+        try:
+            pre = fn(equivalent)
+        except precoding.PrecodingError as err:
+            return type(err), str(err), np.float64(err.condition).tobytes()
+    return pre.matrix.tobytes(), np.float64(pre.zf_residual).tobytes()
+
+
 def _random_reduced(rng, n_rf, k):
     base = rng.standard_normal((n_rf, 1)) + 1j * rng.standard_normal((n_rf, 1))
     reduced = base * (rng.standard_normal((1, k)) + 1j * rng.standard_normal((1, k)))
@@ -183,20 +194,30 @@ def test_svd_beams_of_one_to_k_users_match_the_loop(sizes):
 ])
 def test_one_member_svd_beams_keep_every_bit(lone_entries):
     # beam 0 holds the special user; beams 1 and 3 hold one ordinary user and
-    # beam 2 two users, so the batch, the loop and their merge all run
+    # beam 2 two users. One-member columns are their user's channel bit for
+    # bit, where the per-beam loop's h @ [1-0j] turns a -0.0 real part into
+    # +0.0 and an infinite entry's other part into NaN; the two-user column is
+    # the loop's, and ZF keeps or drops the link exactly as on the loop's channel
     rng = np.random.default_rng(11)
     reduced = _random_reduced(rng, 4, 5)
     reduced[:, 2] = lone_entries
-    g = _grouping(reduced, [[2], [0], [4, 1], [3]])
-    assert _svd_outcome(equivalent_channel_svd, g) == \
-        _svd_outcome(reference_equivalent_channel_svd, g)
+    beams = [[2], [0], [4, 1], [3]]
+    g = _grouping(reduced, beams)
+    with np.errstate(all="ignore"):
+        eq = equivalent_channel_svd(g)
+        ref = reference_equivalent_channel_svd(g)
+    assert eq.shape == (4, 4) and eq.flags.c_contiguous and eq.dtype == complex
+    for n, members in enumerate(beams):
+        want = reduced[:, members[0]] if len(members) == 1 else ref[:, n]
+        assert eq[:, n].tobytes() == want.tobytes()
+    assert _zf_outcome(precoding.zf_precoder, eq) == \
+        _zf_outcome(reference_zf_precoder, ref)
 
 
 @pytest.mark.parametrize("lone_entries", [[1e200 + 1e200j, 1.0, 0.0, 0.0],
                                           [math.inf, 1.0, 2.0, 3.0]])
 def test_only_beams_of_two_or_more_users_run_the_power_iteration(monkeypatch, lone_entries):
-    # b00 of these lone rows has a NaN imaginary part, and the closed form
-    # still answers them
+    # these lone rows overflow their Gram; they take their channel as it is
     shapes, loop = [], precoding.top_left_singular_vector
     monkeypatch.setattr(precoding, "top_left_singular_vector",
                         lambda mat: shapes.append(mat.shape) or loop(mat))
@@ -216,6 +237,71 @@ def test_svd_links_of_full_trials_match_the_loop(seed):
         g = group_users(select_beams(hb), hb)
         assert _svd_outcome(equivalent_channel_svd, g) == \
             _svd_outcome(reference_equivalent_channel_svd, g)
+
+
+SPECIAL_ENTRIES = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                   math.inf, -math.inf, complex(0.0, math.inf), 5e-324]
+
+
+def _loop_equivalent(grouping):
+    """Every beam, one-member ones too, through the package's power iteration,
+    whose finite-Gram gate returns at once on the infinite beams the reference
+    iteration would run to its cap."""
+    cols = []
+    for n in range(grouping.n_rf):
+        h_n = grouping.beam_channels(n)
+        u, _ = precoding.top_left_singular_vector(h_n.T)
+        cols.append(h_n @ u.conj())
+    return np.stack(cols, axis=1)
+
+
+def _link_outcome(hb):
+    with np.errstate(all="ignore"):
+        try:
+            grouping, precoder = build_noma_link(hb, "svd")
+            lg = link_gains(grouping, precoder)
+        except DROP_ERRORS as err:
+            return type(err), str(err)
+    return ([m.tolist() for m in grouping.beams], precoder.matrix.tobytes(),
+            np.float64(precoder.zf_residual).tobytes(), lg.gains.tobytes(), lg.own.tobytes())
+
+
+def _fuzzed_beamspace(rng):
+    n, k = int(rng.integers(2, 17)), int(rng.integers(1, 9))
+    hb = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))) \
+        * 10.0 ** rng.uniform(-3, 3, k)
+    if k > 1 and rng.random() < 0.25:  # a twin shares its beam and its norm
+        twin = rng.choice(k, 2, replace=False)
+        hb[:, twin[1]] = hb[:, twin[0]]
+    rows = np.unique(np.abs(hb).argmax(axis=0))  # specials land on selected beams
+    for _ in range(int(rng.integers(0, 6))):
+        hb[rng.choice(rows), rng.integers(k)] = SPECIAL_ENTRIES[rng.integers(len(SPECIAL_ENTRIES))]
+    return hb
+
+
+def _lone_special_beams(hb):
+    with np.errstate(all="ignore"):
+        try:
+            g = group_users(select_beams(hb), hb)
+        except DROP_ERRORS:
+            return 0
+    cols = [g.reduced[:, m[0]] for m in g.beams if len(m) == 1]
+    parts = [np.concatenate([c.real, c.imag]) for c in cols]
+    return sum(bool(np.any(np.isinf(p) | ((p == 0) & np.signbit(p)))) for p in parts)
+
+
+def test_svd_links_with_special_entries_match_the_per_beam_loop(monkeypatch):
+    # one-member columns are their user's channel, where the loop's h @ [1-0j]
+    # turns a -0.0 real part into +0.0 and an infinite entry's other part into
+    # NaN: every link is still kept with the same bytes, or dropped with the
+    # same error
+    rng = np.random.default_rng(2030)
+    spaces = [_fuzzed_beamspace(rng) for _ in range(600)]
+    new = [_link_outcome(hb) for hb in spaces]
+    monkeypatch.setattr(precoding, "equivalent_channel_svd", _loop_equivalent)
+    assert [_link_outcome(hb) for hb in spaces] == new
+    assert sum(not isinstance(o[0], type) for o in new) >= 100
+    assert sum(_lone_special_beams(hb) for hb in spaces) >= 100
 
 
 def _conflicts(hb):

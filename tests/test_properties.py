@@ -1,7 +1,13 @@
 """Properties checked over drawn inputs rather than at a few seeds."""
 
+import contextlib
+import io
 import math
+import os
+import tempfile
+import warnings
 from dataclasses import replace
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -12,6 +18,8 @@ from beamspace_noma import (ChannelParams, LinkBudget, OptimizerConfig, Precodin
                             SystemConfig, allocate_batch, baselines, build_noma_link,
                             lens_transform_matrix, link_gains, run_trial, runner,
                             sample_realization, trial_rng)
+from beamspace_noma.cli import FLAGS, MODES, main as cli_main
+from beamspace_noma.config import FIELD_PARSERS
 from beamspace_noma.power import BUDGET_TOL, DOUBLINGS, _solve_budgets
 from beamspace_noma.precoding import zf_columns
 
@@ -226,3 +234,82 @@ def test_records_are_equivariant_under_user_permutation(case, seed, variant):
             np.testing.assert_allclose(b.trace, a.trace, rtol=1e-9)
             np.testing.assert_allclose(b.user_rates, np.array(a.user_rates)[perm], rtol=1e-9,
                                        atol=1e-9 * a.sum_rate)
+
+
+# per config field, valid and boundary tokens that keep a run tiny: at most 8
+# antennas, 9 users, 2 trials, 2 SNR points and one worker; _JUNK goes to
+# every field
+_FIELD_TOKENS = {
+    "n_antennas": ["2", "4", "8", "1"], "n_users": ["1", "2", "4", "9"], "n_nlos": ["0", "2"],
+    "total_power_mw": ["32", "1e-300", "1e300"], "los_variance": ["1", "1e308", "1e-322"],
+    "nlos_variance": ["0.1", "1e300"], "snr_db": ["10", "0:10:10", "-50,300", "0:1e9:1e-6"],
+    "users_sweep": ["2", "1,4", "9", "2,2"], "trials": ["1", "2"],
+    "seed": ["7", "18446744073709551616"], "max_iters": ["3"], "min_rate": ["1", "1023", "1024"],
+    "rf_chain_mw": ["300", "1e308"], "switch_mw": ["5"], "baseband_mw": ["200"],
+    "schemes": ["noma", "oma,beamspace_mimo", "fully_digital,noma", "noma,noma", "mimo"],
+    "variant": ["svd", "strongest", "SVD"],
+    "out": ["run", "sub/run", "run.csv", "dir/", ".", "..", "cfg.txt/run"], "workers": ["1"],
+}
+_JUNK = ["", " ", "x", "#", "nan", "inf", "-inf", "1e999", "-1", "0", "0.5", "1,2", "1:0:1", "--x"]
+# the drawn lines override these; they keep the defaults' N = 256, K = 32 and
+# 200 trials out of the run
+_BASE_LINES = {"n_antennas": "4", "n_users": "2", "trials": "1", "snr_db": "10",
+               "users_sweep": "2", "max_iters": "3"}
+
+
+def _token(field):
+    return st.sampled_from(_FIELD_TOKENS[field] + _JUNK)
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None
+            for p in sorted(root.rglob("*"))}
+
+
+def _cli_outcome(argv):
+    """Exit status, stdout and stderr of one in-process `sim` run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cli_tokens_cover_every_config_field():
+    assert _FIELD_TOKENS.keys() == FIELD_PARSERS.keys()
+    assert {name for name, _ in FLAGS.values()} <= FIELD_PARSERS.keys()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mode=st.sampled_from(sorted(MODES)),
+       flags=st.lists(st.sampled_from(sorted(FLAGS)), max_size=3, unique=True).flatmap(
+           lambda fs: st.tuples(*[st.tuples(st.just(f), _token(FLAGS[f][0])) for f in fs])),
+       lines=st.lists(st.sampled_from(sorted(FIELD_PARSERS)), max_size=3, unique=True).flatmap(
+           lambda ks: st.tuples(*[st.tuples(st.just(k), _token(k)) for k in ks])))
+def test_cli_exits_0_with_its_files_or_2_with_one_error_line(mode, flags, lines):
+    argv = [mode, "--config", "cfg.txt"] + [t for pair in flags for t in pair]
+    values = {**_BASE_LINES, **dict(lines)}
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        root = Path(tmp)
+        (root / "cfg.txt").write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        before = _tree(root)
+        os.chdir(root)  # relative outs land here
+        try:
+            code, out, err = _cli_outcome(argv)
+        finally:
+            os.chdir(home)
+        if code == 0:
+            assert err == ""
+            csv_path, json_path = out.splitlines()[-1].removeprefix("wrote ").split(" and ")
+            assert csv_path.endswith(".csv") and json_path.endswith(".json")
+            assert (root / csv_path).is_file() and (root / json_path).is_file()
+        else:
+            assert code == 2, (code, err)
+            assert err.startswith("usage: sim") and "Traceback" not in err
+            assert [line for line in err.splitlines() if ": error: " in line] == \
+                [err.splitlines()[-1]], err
+            assert _tree(root) == before
