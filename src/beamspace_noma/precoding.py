@@ -4,19 +4,22 @@ With more users than RF chains the reduced beamspace matrix has no
 pseudo-inverse, so each beam is collapsed to one representative vector:
 either its strongest user's channel or a dominant-singular-vector mix of
 all its users' channels. `make_equivalent` returns the square equivalent
-matrix as a plain array, and `zf_precoder` takes ZF on it.
+matrix as a plain array, and `zf_precoder` takes ZF on it. The mix takes a
+beam's singular vector from a power iteration whose pair must prove itself
+the top one (lam >= tr(M M^H)/2), and from one SVD otherwise.
 
-A channel whose condition number exceeds COND_LIMIT drops the trial, and
-any other gets columns that zero-force it. ZF first tries to certify the
-Gram inverse. For G = H^H H, its computed inverse X and E = G X - I (the ZF
-residual H^H W - I, up to rounding far below 1/2), ||E||_2 <= n max|E_ij|
-<= 1/2 gives ||G^-1||_2 <= 2 ||X||_2, hence cond_2(G) <= 2n ||G||_1 ||X||_1,
-and cond(H) = sqrt(cond_2(G)). With the product of 1-norms at most
-CERT_LIMIT, cond(H) <= 1e4 sqrt(2n): for any realistic n that is many orders
-of magnitude below COND_LIMIT, far outside the SVD's own rounding, so the SVD
-would pass the channel too. Past the certificate (a singular Gram, a NaN, a
-loose bound) the SVD condition number decides the drop, and since the Gram
-squares cond(H), a kept channel takes its columns from one SVD instead.
+A channel with a NaN or infinite entry, or whose condition number exceeds
+COND_LIMIT, drops the trial, and any other gets columns that zero-force it.
+ZF first tries to certify the Gram inverse. For G = H^H H, its computed
+inverse X and E = G X - I (the ZF residual H^H W - I, up to rounding far
+below 1/2), ||E||_2 <= n max|E_ij| <= 1/2 gives ||G^-1||_2 <= 2 ||X||_2,
+hence cond_2(G) <= 2n ||G||_1 ||X||_1, and cond(H) = sqrt(cond_2(G)). With
+the product of 1-norms at most CERT_LIMIT, cond(H) <= 1e4 sqrt(2n): for any
+realistic n that is many orders of magnitude below COND_LIMIT, far outside
+the SVD's own rounding, so the SVD would pass the channel too. Past the
+certificate (a singular Gram, a NaN from an overflowing one, a loose bound)
+the SVD condition number decides the drop, and since the Gram squares
+cond(H), a kept channel takes its columns from one SVD instead.
 """
 
 from __future__ import annotations
@@ -59,41 +62,39 @@ def equivalent_channel_strongest(grouping: BeamGrouping) -> np.ndarray:
     return grouping.reduced[:, first].copy()
 
 
-def top_left_singular_vector(mat: np.ndarray) -> tuple[np.ndarray, float]:
-    """Dominant left singular pair of a complex matrix via power iteration.
+def top_left_singular_vector(mat: np.ndarray) -> np.ndarray:
+    """Dominant left singular vector of a complex matrix via power iteration.
 
     Iterates on M M^H from a fixed real positive start until the residual test
-    passes; past POWER_ITER_CAP iterations the top pair of one SVD of M answers.
-    The returned vector is unit norm with its largest-magnitude entry made real
-    positive; if the top two singular values coincide any vector of the
-    dominant subspace may come back. The start comes back from a zero matrix
-    (sigma 0), which meets the residual test at once, and from a non-finite
-    M M^H, which no SVD takes and which skips the loop.
+    is met or is NaN. With tr = ||M||_F^2 = tr(M M^H), a met pair with
+    tr/2 <= lam < inf stands: the other eigenvalues sum to tr - lam <= lam, so
+    none exceeds lam. Every other outcome (past POWER_ITER_CAP iterations, a
+    pair that fails the certificate, a NaN from an overflowing M M^H) takes the
+    top vector of one SVD of M. The returned vector is unit norm with its
+    largest-magnitude entry made real positive; if the top two singular values
+    coincide any vector of the dominant subspace may come back. A zero matrix
+    returns the start (0 <= 0), and so does a matrix with a non-finite entry,
+    which the SVD does not take: it raises on a NaN and may not return on an
+    infinite entry.
     """
     mat = np.atleast_2d(np.asarray(mat))
-    scale = np.linalg.norm(mat)
-    b = mat @ mat.conj().T
-    r = b.shape[0]
+    r = mat.shape[0]
     x = np.ones(r) / np.sqrt(r)
-    finite = np.isfinite(b).all()
-    for _ in range(POWER_ITER_CAP if finite else 0):
-        y = b @ x
-        lam = float(np.real(x.conj() @ y))
-        res = float(np.linalg.norm(y - lam * x))
-        if res <= POWER_ITER_TOL * scale**2:
-            sigma = np.sqrt(max(lam, 0.0))
-            break
-        x = y / np.linalg.norm(y)  # y = 0 has residual 0 and broke above
-    else:
-        if finite:  # past the cap
-            left, s, _ = np.linalg.svd(mat)
-            x, sigma = left[:, 0], s[0]
-        else:
-            sigma = np.sqrt(max(float(np.real(x.conj() @ (b @ x))), 0.0))
+    if np.isfinite(mat).all():
+        tr = np.linalg.norm(mat) ** 2
+        b = mat @ mat.conj().T
+        for _ in range(POWER_ITER_CAP):
+            y = b @ x
+            lam = float(np.real(x.conj() @ y))
+            res = np.linalg.norm(y - lam * x)
+            if not res > POWER_ITER_TOL * tr:
+                break
+            x = y / np.linalg.norm(y)  # y = 0 has residual 0 and broke above
+        if not (res <= POWER_ITER_TOL * tr and tr / 2 <= lam < np.inf):
+            x = np.linalg.svd(mat)[0][:, 0]
     pivot = np.argmax(np.abs(x))
     phase = x[pivot] / abs(x[pivot])
-    u = np.asarray(x / phase, dtype=complex)
-    return u, float(sigma)
+    return np.asarray(x / phase, dtype=complex)
 
 
 def equivalent_channel_svd(grouping: BeamGrouping) -> np.ndarray:
@@ -102,28 +103,31 @@ def equivalent_channel_svd(grouping: BeamGrouping) -> np.ndarray:
 
     A one-member beam's u is [1], so its column is its user's channel, as in
     the strongest variant; beams of two or more users run the power iteration
-    one by one. A zero or non-finite column reaches `zf_precoder`, whose
+    one by one. A zero or non-finite column reaches `zf_columns`, whose
     checks drop the link.
     """
     eq = equivalent_channel_strongest(grouping).astype(complex, copy=False)
     for n, members in enumerate(grouping.beams):
         if len(members) > 1:
             h_n = grouping.beam_channels(n)
-            u, _ = top_left_singular_vector(h_n.T)
-            eq[:, n] = h_n @ u.conj()
+            eq[:, n] = h_n @ top_left_singular_vector(h_n.T).conj()
     return eq
 
 
 def zf_columns(h: np.ndarray, what: str) -> tuple[np.ndarray, float]:
     """Unit-norm ZF columns W = H (H^H H)^{-1} of a tall matrix and the residual
     max |(H^H W - I)_ij| before normalization. Raises PrecodingError naming
-    `what` when cond(H) exceeds COND_LIMIT (the trial is dropped, not regularized).
+    `what` when H has a NaN or infinite entry (condition NaN), which the
+    condition check's SVD does not take, or when cond(H) exceeds COND_LIMIT
+    (the trial is dropped, not regularized).
 
     The SVD behind np.linalg.cond runs only when the Gram-inverse certificate
     (module docstring) fails: n * residual <= 1/2 and
     ||H^H H||_1 ||(H^H H)^{-1}||_1 <= CERT_LIMIT. A wide H has cond inf; a kept
     uncertified H takes W = U S^-1 V^H from one thin SVD, with that W's residual.
     """
+    if not np.isfinite(h).all():
+        raise PrecodingError(f"{what} has non-finite entries", condition=float("nan"))
     m, n = h.shape
     gram = h.conj().T @ h
     try:
@@ -147,14 +151,8 @@ def zf_columns(h: np.ndarray, what: str) -> tuple[np.ndarray, float]:
 
 
 def zf_precoder(equivalent: np.ndarray) -> Precoder:
-    """Zero-forcing precoder W~ = H~ (H~^H H~)^{-1} with unit-norm columns.
-
-    An equivalent channel with a NaN or infinite entry (an SVD mix whose
-    power iteration overflowed) raises PrecodingError before ZF, so the trial
-    records a drop instead of aborting in the condition check's SVD."""
-    if not np.isfinite(equivalent).all():
-        raise PrecodingError("equivalent channel has non-finite entries",
-                             condition=float("nan"))
+    """Zero-forcing precoder W~ = H~ (H~^H H~)^{-1} with unit-norm columns,
+    `zf_columns` of the equivalent channel."""
     w, residual = zf_columns(equivalent, "equivalent channel")
     return Precoder(matrix=w, zf_residual=residual)
 

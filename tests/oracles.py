@@ -337,9 +337,11 @@ def reference_trial(config, trial_index):
 
 
 def reference_zf_columns(h, what):
-    """ZF columns with the SVD condition check run on every channel, a wide one
-    padded to square with zero rows: the Gram inverse's columns where its
-    certificate holds, and one thin SVD's columns otherwise."""
+    """ZF columns with the SVD condition check run on every finite channel, a
+    wide one padded to square with zero rows: the Gram inverse's columns where
+    its certificate holds, and one thin SVD's columns otherwise."""
+    if not np.isfinite(h).all():
+        raise PrecodingError(f"{what} has non-finite entries", condition=float("nan"))
     n = h.shape[1]
     cond = float(np.linalg.cond(np.vstack([h, np.zeros((max(n - h.shape[0], 0), n))])))
     if not np.isfinite(cond) or cond > COND_LIMIT:
@@ -362,9 +364,6 @@ def reference_zf_columns(h, what):
 
 def reference_zf_precoder(equivalent):
     """`zf_precoder` through `reference_zf_columns`."""
-    if not np.isfinite(equivalent).all():
-        raise PrecodingError("equivalent channel has non-finite entries",
-                             condition=float("nan"))
     w, residual = reference_zf_columns(equivalent, "equivalent channel")
     return Precoder(matrix=w, zf_residual=residual)
 
@@ -392,31 +391,29 @@ def reference_noma_link(beamspace, variant):
 
 def reference_top_left_singular_vector(mat, tol=1e-12, max_iters=10_000):
     """Power iteration on M M^H for every shape, one-row matrices included,
-    run to its cap on a non-finite M M^H too. Past the cap the top pair of
-    one SVD of M answers, or the start vector where M M^H is not finite."""
+    run to its cap until the residual test is met, past a NaN and on a
+    non-finite M too. A met pair with tr/2 <= lam < inf, tr = ||M||_F^2,
+    stands; otherwise the top vector of one SVD of M answers, or the start
+    vector where M has a non-finite entry."""
     mat = np.atleast_2d(np.asarray(mat))
-    scale = np.linalg.norm(mat)
+    tr = np.linalg.norm(mat) ** 2
     b = mat @ mat.conj().T
     r = b.shape[0]
-    x = np.ones(r) / np.sqrt(r)
+    start = x = np.ones(r) / np.sqrt(r)
     for _ in range(max_iters):
         y = b @ x
         lam = float(np.real(x.conj() @ y))
-        res = float(np.linalg.norm(y - lam * x))
-        if res <= tol * scale**2:
-            sigma = math.sqrt(max(lam, 0.0))
+        met = np.linalg.norm(y - lam * x) <= tol * tr
+        if met:
             break
         x = y / np.linalg.norm(y)
-    else:
-        if np.isfinite(b).all():
-            left, s, _ = np.linalg.svd(mat)
-            x, sigma = left[:, 0], float(s[0])
-        else:
-            x = np.ones(r) / np.sqrt(r)
-            sigma = float(np.sqrt(max(float(np.real(x.conj() @ (b @ x))), 0.0)))
+    if not np.isfinite(mat).all():
+        x = start
+    elif not (met and tr / 2 <= lam < math.inf):
+        x = np.linalg.svd(mat)[0][:, 0]
     pivot = np.argmax(np.abs(x))
     phase = x[pivot] / abs(x[pivot])
-    return np.asarray(x / phase, dtype=complex), sigma
+    return np.asarray(x / phase, dtype=complex)
 
 
 def reference_verify_order(grouping, precoder):
@@ -483,8 +480,7 @@ def reference_equivalent_channel_svd(grouping):
     cols = []
     for n in range(grouping.n_rf):
         h_n = grouping.beam_channels(n)
-        u, _ = reference_top_left_singular_vector(h_n.T)
-        cols.append(h_n @ u.conj())
+        cols.append(h_n @ reference_top_left_singular_vector(h_n.T).conj())
     return np.stack(cols, axis=1)
 
 

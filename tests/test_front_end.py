@@ -245,13 +245,12 @@ SPECIAL_ENTRIES = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0
 
 def _loop_equivalent(grouping):
     """Every beam, one-member ones too, through the package's power iteration,
-    whose finite-Gram gate returns at once on the infinite beams the reference
-    iteration would run to its cap."""
+    whose finite-matrix gate returns at once on the infinite beams the
+    reference iteration would run to its cap."""
     cols = []
     for n in range(grouping.n_rf):
         h_n = grouping.beam_channels(n)
-        u, _ = precoding.top_left_singular_vector(h_n.T)
-        cols.append(h_n @ u.conj())
+        cols.append(h_n @ precoding.top_left_singular_vector(h_n.T).conj())
     return np.stack(cols, axis=1)
 
 
@@ -358,28 +357,25 @@ def _overflow_config(variant):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_overflowing_svd_mix_is_a_recorded_drop():
+def test_overflowing_svd_mix_is_kept():
+    # M M^H is finite on the two-user beam but the norm of M M^H x overflows:
+    # the power iteration's certificate fails and the SVD mixes the beam
     svd = run_trial(_overflow_config("svd"), 0)
     strongest = run_trial(_overflow_config("strongest"), 0)
     for rec in svd:
-        if rec.scheme in ("noma", "oma"):
-            assert rec.dropped and "equivalent channel" in rec.drop_reason
-            assert "non-finite" in rec.drop_reason
+        assert not rec.dropped and np.isfinite(rec.sum_rate) and rec.sum_rate > 0
     # the other schemes do not use the equivalent channel
     for rec_svd, rec_strongest in zip(svd, strongest):
         if rec_svd.scheme in ("beamspace_mimo", "fully_digital"):
-            assert not rec_svd.dropped
             assert repr(rec_svd.__dict__) == repr(rec_strongest.__dict__)
 
 
 @pytest.mark.filterwarnings("error")
-def test_overflowing_svd_mix_drops_without_a_warning():
-    # the power iteration's norms overflow on this link: NOMA and OMA drop with
-    # the one reason and no RuntimeWarning reaches stderr
+def test_overflowing_svd_mix_is_kept_without_a_warning():
+    # no RuntimeWarning from the overflowing norms reaches stderr
     records = run_trial(_overflow_config("svd"), 0)
-    reason = "equivalent channel has non-finite entries"
     assert [(r.scheme, r.dropped, r.drop_reason) for r in records] == [
-        ("noma", True, reason), ("oma", True, reason),
+        ("noma", False, ""), ("oma", False, ""),
         ("beamspace_mimo", False, ""), ("fully_digital", False, "")]
 
 
@@ -391,4 +387,5 @@ def test_overflowing_svd_mix_keeps_the_cli_running(tmp_path):
     code = cli_main(["sweep-snr", "--config", str(cfg), "--seed", "1", "--snr", "10",
                      "--trials", "1", "--variant", "svd", "--out", str(out)])
     assert code == 0
-    assert "non-finite" in (tmp_path / "overflow.csv").read_text()
+    rows = (tmp_path / "overflow.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4 and all(row.split(",")[9] == "0" for row in rows)

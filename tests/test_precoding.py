@@ -40,17 +40,28 @@ def test_strongest_equivalent_duplicate_users():
     np.testing.assert_array_equal(eq, equivalent_channel_strongest(g_single))
 
 
+def _sigma(mat, u):
+    """||M^H u||, the top singular value of M where u is its top left singular
+    vector."""
+    return float(np.linalg.norm(np.atleast_2d(mat).conj().T @ u))
+
+
+def _top_singular_value(mat):
+    return float(np.linalg.svd(np.atleast_2d(mat), compute_uv=False)[0])
+
+
 def test_power_iteration_diagonal():
-    u, s1 = top_left_singular_vector(np.array([[2.0, 0.0], [0.0, 1.0]]))
-    assert s1 == pytest.approx(2.0, abs=1e-12)
+    mat = np.array([[2.0, 0.0], [0.0, 1.0]])
+    u = top_left_singular_vector(mat)
+    assert _sigma(mat, u) == pytest.approx(_top_singular_value(mat), abs=1e-12)
     np.testing.assert_allclose(u, [1.0, 0.0], atol=1e-10)  # phase convention: +e1
 
 
 def test_power_iteration_single_column():
     rng = np.random.default_rng(1)
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    u, s1 = top_left_singular_vector(v[:, None])
-    assert s1 == pytest.approx(np.linalg.norm(v), rel=1e-12)
+    u = top_left_singular_vector(v[:, None])
+    assert _sigma(v[:, None], u) == pytest.approx(_top_singular_value(v[:, None]), rel=1e-12)
     assert abs(np.vdot(u, v / np.linalg.norm(v))) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -58,7 +69,8 @@ def test_power_iteration_matches_eigensolver_oracle():
     rng = np.random.default_rng(2)
     for _ in range(20):
         m = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-        u, s1 = top_left_singular_vector(m)
+        u = top_left_singular_vector(m)
+        s1 = _sigma(m, u)
         evals = np.linalg.eigvalsh(m @ m.conj().T)
         assert s1**2 == pytest.approx(float(evals[-1]), rel=1e-9)
         residual = np.linalg.norm(m @ m.conj().T @ u - s1**2 * u)
@@ -67,10 +79,12 @@ def test_power_iteration_matches_eigensolver_oracle():
 
 
 def test_power_iteration_of_a_zero_matrix_returns_its_start():
-    # the first residual is 0 <= tol * 0, so the loop stops at its start
-    u, s1 = top_left_singular_vector(np.zeros((3, 2)))
+    # the first residual is 0 <= tol * 0, and lam = 0 meets the certificate
+    # 0 <= tr / 2 = 0, so the loop stops at its start
+    mat = np.zeros((3, 2))
+    u = top_left_singular_vector(mat)
     assert u.tobytes() == (np.ones(3, dtype=complex) / np.sqrt(3)).tobytes()
-    assert s1 == 0.0
+    assert _sigma(mat, u) == _top_singular_value(mat) == 0.0
 
 
 def test_a_zero_svd_beam_is_dropped_by_the_zf_condition_check():
@@ -84,9 +98,10 @@ def test_a_zero_svd_beam_is_dropped_by_the_zf_condition_check():
     assert err.value.condition == np.inf
 
 
-def test_power_iteration_on_a_non_finite_gram_returns_its_start_without_iterating():
-    # no residual is ever below inf, so the capped loop ends at its start
-    # vector anyway: the gated loop must give the ungated oracle's bits
+def test_power_iteration_on_a_non_finite_gram_takes_the_svd_at_once():
+    # M is finite but M M^H overflows: the first residual is NaN, which stops
+    # the loop and fails the certificate, so the SVD answers at once; the
+    # oracle runs its loop to the cap first and must give the same bits
     mat = np.full((2, 3), 1e200 + 1e200j)
     real_norm, calls = np.linalg.norm, []
 
@@ -99,8 +114,20 @@ def test_power_iteration_on_a_non_finite_gram_returns_its_start_without_iteratin
         with patch.object(np.linalg, "norm", norm):
             got = top_left_singular_vector(mat)
     assert len(calls) <= 2
-    assert got[0].tobytes() == want[0].tobytes()
-    assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+    assert got.tobytes() == want.tobytes()
+    assert abs(np.vdot(np.linalg.svd(mat)[0][:, 0], got)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_power_iteration_on_a_non_finite_matrix_returns_its_start_without_iterating():
+    # the SVD does not take a NaN or an infinite entry, so the start answers
+    start = (np.ones(3, dtype=complex) / np.sqrt(3)).tobytes()
+    for entry in (np.nan, np.inf, complex(0.0, np.inf)):
+        mat = np.ones((3, 3), dtype=complex)
+        mat[1, 2] = entry
+        with patch.object(np.linalg, "norm", lambda *a, **k: pytest.fail("iterated")):
+            assert top_left_singular_vector(mat).tobytes() == start
+        with np.errstate(all="ignore"):
+            assert reference_top_left_singular_vector(mat, max_iters=10).tobytes() == start
 
 
 def test_svd_equivalent_singleton_is_phase_scaled_channel():
@@ -200,6 +227,9 @@ def test_every_zf_user_drops_singular_input_with_its_message():
     same = np.ones((4, 2), dtype=complex)
     with pytest.raises(PrecodingError, match=r"^channel condition "):
         fully_digital_zf(same, budget)
+    # a NaN entry drops before the condition check's SVD, which would raise
+    with pytest.raises(PrecodingError, match=r"^channel has non-finite entries$"):
+        fully_digital_zf(np.where(np.eye(4, 2) == 1, np.nan, same), budget)
     # distinct beams 0 and 1, but the 2 x 2 reduced matrix has equal rows
     beamspace = np.array([[1, 1], [1, 1], [0, 0], [0, 0]], dtype=complex)
     with pytest.raises(PrecodingError, match=r"^equivalent channel condition "):
@@ -244,9 +274,8 @@ def _zf_sweep(seed=2024, count=2100):
 def _zf_outcome(fn, h):
     try:
         w, residual = fn(h, "channel")
-    except (PrecodingError, np.linalg.LinAlgError) as exc:
-        condition = np.float64(getattr(exc, "condition", 0.0)).tobytes()
-        return type(exc), str(exc), condition
+    except PrecodingError as exc:
+        return type(exc), str(exc), np.float64(exc.condition).tobytes()
     return w.dtype, w.shape, w.tobytes(), np.float64(residual).tobytes()
 
 
@@ -254,14 +283,16 @@ def test_zf_certificate_matches_the_svd_check_on_a_seeded_sweep(monkeypatch):
     svd_calls = []
     cond = np.linalg.cond
     monkeypatch.setattr(np.linalg, "cond", lambda h: svd_calls.append(1) or cond(h))
-    kinds = {"certified": 0, "fallback kept": 0, "PrecodingError": 0, "LinAlgError": 0}
+    kinds = {"certified": 0, "fallback kept": 0, "ill-conditioned": 0, "non-finite": 0}
     with np.errstate(all="ignore"):
         for h in _zf_sweep():
             expected = _zf_outcome(reference_zf_columns, h)
             before = len(svd_calls)
             assert _zf_outcome(zf_columns, h) == expected
-            if isinstance(expected[0], type) and issubclass(expected[0], Exception):
-                kinds[expected[0].__name__] += 1
+            if expected[0] is PrecodingError:
+                # a NaN channel drops before the condition check's SVD
+                assert ("non-finite" in expected[1]) == bool(np.isnan(h).any())
+                kinds["non-finite" if "non-finite" in expected[1] else "ill-conditioned"] += 1
             else:
                 # a kept channel is zero-forced, on either route
                 assert np.frombuffer(expected[-1])[0] < 0.5
@@ -302,20 +333,17 @@ def test_full_scale_links_rarely_fall_back_to_the_svd(monkeypatch):
 @pytest.mark.parametrize("part", ["real", "imag", "complex"])
 def test_one_row_singular_vector_matches_the_power_iteration(part):
     # equivalent_channel_svd answers every one-member beam without the loop:
-    # the loop must stop at u = [1+0j] with sigma = sqrt(max(Re b00, 0)) on
-    # every finite row, bit for bit
+    # the loop must stop at u = [1+0j] on every finite row, bit for bit
     rng = np.random.default_rng({"real": 5, "imag": 6, "complex": 7}[part])
     for n in range(1, 65):
         for scale in 10.0 ** np.linspace(-150, 150, 13):
             re, im = rng.standard_normal(n), rng.standard_normal(n)
             row = {"real": re + 0j, "imag": 1j * im, "complex": re + 1j * im}[part] * scale
             for mat in (row, row[None, :]):
-                b00 = (np.atleast_2d(mat) @ np.atleast_2d(mat).conj().T)[0, 0]
-                u, sigma = top_left_singular_vector(mat)
+                u = top_left_singular_vector(mat)
                 assert (u.dtype, u.shape, u.tobytes()) == (np.dtype(complex), (1,),
                                                            np.array([1.0 + 0j]).tobytes())
-                want = np.sqrt(max(float(b00.real), 0.0))
-                assert np.float64(sigma).tobytes() == np.float64(want).tobytes()
+                assert _sigma(mat, u) == pytest.approx(_top_singular_value(mat), rel=1e-12)
 
 
 def _counting_svd(calls):
@@ -333,20 +361,19 @@ def _near_twin(delta, eps):
 @pytest.mark.parametrize("delta, eps", [(1e-3, 1e-7), (1e-4, 1e-8)])
 def test_a_capped_power_iteration_returns_the_svd_top_pair(delta, eps):
     # sigma_2 / sigma_1 is near 1, so the residual test is not met within
-    # the cap and the SVD's top pair answers: sigma is sqrt(1 + delta), never
-    # the second singular value sqrt(1 - delta)
+    # the cap and the SVD's top vector answers: ||M^H u|| is sqrt(1 + delta),
+    # never the second singular value sqrt(1 - delta)
     mat = _near_twin(delta, eps)
     calls = []
     with patch.object(np.linalg, "svd", _counting_svd(calls)):
-        u, sigma = top_left_singular_vector(mat)
+        u = top_left_singular_vector(mat)
     assert calls == [(2, 2)]
     left, s, _ = np.linalg.svd(mat)
-    assert sigma == s[0] == pytest.approx(np.sqrt(1 + delta), rel=1e-12)
+    assert _sigma(mat, u) == pytest.approx(s[0], rel=1e-12)
+    assert s[0] == pytest.approx(np.sqrt(1 + delta), rel=1e-12)
     assert abs(np.vdot(left[:, 0], u)) == pytest.approx(1.0, abs=1e-12)
     assert u[np.argmax(np.abs(u))].imag == 0 and u[np.argmax(np.abs(u))].real > 0
-    u_ref, sigma_ref = reference_top_left_singular_vector(mat)
-    assert u.tobytes() == u_ref.tobytes()
-    assert np.float64(sigma).tobytes() == np.float64(sigma_ref).tobytes()
+    assert u.tobytes() == reference_top_left_singular_vector(mat).tobytes()
 
 
 @st.composite
@@ -354,33 +381,43 @@ def _gapped_matrices(draw):
     """Complex 2-6 x 1-8 matrices whose largest entry has magnitude 10^e, with
     a relative gap of at least 1e-6 below the top singular value.
 
-    e stays in -70..70, where the squared norms of M M^H x and of the
-    residual are normal floats: `np.linalg.norm` does not rescale, so past
-    about 1e77 the iterate's norm overflows and the iteration returns a NaN
-    vector with sigma 0, and below about 1e-71 the residual underflows. The
-    top left singular vector is not (nearly) orthogonal to the real positive
-    start either: there a fixed start sees the next pair first, and its
-    residual test passes on it."""
+    e stays in -70..150. Above about 1e77 the norm of M M^H x overflows, and
+    the certificate sends the pair to the SVD. Below about 1e-80 the squared
+    norms of the residual underflow, and the residual test can pass on a
+    vector that is not yet the top one: the certificate cannot see that, so
+    that range is left out."""
     m, n = draw(st.integers(2, 6)), draw(st.integers(1, 8))
     parts = st.floats(-1.0, 1.0, allow_subnormal=False)
     raw = np.array(draw(st.lists(parts, min_size=2 * m * n, max_size=2 * m * n)))
     mat = (raw[::2] + 1j * raw[1::2]).reshape(m, n)
     peak = np.abs(mat).max()
     assume(peak > 0)
-    mat = mat / peak * 10.0 ** draw(st.floats(-70.0, 70.0))
-    left, s, _ = np.linalg.svd(mat)
+    mat = mat / peak * 10.0 ** draw(st.floats(-70.0, 150.0))
+    s = np.linalg.svd(mat, compute_uv=False)
     assume(len(s) == 1 or s[0] - s[1] >= 1e-6 * s[0])
-    assume(abs(left[:, 0].sum()) / np.sqrt(m) >= 1e-3)
+    return mat
+
+
+def _one_large_entry():
+    mat = np.zeros((4, 5), dtype=complex)
+    mat[1, 2] = 1e78j
     return mat
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(mat=_gapped_matrices())
 @example(mat=_near_twin(1e-4, 1e-8))
+# the top left singular vector is orthogonal to the real positive start, and
+# the residual test passes on the second pair
+@example(mat=np.array([[1, 0.5], [-1, 0.5]], dtype=complex))
+@example(mat=np.array([[1, 0], [-1, 0]], dtype=complex))
+# M M^H is finite, but the norm of M M^H x overflows
+@example(mat=_one_large_entry())
 def test_power_iteration_is_the_svd_top_pair(mat):
-    u, sigma = top_left_singular_vector(mat)
+    with np.errstate(all="ignore"):
+        u = top_left_singular_vector(mat)
     left, s, _ = np.linalg.svd(mat)
-    assert sigma == pytest.approx(s[0], rel=1e-9)
+    assert _sigma(mat, u) == pytest.approx(s[0], rel=1e-9)
     assert abs(np.vdot(left[:, 0], u)) == pytest.approx(1.0, abs=1e-9)
     assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
 
@@ -406,18 +443,17 @@ def test_drawn_svd_links_never_reach_the_svd_fallback(monkeypatch):
 
 @pytest.mark.parametrize("row", [np.zeros(5, complex), np.full((1, 3), 1e-170 + 0j)])
 def test_one_row_zero_matrix_returns_the_start(row):
-    u, sigma = top_left_singular_vector(row)
-    u_ref, sigma_ref = reference_top_left_singular_vector(row)
+    u = top_left_singular_vector(row)
+    u_ref = reference_top_left_singular_vector(row)
     assert u.tobytes() == u_ref.tobytes() == np.array([1.0 + 0j]).tobytes()
-    assert sigma == sigma_ref == 0.0
 
 
 def test_one_row_overflow_keeps_the_power_iteration_answer():
-    # |b_00| overflows to inf: the loop never meets its residual test, so the
-    # closed form must not answer for it
+    # |b_00| and ||M||_F^2 overflow to inf: the residual is NaN and the
+    # certificate fails, so the SVD answers u = [1], as the oracle's does
     row = np.full((1, 4), 1e160 + 0j)
     with np.errstate(all="ignore"):
-        u, sigma = top_left_singular_vector(row)
-        u_ref, sigma_ref = reference_top_left_singular_vector(row)
+        u = top_left_singular_vector(row)
+        u_ref = reference_top_left_singular_vector(row)
     assert u.tobytes() == u_ref.tobytes()
-    assert np.float64(sigma).tobytes() == np.float64(sigma_ref).tobytes()
+    assert np.array_equal(u, [1.0])
