@@ -4,9 +4,10 @@ Spatial directions are used directly: theta = (d/lambda)*sin(phi) with
 half-wavelength spacing, so theta lives in [-1/2, 1/2] and the lens grid
 is orthonormal. Wavelength and physical angles never need to be instantiated.
 
-A trial's steering matrix exp(-j 2 pi theta m)/sqrt(N), and the lens (the
-steering matrix at the negated grid, transposed), is computed on the m >= 0
-rows only; each m < 0 row is the conjugate of its mirror row, bit for bit:
+A trial's steering matrix exp(-j 2 pi theta m)/sqrt(N), the lens (the steering
+matrix at the negated grid, transposed) and `steering_vector` (its one-direction
+view) all come from `_steering_matrix`, which computes the m >= 0 rows only;
+each m < 0 row is the conjugate of its mirror row, bit for bit:
 - the index set is exactly symmetric (m and -m are both exact), so the
   products x = m*theta of mirror rows are exact negations;
 - numpy multiplies x by the scalar -2j*pi = (+0.0) + (-2 pi)j as the complex
@@ -90,16 +91,11 @@ class LensMatrix:
     directions: np.ndarray  # (N,) real grid directions, ascending
 
 
-def _sym_indices(n: int) -> np.ndarray:
-    # symmetric index set {i - (N-1)/2 : i = 0..N-1}
-    return np.arange(n) - (n - 1) / 2.0
-
-
 def _steering_matrix(n: int, directions: np.ndarray) -> np.ndarray:
     """(N, D) matrix of steering vectors, one column per direction, with each
     m < 0 row the conjugate of its mirror row when every |theta| lies in
     MIRROR_RANGE (bit-equal to the direct exp over all rows; module docstring)."""
-    m = _sym_indices(n)
+    m = np.arange(n) - (n - 1) / 2.0  # symmetric index set, ascending
     mag = np.abs(directions)
     lo, hi = MIRROR_RANGE
     if not (mag.min() >= lo and mag.max() <= hi):
@@ -115,15 +111,13 @@ def _steering_matrix(n: int, directions: np.ndarray) -> np.ndarray:
 
 
 def steering_vector(theta: float, n_antennas: int) -> np.ndarray:
-    """Unit-norm ULA array response at spatial direction theta.
-
-    Entry for symmetric index m is exp(-j*2*pi*theta*m)/sqrt(N), indices
-    ascending from -(N-1)/2 to +(N-1)/2.
-    """
+    """Unit-norm ULA array response at spatial direction theta, entry
+    exp(-j*2*pi*theta*m)/sqrt(N) for symmetric index m ascending from -(N-1)/2
+    to +(N-1)/2: the one-direction view of `_steering_matrix`, bit-equal to
+    the columns `sample_realization` and `lens_transform_matrix` build."""
     if n_antennas < 1:
         raise ValueError(f"invalid antenna count {n_antennas}")
-    m = _sym_indices(n_antennas)
-    return np.exp(-2j * np.pi * theta * m) / np.sqrt(n_antennas)
+    return _steering_matrix(n_antennas, np.array([theta], dtype=float))[:, 0]
 
 
 def lens_transform_matrix(n_antennas: int) -> LensMatrix:

@@ -137,9 +137,8 @@ def _mmse_terms(lg: LinkGains, p: np.ndarray, xi: np.ndarray) -> tuple[np.ndarra
 def mmse_error(powers: np.ndarray, grouping: BeamGrouping, precoder: Precoder,
                noise_mw: float) -> np.ndarray:
     """Minimized per-user MSE values e_opt at the given powers."""
-    lg, powers = link_and_powers(grouping, precoder, powers)
-    xi = interference_vector(lg, powers[None], np.array([noise_mw]))[0]
-    return _mmse_terms(lg, powers, xi)[1]
+    lg, p, xi = link_and_powers(grouping, precoder, powers, noise_mw)
+    return _mmse_terms(lg, p[0], xi[0])[1]
 
 
 def _base_denominator(lg: LinkGains, c: np.ndarray, a: np.ndarray) -> np.ndarray:

@@ -178,15 +178,16 @@ def rate_reports(lg: LinkGains, powers: np.ndarray, xi: np.ndarray) -> list[Rate
     return reports(lg.users, lg.n_rf, lg.own_gain * powers, xi)
 
 
-def link_and_powers(grouping: BeamGrouping, precoder: Precoder,
-                    powers: np.ndarray) -> tuple[LinkGains, np.ndarray]:
-    """The link gains of a one-budget call and its (K,) float powers, one per
-    user in flat order; any other shape is a ValueError."""
+def link_and_powers(grouping: BeamGrouping, precoder: Precoder, powers: np.ndarray,
+                    noise_mw: float) -> tuple[LinkGains, np.ndarray, np.ndarray]:
+    """Link gains, (1, K) float power row and its interference-plus-noise row
+    of a one-budget call at (K,) powers in flat user order (else ValueError)."""
     powers = np.asarray(powers, dtype=float)
     lg = link_gains(grouping, precoder)
     if powers.shape != lg.users.shape:
         raise ValueError(f"expected {lg.users.shape[0]} powers, got {powers.shape}")
-    return lg, powers
+    p = powers[None]
+    return lg, p, interference_vector(lg, p, np.array([noise_mw]))
 
 
 def sinr(m: int, n: int, grouping: BeamGrouping, precoder: Precoder,
@@ -196,17 +197,14 @@ def sinr(m: int, n: int, grouping: BeamGrouping, precoder: Precoder,
         raise ValueError(f"beam {n} is not one of the {grouping.n_rf} beams")
     if not 0 <= m < len(grouping.beams[n]):
         raise ValueError(f"beam {n} has {len(grouping.beams[n])} users, so no user {m}")
-    lg, powers = link_and_powers(grouping, precoder, powers)
-    xi = interference_vector(lg, powers[None], np.array([noise_mw]))
-    return float(rate_reports(lg, powers[None], xi)[0].sinr[np.searchsorted(lg.beam_of, n) + m])
+    lg, p, xi = link_and_powers(grouping, precoder, powers, noise_mw)
+    return float(rate_reports(lg, p, xi)[0].sinr[np.searchsorted(lg.beam_of, n) + m])
 
 
 def sum_rate(grouping: BeamGrouping, precoder: Precoder, powers: np.ndarray,
              budget: LinkBudget) -> RateReport:
     """Assemble every user's SINR and rate and the sum spectral efficiency."""
-    lg, powers = link_and_powers(grouping, precoder, powers)
-    xi = interference_vector(lg, powers[None], np.array([budget.noise_mw]))
-    return rate_reports(lg, powers[None], xi)[0]
+    return rate_reports(*link_and_powers(grouping, precoder, powers, budget.noise_mw))[0]
 
 
 def energy_efficiency(sum_rate_bpshz: float, n_rf: int, budget: LinkBudget,

@@ -3,6 +3,7 @@ import pytest
 
 from beamspace_noma import (ChannelParams, lens_transform_matrix, sample_realization,
                             steering_vector, to_beamspace, trial_rng)
+from beamspace_noma.channel import _steering_matrix
 
 from oracles import reference_lens
 
@@ -59,6 +60,18 @@ def test_lens_is_the_direct_exp_bit_for_bit(n):
     lens = lens_transform_matrix(n)
     assert lens.matrix.tobytes() == reference_lens(n).tobytes()
     assert lens.matrix.flags.c_contiguous
+
+
+# odd N puts the zero direction on the lens grid, whose row takes the direct exp
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 31, 64, 255, 256])
+def test_steering_vector_is_the_steering_matrix_column_bit_for_bit(n):
+    d = np.random.default_rng(n).uniform(-0.5, 0.5, 30)
+    steer = _steering_matrix(n, d)
+    for j in range(d.size):
+        assert steering_vector(d[j], n).tobytes() == steer[:, j].tobytes()
+    lens = lens_transform_matrix(n)
+    for i in range(n):
+        assert lens.matrix[i].tobytes() == steering_vector(-lens.directions[i], n).tobytes()
 
 
 def test_single_path_norm_equals_gain():
