@@ -7,8 +7,8 @@ digital, single-user beamspace MIMO, and OMA comparison schemes and a seeded
 Monte Carlo harness.
 """
 
-from .beams import (BeamAssignment, BeamGrouping, DegenerateChannelError, group_users,
-                    reorder, select_beams, verify_order)
+from .beams import (BeamGrouping, DegenerateChannelError, group_users, reorder,
+                    select_beams, verify_order)
 from .baselines import (beamspace_mimo_single_user, beamspace_mimo_single_user_batch,
                         fully_digital_zf, fully_digital_zf_batch, mimo_oma, mimo_oma_batch)
 from .channel import (ChannelParams, ChannelRealization, LensMatrix, lens_transform_matrix,

@@ -17,18 +17,6 @@ class DegenerateChannelError(ValueError):
 
 
 @dataclass
-class BeamAssignment:
-    """Per-user dominant beam and the distinct selected-beam set."""
-
-    beam_for_user: np.ndarray  # (K,) int, beam index in 1..N space stored 0-based
-    selected: np.ndarray       # (N_RF,) distinct beam indices, ascending
-
-    @property
-    def n_rf(self) -> int:
-        return len(self.selected)
-
-
-@dataclass
 class BeamGrouping:
     """Users partitioned into per-beam SIC groups with reduced channels.
 
@@ -55,38 +43,32 @@ class BeamGrouping:
         return self.reduced[:, self.beams[n]]
 
 
-def select_beams(beamspace: np.ndarray) -> BeamAssignment:
-    """Assign every user its maximum-magnitude beam.
-
-    Ties resolve to the lowest beam index; the selected set is the distinct
-    assignments in ascending order.
-    """
+def select_beams(beamspace: np.ndarray) -> np.ndarray:
+    """Each user's maximum-magnitude beam, as a (K,) array; ties resolve to
+    the lowest beam index."""
     mags = np.abs(beamspace)
     dead = np.where(mags.max(axis=0) == 0)[0]
     if dead.size:
         raise DegenerateChannelError(f"user {dead[0]} has an all-zero beamspace channel")
-    per_user = mags.argmax(axis=0)
-    return BeamAssignment(beam_for_user=per_user, selected=np.unique(per_user))
+    return mags.argmax(axis=0)
 
 
-def group_users(assignment: BeamAssignment, beamspace: np.ndarray) -> BeamGrouping:
+def group_users(beam_for_user: np.ndarray, beamspace: np.ndarray) -> BeamGrouping:
     """Group conflicting users per beam and extract reduced channels.
 
+    The selected beams are the distinct beams the users take, ascending.
     Within a beam, users sort by decreasing reduced-channel norm; exact ties
     keep the lower user index first. One lexsort keyed on (beam, -norm, user)
-    orders every user at once; each selected beam's members are then the run
-    of its index in that order. Users on an unselected beam are left out, and
-    a selected beam without users gets an empty group.
+    orders every user at once; each selected beam holds a user, so its
+    members are the run in that order that ends where the next beam's begins.
     """
-    reduced = beamspace[assignment.selected, :]
+    selected = np.unique(beam_for_user)
+    reduced = beamspace[selected, :]
     norms = np.linalg.norm(reduced, axis=0)
-    beam_for_user = assignment.beam_for_user
     order = np.lexsort((np.arange(len(beam_for_user)), -norms, beam_for_user))
-    ranked = beam_for_user[order]
-    starts = np.searchsorted(ranked, assignment.selected, side="left").tolist()
-    ends = np.searchsorted(ranked, assignment.selected, side="right").tolist()
-    beams = [order[start:end] for start, end in zip(starts, ends)]
-    return BeamGrouping(beams=beams, reduced=reduced, selected=assignment.selected)
+    bounds = np.searchsorted(beam_for_user[order], selected).tolist() + [len(order)]
+    beams = [order[start:end] for start, end in zip(bounds, bounds[1:])]
+    return BeamGrouping(beams=beams, reduced=reduced, selected=selected)
 
 
 def verify_order(grouping: BeamGrouping, precoder) -> dict[int, np.ndarray]:

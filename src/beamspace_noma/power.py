@@ -521,10 +521,20 @@ def allocate_batch(lg: LinkGains, budgets: Sequence[LinkBudget],
     stall = [0] * n_rows
     # the state of the live rows stays compacted; a row's final powers,
     # multipliers and interference are written out when it leaves, and the
-    # rate reports are built once, from them
+    # rate reports are built once, from them. A row whose start rate is not
+    # finite leaves before its first step, with the start as its final state
     live, live_total, live_noise = np.arange(n_rows), total, noise
     final = np.empty_like(p), np.empty_like(lam), np.empty_like(mu), np.empty_like(xi)
+    keep = [math.isfinite(rate) for rate in latest]
     for _ in range(config.max_iters):
+        if not any(keep):
+            break
+        if not all(keep):
+            leaving = np.logical_not(keep)
+            for out, x in zip(final, (p, lam, mu, xi)):
+                out[live[leaving]] = x[leaving]
+            live, p, lam, mu, xi, live_total, live_noise = (
+                x[keep] for x in (live, p, lam, mu, xi, live_total, live_noise))
         c, e = _mmse_terms(lg, p, xi)  # the weights are a = 1/e
         p, lam, mu, _, _ = _update_p_rows(lg, c, 1.0 / e, eta, live_total, live_noise, lam)
         xi = interference_vector(lg, p, live_noise)
@@ -536,14 +546,6 @@ def allocate_batch(lg: LinkGains, budgets: Sequence[LinkBudget],
             traces[row].append(rate)
             budget_traces[row].append(used)
             keep.append(stall[row] < STAGNATION_PATIENCE)
-        if not any(keep):
-            break
-        if not all(keep):
-            leaving = np.logical_not(keep)
-            for out, x in zip(final, (p, lam, mu, xi)):
-                out[live[leaving]] = x[leaving]
-            live, p, lam, mu, xi, live_total, live_noise = (
-                x[keep] for x in (live, p, lam, mu, xi, live_total, live_noise))
     for out, x in zip(final, (p, lam, mu, xi)):
         out[live] = x
     p, lam, mu, xi_rows = final

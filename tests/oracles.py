@@ -23,12 +23,12 @@ The front-end references (`reference_sample_realization`, `reference_lens`,
 `reference_group_users`, `reference_equivalent_channel_svd`,
 `reference_claim_beams`) are the channel draw that ran the complex exp on
 every antenna row, the lens as the direct complex exp, the per-beam grouping
-loop, the one-beam-at-a-time SVD equivalent channel and the greedy beam claim
-that scanned the free beams for every user; the current code must match them
-bit for bit, but for the SVD channel's one-member columns. The package takes
-those as the user's channel, where the per-beam loop's h @ [1-0j] turns a -0.0
-real part into +0.0 and an infinite entry's other part into NaN; ZF keeps or
-drops the link alike. `reference_trial` draws its channel and beamspace from
+loop over the sorted set of the users' beams, the one-beam-at-a-time SVD
+equivalent channel and the greedy beam claim that scanned the free beams for
+every user; the current code must match them bit for bit, but for the SVD
+channel's one-member columns. The package takes those as the user's channel,
+where the per-beam loop's h @ [1-0j] turns a -0.0 real part into +0.0 and an
+infinite entry's other part into NaN; ZF keeps or drops the link alike. `reference_trial` draws its channel and beamspace from
 the first two.
 
 `reference_payload` is the JSON document `runner.sweep` wrote when it padded
@@ -189,7 +189,8 @@ def sequential_update_p(lg, c, a, min_rate, budget):
 
 
 def sequential_allocate(grouping, precoder, budget, max_iters, min_rate):
-    """The c/a/p iteration for one budget, from the equal power split."""
+    """The c/a/p iteration for one budget, from the equal power split; a
+    split that rates non-finite takes no step."""
     lg = link_gains(grouping, precoder)
     k = len(lg.users)
     p = np.full(k, budget.total_power_mw / k)
@@ -199,7 +200,7 @@ def sequential_allocate(grouping, precoder, budget, max_iters, min_rate):
     report = rate_report(lg, p, xi)
     stall = 0
     iterations = 0
-    for t in range(1, max_iters + 1):
+    for t in range(1, max_iters + 1 if math.isfinite(report.sum_rate) else 1):
         iterations = t
         c = np.conj(np.sqrt(p) * lg.own) / (p * lg.own_gain + xi)
         a = 1.0 / (xi / (p * lg.own_gain + xi))
@@ -461,16 +462,18 @@ def reference_lens(n):
     return lens
 
 
-def reference_group_users(assignment, beamspace):
-    """Per-beam grouping loop: members of each selected beam, sorted by
-    decreasing reduced-channel norm with ties to the lower user index."""
-    reduced = beamspace[assignment.selected, :]
+def reference_group_users(beam_for_user, beamspace):
+    """Per-beam grouping loop over the sorted set of the users' beams: members
+    of each beam, sorted by decreasing reduced-channel norm with ties to the
+    lower user index."""
+    selected = np.array(sorted(set(beam_for_user.tolist())))
+    reduced = beamspace[selected, :]
     norms = np.linalg.norm(reduced, axis=0)
     beams = []
-    for beam in assignment.selected:
-        members = np.where(assignment.beam_for_user == beam)[0]
+    for beam in selected:
+        members = np.where(beam_for_user == beam)[0]
         beams.append(members[np.lexsort((members, -norms[members]))])
-    return BeamGrouping(beams=beams, reduced=reduced, selected=assignment.selected)
+    return BeamGrouping(beams=beams, reduced=reduced, selected=selected)
 
 
 def reference_equivalent_channel_svd(grouping):

@@ -16,10 +16,10 @@ from oracles import simplex_grid_optimum
 from beamspace_noma import (ChannelParams, LinkBudget, OptimizerConfig, PowerModel,
                             PrecodingError, SystemConfig, allocate,
                             beamspace_mimo_single_user, build_noma_link,
-                            energy_efficiency, fully_digital_zf, lens_transform_matrix,
-                            link_gains, mimo_oma, mmse_error, proposition1_check,
-                            sample_realization, select_beams, sinr, sum_rate, sweep,
-                            trial_rng)
+                            energy_efficiency, fully_digital_zf, group_users,
+                            lens_transform_matrix, link_gains, mimo_oma, mmse_error,
+                            proposition1_check, sample_realization, select_beams, sinr,
+                            sum_rate, sweep, trial_rng)
 
 
 def _report(num, name, ok, detail):
@@ -198,7 +198,7 @@ def test_criterion_7_grid_oracle():
         real = sample_realization(params, trial_rng(106, t))
         t += 1
         hb = lens.matrix @ real.matrix
-        if select_beams(hb).n_rf != 2:
+        if group_users(select_beams(hb), hb).n_rf != 2:
             continue
         grouping, precoder = build_noma_link(hb, "strongest")
         instances += 1
@@ -250,7 +250,8 @@ def test_criterion_10_conflict_probability():
     trials = 10_000
     for t in range(trials):
         real = sample_realization(params, trial_rng(107, t))
-        conflicts += select_beams(lens.matrix @ real.matrix).n_rf < 32
+        hb = lens.matrix @ real.matrix
+        conflicts += group_users(select_beams(hb), hb).n_rf < 32
     fraction = conflicts / trials
     ok = 0.84 <= fraction <= 0.90
     _report(10, "conflict probability", ok, f"fraction {fraction:.4f} over {trials} trials")

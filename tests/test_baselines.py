@@ -3,8 +3,8 @@ import pytest
 
 from beamspace_noma import (ChannelParams, LinkBudget, PrecodingError,
                             beamspace_mimo_single_user, build_noma_link,
-                            fully_digital_zf, lens_transform_matrix, link_gains,
-                            mimo_oma, sample_realization, select_beams,
+                            fully_digital_zf, group_users, lens_transform_matrix,
+                            link_gains, mimo_oma, sample_realization, select_beams,
                             steering_vector, sum_rate, trial_rng)
 
 
@@ -74,8 +74,7 @@ def test_beamspace_mimo_reassigns_conflicting_user():
     h0 = 2.0 * steering_vector(lens.directions[5] + 0.02 / n, n)
     h1 = 1.0 * steering_vector(lens.directions[5] - 0.30 / n, n)
     hb = lens.matrix @ np.stack([h0, h1], axis=1)
-    assignment = select_beams(hb)
-    assert assignment.n_rf == 1  # genuine conflict on beam 5
+    assert group_users(select_beams(hb), hb).n_rf == 1  # genuine conflict on beam 5
     budget = LinkBudget(noise_mw=0.2, total_power_mw=2.0)
     result = beamspace_mimo_single_user(hb, budget)
     assert result.n_rf == 2

@@ -26,10 +26,11 @@ def _beamspace_with_peaks(rows, n=10, peak=5.0):
 
 def test_select_beams_distinct_set():
     hb = _beamspace_with_peaks([3, 3, 7])
-    a = select_beams(hb)
-    np.testing.assert_array_equal(a.beam_for_user, [3, 3, 7])
-    np.testing.assert_array_equal(a.selected, [3, 7])
-    assert a.n_rf == 2
+    beam_for_user = select_beams(hb)
+    np.testing.assert_array_equal(beam_for_user, [3, 3, 7])
+    g = group_users(beam_for_user, hb)
+    np.testing.assert_array_equal(g.selected, [3, 7])
+    assert g.n_rf == 2
 
 
 def test_distinct_grid_users_get_own_beams():
@@ -37,9 +38,8 @@ def test_distinct_grid_users_get_own_beams():
     lens = lens_transform_matrix(n)
     cols = [steering_vector(lens.directions[i], n) for i in (1, 4, 7, 10, 13)]
     hb = lens.matrix @ np.stack(cols, axis=1)
-    a = select_beams(hb)
-    assert a.n_rf == k
-    g = group_users(a, hb)
+    g = group_users(select_beams(hb), hb)
+    assert g.n_rf == k
     assert all(len(m) == 1 for m in g.beams)
 
 
@@ -77,10 +77,9 @@ def test_reduced_channels_are_bit_equal_rows():
     params = ChannelParams(n_antennas=32, n_users=10)
     real = sample_realization(params, trial_rng(21, 0))
     hb = lens_transform_matrix(32).matrix @ real.matrix
-    a = select_beams(hb)
-    g = group_users(a, hb)
+    g = group_users(select_beams(hb), hb)
     for k in range(10):
-        assert np.array_equal(g.reduced[:, k], hb[a.selected, k])
+        assert np.array_equal(g.reduced[:, k], hb[g.selected, k])
 
 
 def test_partition_property():

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from beamspace_noma import (BeamAssignment, BeamGrouping, ChannelParams, SystemConfig,
+from beamspace_noma import (BeamGrouping, ChannelParams, SystemConfig,
                             beamspace_mimo_single_user, build_noma_link, channel,
                             equivalent_channel_svd, group_users, lens_transform_matrix,
                             link_gains, precoding, run_trial, sample_realization,
@@ -132,13 +132,15 @@ def test_grouping_from_one_beam_to_one_beam_per_user(rows):
 
 
 def test_grouping_of_a_hand_made_assignment():
-    # a selected beam without users, users on an unselected beam, unsorted beams
-    hb = _peaked([2, 2, 6, 9, 6, 2])
-    a = BeamAssignment(beam_for_user=np.array([2, 2, 6, 9, 6, 2]),
-                       selected=np.array([6, 4, 2]))
-    new, ref = group_users(a, hb), reference_group_users(a, hb)
-    _assert_same_grouping(new, ref)
-    assert [m.tolist() for m in new.beams] == [[4, 2], [], [5, 1, 0]]
+    # unsorted beams, users off their peak beam, and exact norm ties: user 3
+    # repeats user 1 on beam 2, and user 4 is user 0 negated on beam 9
+    hb = _peaked([2, 2, 6, 9, 6, 2, 9])
+    hb[:, 3], hb[:, 4] = hb[:, 1], -hb[:, 0]
+    beam_for_user = np.array([9, 2, 6, 2, 9, 6, 2])
+    new = group_users(beam_for_user, hb)
+    _assert_same_grouping(new, reference_group_users(beam_for_user, hb))
+    assert new.selected.tolist() == [2, 6, 9]
+    assert [m.tolist() for m in new.beams] == [[6, 1, 3], [5, 2], [0, 4]]
 
 
 def _grouping(reduced, beams):

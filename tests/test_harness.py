@@ -654,13 +654,15 @@ def test_a_kernel_without_expectations_fails_naming_it():
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("variant", ["strongest", "svd"])
-def test_overflowing_gains_are_recorded_drops(variant):
+@pytest.mark.parametrize("variant, trial", [
+    pytest.param(variant, trial, id=variant + ("-trial3" if trial else ""))
+    for trial in (0, 3) for variant in ("strongest", "svd")])
+def test_overflowing_gains_are_recorded_drops(variant, trial):
     # the gains overflow at this LoS variance while every ZF certificate
     # passes, so the baselines' sum rates come out inf or NaN
     config = SystemConfig(n_antennas=16, n_users=4, seed=1, variant=variant,
                           los_variance=1e308, snr_db=[10.0])
-    records = run_trial(config, 0)
+    records = run_trial(config, trial)
     assert len(records) == len(config.schemes)
     for rec in records:
         if rec.dropped:
@@ -670,6 +672,10 @@ def test_overflowing_gains_are_recorded_drops(variant):
     by_scheme = {rec.scheme: rec for rec in records}
     for scheme in ("beamspace_mimo", "fully_digital") + (("oma",) * (variant == "strongest")):
         assert by_scheme[scheme].drop_reason.startswith("non-finite sum rate"), scheme
+    if trial == 3:
+        # the cross-beam interference overflows, so the equal-power start
+        # already rates NaN: NOMA drops on it before its first step
+        assert by_scheme["noma"].drop_reason == "non-finite sum rate nan"
     for cell in summarize(records, config.schemes):
         if cell["dropped"] < cell["trials"]:
             assert math.isfinite(cell["mean_se"]) and math.isfinite(cell["mean_ee"])
