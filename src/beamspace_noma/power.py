@@ -419,7 +419,9 @@ def _update_p_rows(lg: LinkGains, c: np.ndarray, a: np.ndarray, eta: float,
 
     Returns (R, K) powers and per-row budget multipliers, (R, K) rate
     multipliers, dual rounds and worst min-rate violations. Rows leave the
-    dual ascent at the round where they converge; see `update_p`. guess holds
+    dual ascent at the round where they converge; a capped row's powers are
+    the root at its least-violating multipliers, that round's bits, as a
+    row's root depends on its row alone, not on its guess. guess holds
     estimates of the budget multipliers (the previous iteration's, or zeros)
     to start the first budget root from; each dual round starts from the last
     one's.
@@ -443,14 +445,9 @@ def _update_p_rows(lg: LinkGains, c: np.ndarray, a: np.ndarray, eta: float,
         xi = interference_vector(lg, p, noise_mw)
         theta = eta * xi - lg.own_gain * p
         violation = theta.max(axis=-1)
-        if rounds == 1:
-            best = (violation, p, lam, mu)
-        else:
-            better = violation < best[0]
-            best = (np.where(better, violation, best[0]),
-                    np.where(better[:, None], p, best[1]),
-                    np.where(better, lam, best[2]),
-                    np.where(better[:, None], mu, best[3]))
+        # each live row's least-violating round so far
+        better = (violation < out_violation[live]) | (rounds == 1)
+        out_violation[live[better]], out_mu[live[better]] = violation[better], mu[better]
         done = violation <= VIOLATION_TOL
         if done.any():
             finished = live[done]
@@ -462,13 +459,13 @@ def _update_p_rows(lg: LinkGains, c: np.ndarray, a: np.ndarray, eta: float,
             live, numer, base, mu, step, theta, prev_theta, guess = (
                 x[keep] for x in (live, numer, base, mu, step, theta, prev_theta, guess))
             total_mw, noise_mw = total_mw[keep], noise_mw[keep]
-            best = tuple(x[keep] for x in best)
         flipped = np.sign(theta) * np.sign(prev_theta) < 0
-        stalled = (theta > 0) & (prev_theta > 0) & (theta > 0.7 * prev_theta)
+        stalled = (prev_theta > 0) & (theta > 0.7 * prev_theta)
         step = np.where(flipped, step * 0.5, np.where(stalled, step * 2.0, step))
         mu = np.maximum(0.0, mu + step * theta)
         prev_theta = theta
-    out_violation[live], out_p[live], out_lam[live], out_mu[live] = best
+    out_lam[live], out_p[live] = _solve_budgets(
+        numer, _with_rate_multipliers(lg, base, out_mu[live], eta), total_mw, guess)
     return out_p, out_lam, out_mu, out_rounds, out_violation
 
 
@@ -482,7 +479,8 @@ def update_p(c: np.ndarray, a: np.ndarray, grouping: BeamGrouping, precoder: Pre
     rate constraints: steps start at 1/|h^H w|^2, halve when a constraint's
     violation changes sign (oscillation) and double while it refuses to
     shrink, until every violation is within tolerance or the round cap is
-    hit, in which case the least-violating iterate is returned.
+    hit. A capped row returns its least-violating multipliers with the
+    powers and budget multiplier of the budget root at them.
     """
     lg = link_gains(grouping, precoder)
     total, noise = budget_arrays([budget])

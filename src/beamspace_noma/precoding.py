@@ -24,6 +24,8 @@ cond(H), a kept channel takes its columns from one SVD instead.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,24 +67,32 @@ def equivalent_channel_strongest(grouping: BeamGrouping) -> np.ndarray:
 def top_left_singular_vector(mat: np.ndarray) -> np.ndarray:
     """Dominant left singular vector of a complex matrix via power iteration.
 
-    Iterates on M M^H from a fixed real positive start until the residual test
-    is met or is NaN. With tr = ||M||_F^2 = tr(M M^H), a met pair with
-    tr/2 <= lam < inf stands: the other eigenvalues sum to tr - lam <= lam, so
-    none exceeds lam. Every other outcome (past POWER_ITER_CAP iterations, a
-    pair that fails the certificate, a NaN from an overflowing M M^H) takes the
-    top vector of one SVD of M. The returned vector is unit norm with its
-    largest-magnitude entry made real positive; if the top two singular values
-    coincide any vector of the dominant subspace may come back. A zero matrix
-    returns the start (0 <= 0), and so does a matrix with a non-finite entry,
-    which the SVD does not take: it raises on a NaN and may not return on an
-    infinite entry.
+    Iterates on S S^H from a fixed real positive start until the residual test
+    is met, where S is M rescaled by an exact power of two so that its largest
+    entry modulus lies in [1/2, 1) (below sqrt(2) where that modulus
+    overflows a double). Every rounding of the loop scales with it, so the
+    bits are those of the loop on M wherever that loop neither underflows
+    nor overflows, and the loop on S does neither at any magnitude of M.
+    With tr = ||S||_F^2 = tr(S S^H), a met pair with lam >= tr/2 stands: the
+    other eigenvalues sum to tr - lam <= lam, so none exceeds lam. Every
+    other outcome (past POWER_ITER_CAP iterations, a pair that fails the
+    certificate) takes the top vector of one SVD of M. The returned vector is
+    unit norm with its largest-magnitude entry made real positive; if the top
+    two singular values coincide any vector of the dominant subspace may come
+    back. A zero matrix returns the start (0 <= 0), and so does a matrix with
+    a non-finite entry, which the SVD does not take: it raises on a NaN and
+    may not return on an infinite entry.
     """
     mat = np.atleast_2d(np.asarray(mat))
     r = mat.shape[0]
     x = np.ones(r) / np.sqrt(r)
     if np.isfinite(mat).all():
-        tr = np.linalg.norm(mat) ** 2
-        b = mat @ mat.conj().T
+        # an entry whose modulus overflows counts as the largest double; two
+        # factors, since 2**-exponent alone overflows for a subnormal peak
+        exponent = -math.frexp(min(np.abs(mat).max(), sys.float_info.max))[1]
+        scaled = mat * math.ldexp(1.0, exponent // 2) * math.ldexp(1.0, exponent - exponent // 2)
+        tr = np.linalg.norm(scaled) ** 2
+        b = scaled @ scaled.conj().T
         for _ in range(POWER_ITER_CAP):
             y = b @ x
             lam = float(np.real(x.conj() @ y))
@@ -90,7 +100,7 @@ def top_left_singular_vector(mat: np.ndarray) -> np.ndarray:
             if not res > POWER_ITER_TOL * tr:
                 break
             x = y / np.linalg.norm(y)  # y = 0 has residual 0 and broke above
-        if not (res <= POWER_ITER_TOL * tr and tr / 2 <= lam < np.inf):
+        if not (res <= POWER_ITER_TOL * tr and tr / 2 <= lam):
             x = np.linalg.svd(mat)[0][:, 0]
     pivot = np.argmax(np.abs(x))
     phase = x[pivot] / abs(x[pivot])

@@ -239,7 +239,9 @@ def sweep(config: SystemConfig, mode: str) -> SweepResult:
                 "seed": config.seed,
                 "trials": config.trials,
                 "variant": config.variant,
-                "summary": summary,
+                # strict JSON has no NaN: a cell without kept trials has null means
+                "summary": [{key: None if isinstance(value, float) and math.isnan(value) else value
+                             for key, value in cell.items()} for cell in summary],
             }
             kept_noma = [r for r in records if r.scheme == "noma" and not r.dropped]
             if mode == "convergence":  # traces that stop early repeat their last value
@@ -255,7 +257,7 @@ def sweep(config: SystemConfig, mode: str) -> SweepResult:
                     for r in kept_noma
                 ]
             write_csv(records, csv_fh)
-            json.dump(payload, json_fh, indent=2)
+            json.dump(payload, json_fh, indent=2, allow_nan=False)
             json_fh.write("\n")
         for temp, path in zip(temps, paths):
             os.replace(temp, path)

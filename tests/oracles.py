@@ -37,6 +37,7 @@ for byte.
 """
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -391,14 +392,19 @@ def reference_noma_link(beamspace, variant):
 
 
 def reference_top_left_singular_vector(mat, tol=1e-12, max_iters=10_000):
-    """Power iteration on M M^H for every shape, one-row matrices included,
-    run to its cap until the residual test is met, past a NaN and on a
-    non-finite M too. A met pair with tr/2 <= lam < inf, tr = ||M||_F^2,
-    stands; otherwise the top vector of one SVD of M answers, or the start
-    vector where M has a non-finite entry."""
+    """Power iteration on S S^H for every shape, one-row and real matrices
+    included, run to its cap until the residual test is met, past a NaN and
+    on a non-finite M too. S is M with every real and imaginary part taken
+    through `np.ldexp` by one exponent, which puts the largest entry modulus,
+    at most the largest double, in [1/2, 1). A met pair with tr/2 <= lam <
+    inf, tr = ||S||_F^2, stands; otherwise the top vector of one SVD of M
+    answers, or the start vector where M has a non-finite entry."""
     mat = np.atleast_2d(np.asarray(mat))
-    tr = np.linalg.norm(mat) ** 2
-    b = mat @ mat.conj().T
+    exponent = -math.frexp(min(np.abs(mat).max(), sys.float_info.max))[1]
+    parts = np.ascontiguousarray(mat).view(np.float64)  # a real M is its own parts
+    scaled = np.ldexp(parts, exponent).view(mat.dtype)
+    tr = np.linalg.norm(scaled) ** 2
+    b = scaled @ scaled.conj().T
     r = b.shape[0]
     start = x = np.ones(r) / np.sqrt(r)
     for _ in range(max_iters):
@@ -492,13 +498,15 @@ def _pad_trace(trace, length):
 
 
 def reference_payload(config, mode, records, summary):
-    """The JSON payload of a `sweep` run in `mode` over its sorted records."""
+    """The JSON payload of a `sweep` run in `mode` over its sorted records;
+    a summary cell's NaN means are written as null."""
     payload = {
         "mode": mode,
         "seed": config.seed,
         "trials": config.trials,
         "variant": config.variant,
-        "summary": summary,
+        "summary": [dict(cell, **{key: None for key in ("mean_se", "mean_ee")
+                                  if math.isnan(cell[key])}) for cell in summary],
     }
     if mode == "convergence":
         traces = [_pad_trace(r.trace, config.max_iters) for r in records

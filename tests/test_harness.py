@@ -169,7 +169,7 @@ def test_cli_import_leaves_out_the_process_pool():
 
 def _assert_json_is_reference(result, config, mode):
     want = json.dumps(oracles.reference_payload(config, mode, result.records, result.summary),
-                      indent=2) + "\n"
+                      indent=2, allow_nan=False) + "\n"
     with open(result.json_path, encoding="utf-8") as fh:
         assert fh.read() == want
 
@@ -185,6 +185,24 @@ def test_sweep_writes_the_reference_json_bytes(tmp_path, mode):
         lengths = [len(r.trace) for r in result.records if r.scheme == "noma"]
         assert min(lengths) < config.max_iters == max(lengths)
     _assert_json_is_reference(result, config, mode)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_a_cell_without_kept_trials_writes_null_means(tmp_path):
+    # every row drops at this LoS variance; strict parsers reject a bare NaN
+    config = _small_config(tmp_path, seed=1, trials=2, los_variance=1e308, max_iters=20)
+    result = sweep(config, "snr")
+    assert all(rec.dropped for rec in result.records)
+    assert all(math.isnan(cell["mean_se"]) for cell in result.summary)
+    payload = json.loads(Path(result.json_path).read_text(), parse_constant=_reject_constant)
+    assert [cell["scheme"] for cell in payload["summary"]] == config.schemes
+    for cell in payload["summary"]:
+        assert cell["mean_se"] is None and cell["mean_ee"] is None
+        assert cell["stderr_se"] == cell["stderr_ee"] == 0.0
+    _assert_json_is_reference(result, config, "snr")
 
 
 @pytest.mark.parametrize("failed_build", [True, False])

@@ -98,24 +98,33 @@ def test_a_zero_svd_beam_is_dropped_by_the_zf_condition_check():
     assert err.value.condition == np.inf
 
 
-def test_power_iteration_on_a_non_finite_gram_takes_the_svd_at_once():
-    # M is finite but M M^H overflows: the first residual is NaN, which stops
-    # the loop and fails the certificate, so the SVD answers at once; the
-    # oracle runs its loop to the cap first and must give the same bits
+def test_power_iteration_rescales_a_matrix_whose_gram_overflows():
+    # M M^H overflows, but the loop runs on M rescaled by a power of two, so
+    # the pair is met without an SVD, with the oracle's bits
     mat = np.full((2, 3), 1e200 + 1e200j)
-    real_norm, calls = np.linalg.norm, []
-
-    def norm(*args, **kwargs):
-        calls.append(args)
-        return real_norm(*args, **kwargs)
-
-    with np.errstate(all="ignore"):
-        want = reference_top_left_singular_vector(mat)
-        with patch.object(np.linalg, "norm", norm):
-            got = top_left_singular_vector(mat)
-    assert len(calls) <= 2
-    assert got.tobytes() == want.tobytes()
+    calls = []
+    with patch.object(np.linalg, "svd", _counting_svd(calls)):
+        got = top_left_singular_vector(mat)
+    assert calls == []
+    assert got.tobytes() == reference_top_left_singular_vector(mat).tobytes()
     assert abs(np.vdot(np.linalg.svd(mat)[0][:, 0], got)) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_power_iteration_bits_do_not_depend_on_a_power_of_two_scale():
+    # every rounding of the loop scales with the matrix, so M and 2**k M give
+    # the same vector bit for bit, far past where M M^H or its norms would
+    # overflow or underflow, and up to an entry whose modulus overflows (at
+    # k = 1023); a two-user beam's pair always passes the certificate, so no
+    # SVD answers
+    rng = np.random.default_rng(11)
+    mat = rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
+    mat[1, 3] = 1.9 + 1.9j
+    want = top_left_singular_vector(mat).tobytes()
+    for k in (-1000, -700, -300, 300, 700, 1000, 1023):
+        calls = []
+        with patch.object(np.linalg, "svd", _counting_svd(calls)):
+            assert top_left_singular_vector(mat * 2.0 ** k).tobytes() == want, k
+        assert calls == []
 
 
 def test_power_iteration_on_a_non_finite_matrix_returns_its_start_without_iterating():
@@ -381,18 +390,17 @@ def _gapped_matrices(draw):
     """Complex 2-6 x 1-8 matrices whose largest entry has magnitude 10^e, with
     a relative gap of at least 1e-6 below the top singular value.
 
-    e stays in -70..150. Above about 1e77 the norm of M M^H x overflows, and
-    the certificate sends the pair to the SVD. Below about 1e-80 the squared
-    norms of the residual underflow, and the residual test can pass on a
-    vector that is not yet the top one: the certificate cannot see that, so
-    that range is left out."""
+    e spans -300..300: unscaled, the norm of M M^H x overflows above about
+    1e77, and below about 1e-80 the squared norms of the residual underflow,
+    so the residual test could pass on a vector that is not yet the top one.
+    The loop's power-of-two rescale must keep both ends right."""
     m, n = draw(st.integers(2, 6)), draw(st.integers(1, 8))
     parts = st.floats(-1.0, 1.0, allow_subnormal=False)
     raw = np.array(draw(st.lists(parts, min_size=2 * m * n, max_size=2 * m * n)))
     mat = (raw[::2] + 1j * raw[1::2]).reshape(m, n)
     peak = np.abs(mat).max()
     assume(peak > 0)
-    mat = mat / peak * 10.0 ** draw(st.floats(-70.0, 150.0))
+    mat = mat / peak * 10.0 ** draw(st.floats(-300.0, 300.0))
     s = np.linalg.svd(mat, compute_uv=False)
     assume(len(s) == 1 or s[0] - s[1] >= 1e-6 * s[0])
     return mat
@@ -411,13 +419,13 @@ def _one_large_entry():
 # the residual test passes on the second pair
 @example(mat=np.array([[1, 0.5], [-1, 0.5]], dtype=complex))
 @example(mat=np.array([[1, 0], [-1, 0]], dtype=complex))
-# M M^H is finite, but the norm of M M^H x overflows
+# M M^H is finite, but unscaled the norm of M M^H x would overflow
 @example(mat=_one_large_entry())
 def test_power_iteration_is_the_svd_top_pair(mat):
-    with np.errstate(all="ignore"):
-        u = top_left_singular_vector(mat)
+    u = top_left_singular_vector(mat)
     left, s, _ = np.linalg.svd(mat)
-    assert _sigma(mat, u) == pytest.approx(s[0], rel=1e-9)
+    # ||M^H u|| itself over- or underflows at the ends of the drawn range
+    assert _sigma(mat / s[0], u) == pytest.approx(1.0, rel=1e-9)
     assert abs(np.vdot(left[:, 0], u)) == pytest.approx(1.0, abs=1e-9)
     assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
 
@@ -449,11 +457,34 @@ def test_one_row_zero_matrix_returns_the_start(row):
 
 
 def test_one_row_overflow_keeps_the_power_iteration_answer():
-    # |b_00| and ||M||_F^2 overflow to inf: the residual is NaN and the
-    # certificate fails, so the SVD answers u = [1], as the oracle's does
+    # |b_00| and ||M||_F^2 would overflow to inf, but the rescaled loop meets
+    # its pair at once: u = [1] without an SVD, as the oracle's is
     row = np.full((1, 4), 1e160 + 0j)
-    with np.errstate(all="ignore"):
+    calls = []
+    with patch.object(np.linalg, "svd", _counting_svd(calls)):
         u = top_left_singular_vector(row)
-        u_ref = reference_top_left_singular_vector(row)
-    assert u.tobytes() == u_ref.tobytes()
+    assert calls == []
+    assert u.tobytes() == reference_top_left_singular_vector(row).tobytes()
     assert np.array_equal(u, [1.0])
+
+
+@pytest.mark.parametrize("los_variance, nlos_variance", [(1e-200, 1e-201), (1e-322, 0.0)])
+def test_tiny_channels_get_the_top_singular_vector(monkeypatch, los_variance, nlos_variance):
+    # these beams' entries lie below about 1e-77, where an unscaled loop's
+    # squared residual underflows and passes its test on a vector that is not
+    # the top one (|<u, u_svd>| of 0.69-0.77 on some calls)
+    real, overlaps = precoding.top_left_singular_vector, []
+
+    def checked(mat):
+        u = real(mat)
+        overlaps.append(abs(np.vdot(np.linalg.svd(mat)[0][:, 0], u)))
+        return u
+
+    monkeypatch.setattr(precoding, "top_left_singular_vector", checked)
+    config = SystemConfig(n_antennas=16, n_users=4, variant="svd", snr_db=[10.0],
+                          los_variance=los_variance, nlos_variance=nlos_variance, trials=20)
+    with np.errstate(all="ignore"):  # ZF's column norms underflow at 1e-322
+        for trial in range(20):
+            runner.trial_link(config, trial)
+    assert len(overlaps) >= 6
+    assert min(overlaps) >= 1 - 1e-9, overlaps
