@@ -197,15 +197,14 @@ def _solve_budgets(numer: np.ndarray, denom_base: np.ndarray, total_mw: np.ndarr
     guess, and `_pick` turns its estimate into c and its neighbours c -/+
     2**l, or, where the bound rounds onto the pole, c into the double above
     the pole, which may lie outside the residual zone. One (R, 3, K) table
+    of plain quotients, exact above the pole, where a certificate needs c,
     evaluates every row's nodes; rows without a pick or a certificate run
-    `_bisect`. Each evaluated row is elementwise the 1-D `_powers_at` vector,
-    and a row sum of a C-contiguous array equals the 1-D sum.
+    `_bisect`. A row sum of a C-contiguous array equals the 1-D sum.
     """
     n_rows = len(numer)
     lam, powers = np.zeros(n_rows), np.empty_like(numer)
     numer, totals = np.fmax(numer, 0.0), total_mw.tolist()
     users = denom_base.argmin(axis=-1).tolist()
-    lows = [denom_base.item(row, user) for row, user in enumerate(users)]
     if not all(numer.item(row, user) > 0.0 for row, user in enumerate(users)):
         # a smallest denominator without power: the pole is the next one's
         users = np.where(numer > 0.0, denom_base, np.inf).argmin(axis=-1).tolist()
@@ -220,7 +219,7 @@ def _solve_budgets(numer: np.ndarray, denom_base: np.ndarray, total_mw: np.ndarr
                          for bound, hint in zip(bounds, guess.tolist())], poles)
         picks = [(row, nodes) for row, root in enumerate(roots)
                  if root is not None and (nodes := _pick(*root)) is not None]
-        certified = _certify(numer, denom_base, picks, totals, lows, lam, powers)
+        certified = _certify(numer, denom_base, picks, totals, poles, lam, powers)
     for row in range(n_rows):
         if row not in certified:
             lam[row], powers[row] = _bisect(numer[row], denom_base[row], totals[row])
@@ -328,10 +327,16 @@ def _pick(estimate: float, zone: float) -> tuple[float, float, float] | None:
 
 
 def _certify(numer: np.ndarray, denom_base: np.ndarray, picks: list, totals: list[float],
-             lows: list[float], lam: np.ndarray, powers: np.ndarray) -> set[int]:
-    """Evaluate every pick's nodes (below, c, above) in one (R, 3, K) table;
-    store c and the powers at c of each row whose certificate holds, and
-    return those rows. Every comparison fails on a NaN sum.
+             poles: list[tuple[float, float]], lam: np.ndarray, powers: np.ndarray) -> set[int]:
+    """Evaluate every pick's nodes (below, c, above) in one (R, 3, K) table
+    of plain quotients; store c and the powers at c of each row whose
+    certificate holds, and return those rows. A certificate needs c above
+    its row's pole -d (poles as for `_newton`): there every positive
+    numerator meets a positive denominator, so the table is `_powers_at`'s
+    or NaN (a zero numerator's 0/0). At a node not above the pole, where
+    Newton can land a few ulps short, it reads finite or NaN where
+    `_powers_at` reads inf or 0. Every comparison fails on a NaN sum, so
+    either can only fail a certificate.
 
     Both branches need S(below) > total >= S(c). Inside the residual zone
     every node the bisection visits before c is coarser, at or below c - 2**l
@@ -347,18 +352,12 @@ def _certify(numer: np.ndarray, denom_base: np.ndarray, picks: list, totals: lis
     rows = [row for row, _ in picks]
     nodes = np.array([nodes for _, nodes in picks])
     numer, denom_base = numer.take(rows, axis=0)[:, None], denom_base.take(rows, axis=0)[:, None]
-    # where every denominator is positive the masks of `_powers_at` only zero
-    # the zero numerators' powers, which the division already does; a zero
-    # numerator's 0/0 at its own pole needs them
-    if all(below > -lows[row] for row, (below, _, _) in picks):
-        table = (numer / (denom_base + nodes[..., None])) ** 2
-    else:
-        table = _powers_at(numer, denom_base, nodes[..., None])
+    table = (numer / (denom_base + nodes[..., None])) ** 2
     certified = set()
     for (row, (below_node, node, _)), (below, at, above), row_table in zip(
             picks, table.sum(axis=-1).tolist(), table):
         total, tol = totals[row], BUDGET_TOL * totals[row]
-        if below > total >= at and (
+        if node > poles[row][0] and below > total >= at and (
                 total - above > tol if total - at <= tol
                 else math.nextafter(below_node, math.inf) == node):
             lam[row], powers[row] = node, row_table[1]

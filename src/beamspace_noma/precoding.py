@@ -76,7 +76,7 @@ def top_left_singular_vector(mat: np.ndarray) -> np.ndarray:
     With tr = ||S||_F^2 = tr(S S^H), a met pair with lam >= tr/2 stands: the
     other eigenvalues sum to tr - lam <= lam, so none exceeds lam. Every
     other outcome (past POWER_ITER_CAP iterations, a pair that fails the
-    certificate) takes the top vector of one SVD of M. The returned vector is
+    certificate) takes the top vector of one SVD of S. The returned vector is
     unit norm with its largest-magnitude entry made real positive; if the top
     two singular values coincide any vector of the dominant subspace may come
     back. A zero matrix returns the start (0 <= 0), and so does a matrix with
@@ -101,7 +101,7 @@ def top_left_singular_vector(mat: np.ndarray) -> np.ndarray:
                 break
             x = y / np.linalg.norm(y)  # y = 0 has residual 0 and broke above
         if not (res <= POWER_ITER_TOL * tr and tr / 2 <= lam):
-            x = np.linalg.svd(mat)[0][:, 0]
+            x = np.linalg.svd(scaled)[0][:, 0]
     pivot = np.argmax(np.abs(x))
     phase = x[pivot] / abs(x[pivot])
     return np.asarray(x / phase, dtype=complex)

@@ -397,7 +397,7 @@ def reference_top_left_singular_vector(mat, tol=1e-12, max_iters=10_000):
     on a non-finite M too. S is M with every real and imaginary part taken
     through `np.ldexp` by one exponent, which puts the largest entry modulus,
     at most the largest double, in [1/2, 1). A met pair with tr/2 <= lam <
-    inf, tr = ||S||_F^2, stands; otherwise the top vector of one SVD of M
+    inf, tr = ||S||_F^2, stands; otherwise the top vector of one SVD of S
     answers, or the start vector where M has a non-finite entry."""
     mat = np.atleast_2d(np.asarray(mat))
     exponent = -math.frexp(min(np.abs(mat).max(), sys.float_info.max))[1]
@@ -417,7 +417,7 @@ def reference_top_left_singular_vector(mat, tol=1e-12, max_iters=10_000):
     if not np.isfinite(mat).all():
         x = start
     elif not (met and tr / 2 <= lam < math.inf):
-        x = np.linalg.svd(mat)[0][:, 0]
+        x = np.linalg.svd(scaled)[0][:, 0]
     pivot = np.argmax(np.abs(x))
     phase = x[pivot] / abs(x[pivot])
     return np.asarray(x / phase, dtype=complex)

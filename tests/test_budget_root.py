@@ -172,8 +172,8 @@ def test_powers_at_matches_the_masked_form_on_special_values():
 def test_root_leaves_the_masked_form_once_every_denominator_is_positive(monkeypatch):
     # at multiplier 0 two users have non-positive denominators, but the
     # Newton steps start at the pole bound, past -min(denom_base), and the
-    # root lies near 0.7, so the one table that certifies it drops the masks
-    # and no masked `_powers_at` call (a table or the fallback's row) is made
+    # root lies near 0.7, so the table of plain quotients certifies it and no
+    # masked `_powers_at` call (the fallback's row) is made
     numer, denom_base = np.ones(8), np.linspace(-0.2, 1.0, 8)
     total = float(np.sum((numer / (denom_base + 0.7)) ** 2))
     masked = []
@@ -571,16 +571,19 @@ def test_halving_depths_at_the_exact_limit(monkeypatch):
 @pytest.mark.parametrize("root", [0.3, 0.7 * 2.0 ** -10, 1.05e8, 1.3 * 2.0 ** 40])
 def test_zero_numerator_user_at_the_lower_node(monkeypatch, root):
     # a user without power whose denominator is zero at c - 2**l: the lower
-    # node reads 0/0 unmasked, so the certificate holds only in masked form
+    # node's plain quotient reads 0/0, a NaN sum that fails the certificate,
+    # so the row runs the fallback and still gets the sequential bits
     nodes = _certified_nodes(monkeypatch)
     numer, denom_base = np.array([1.0, 0.5]), np.array([1.0, 3.0]) * root
     total = float(np.sum((numer / (denom_base + root)) ** 2))
     _assert_same_root(numer, denom_base, total)
     [(below, node, _)] = nodes
     numer, denom_base = np.append(numer, 0.0), np.append(denom_base, -below)
+    fallback, real_bisect = [], power._bisect
+    monkeypatch.setattr(power, "_bisect", lambda *args: fallback.append(1) or real_bisect(*args))
     nodes.clear()
     assert _assert_same_root_for_every_guess(numer, denom_base, total) == node
-    assert nodes and all(nodes_ == (below, node, nodes[0][2]) for nodes_ in nodes)
+    assert not nodes and len(fallback) == 7
 
 
 @st.composite
@@ -731,6 +734,28 @@ def test_zero_numerator_user_below_the_pole(monkeypatch):
     above = math.nextafter(5.0, math.inf)
     assert _assert_same_root_for_every_guess(numer, denom_base, total) == above
     assert (5.0, above, math.nextafter(above, math.inf)) in nodes
+
+
+@pytest.mark.parametrize("numer,denom_base,total,root", [
+    ([7.105427357601002e-15, 3636217643.6921844], [-4294967296.000001, 10625410905.484549],
+     0.05939365829203906, 4294967296.25),
+    ([1.0339757656912846e-25, 7541.422297786031], [-1023.9999999999998, 1013.2457547268116],
+     13.703126865102039, 1023.9999999999999),
+    ([9.094947017729282e-13, 1.651673777449845e+16, 0.0],
+     [-2251799813685247.8, 4334349912917613.0, -4405458340796372.0], 6.289054360377847,
+     2251799813685248.0)])
+def test_newton_pick_below_the_pole_never_certifies(numer, denom_base, total, root):
+    # from the root as its guess, Newton settles a few ulps under the pole,
+    # where the plain quotient reads the pole user's term as a finite one and
+    # the sums pass every comparison: only the certificate's pole guard keeps
+    # the pick from returning that node below the pole
+    numer, denom_base = np.array(numer), np.array(denom_base)
+    want_lam, want_p = sequential_solve_budget(numer, denom_base, total)
+    assert want_lam == root and root > -denom_base[0]
+    for guess in (math.nan, 0.0, root):
+        lam, p = _solve_budgets(numer[None], denom_base[None], np.array([total]),
+                                np.array([guess]))
+        assert lam[0] == want_lam and p[0].tobytes() == want_p.tobytes(), guess
 
 
 def test_in_zone_double_above_the_pole_still_needs_its_upper_neighbour(monkeypatch):

@@ -468,6 +468,21 @@ def test_one_row_overflow_keeps_the_power_iteration_answer():
     assert np.array_equal(u, [1.0])
 
 
+def test_the_svd_fallback_takes_the_rescaled_matrix():
+    # every entry is finite but the diagonal's moduli overflow a double; the
+    # pair fails the tr/2 certificate, and the SVD of M itself is off
+    # (overlap 0.956 with the top vector of the unscaled base), that of the
+    # rescaled matrix is not
+    base = np.diag([1.8 + 1.8j, 1.7 + 1.7j, 1.6 + 1.6j]) + 0.05
+    mat = 2.0 ** 1023 * base
+    calls = []
+    with patch.object(np.linalg, "svd", _counting_svd(calls)):
+        u = top_left_singular_vector(mat)
+    assert calls == [(3, 3)]
+    assert abs(np.vdot(np.linalg.svd(base)[0][:, 0], u)) == pytest.approx(1.0, abs=1e-12)
+    assert u.tobytes() == reference_top_left_singular_vector(mat).tobytes()
+
+
 @pytest.mark.parametrize("los_variance, nlos_variance", [(1e-200, 1e-201), (1e-322, 0.0)])
 def test_tiny_channels_get_the_top_singular_vector(monkeypatch, los_variance, nlos_variance):
     # these beams' entries lie below about 1e-77, where an unscaled loop's
