@@ -165,12 +165,12 @@ def _with_rate_multipliers(lg: LinkGains, base: np.ndarray, mu: np.ndarray,
 
 def _powers_at(numer: np.ndarray, denom_base: np.ndarray, lam) -> np.ndarray:
     """Closed-form powers (numer / (denom_base + lam))**2 at multiplier lam:
-    zero where numer is not positive, inf where a positive numer meets a
-    non-positive denominator (the clamp to 0 makes that quotient inf)."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return np.where(numer > 0, (numer / np.maximum(denom_base + lam, 0.0)) ** 2, 0.0)
+    zero where numer is not positive, and inf, silent under `_solve_budgets`,
+    where a positive numer meets a denominator clamped to 0."""
+    return np.where(numer > 0, (numer / np.maximum(denom_base + lam, 0.0)) ** 2, 0.0)
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _solve_budgets(numer: np.ndarray, denom_base: np.ndarray, total_mw: np.ndarray,
                    guess: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bisect every row's budget multiplier so its closed-form powers fill
@@ -213,13 +213,12 @@ def _solve_budgets(numer: np.ndarray, denom_base: np.ndarray, total_mw: np.ndarr
     # no bound (NaN) for a zero budget; a row whose start is not finite never settles
     bounds = [pole + n / math.sqrt(total) if total > 0.0 else math.nan
               for (pole, n), total in zip(poles, totals)]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        roots = _newton(numer, denom_base, totals,
-                        [hint if bound < hint < math.inf else bound
-                         for bound, hint in zip(bounds, guess.tolist())], poles)
-        picks = [(row, nodes) for row, root in enumerate(roots)
-                 if root is not None and (nodes := _pick(*root)) is not None]
-        certified = _certify(numer, denom_base, picks, totals, poles, lam, powers)
+    roots = _newton(numer, denom_base, totals,
+                    [hint if bound < hint < math.inf else bound
+                     for bound, hint in zip(bounds, guess.tolist())], poles)
+    picks = [(row, nodes) for row, root in enumerate(roots)
+             if root is not None and (nodes := _pick(*root)) is not None]
+    certified = _certify(numer, denom_base, picks, totals, poles, lam, powers)
     for row in range(n_rows):
         if row not in certified:
             lam[row], powers[row] = _bisect(numer[row], denom_base[row], totals[row])

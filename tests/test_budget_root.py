@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from beamspace_noma import power
+from beamspace_noma import (SystemConfig, build_noma_link, lens_transform_matrix, power,
+                            sample_realization, to_beamspace, trial_rng)
 from beamspace_noma.power import BUDGET_TOL, DOUBLINGS, MAX_HALVINGS, _solve_budgets
+from beamspace_noma.rates import link_and_powers
 from oracles import sequential_solve_budget
 
 
@@ -165,8 +168,26 @@ def test_powers_at_matches_the_masked_form_on_special_values():
     numer, denom_base = (np.array(x) for x in zip(*itertools.product(values, values)))
     for lam in (0.0, 0.5, 1.0, 1e300, np.array([[0.0], [2.0 ** -1074], [1.0]])):
         want = oracles._powers_at(numer, denom_base, lam)
-        got = power._powers_at(numer, denom_base, lam)
+        with np.errstate(all="ignore"):  # `_solve_budgets` owns the guard
+            got = power._powers_at(numer, denom_base, lam)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), lam
+
+
+def test_library_allocation_on_an_ordinary_link_is_silent():
+    # the root divides at and below its rows' poles; its own guard keeps
+    # that silent in library calls made outside `run_trial`
+    config = SystemConfig(seed=3, snr_db=[0.0], min_rate=1.0, max_iters=2)
+    spatial = sample_realization(config.channel_params(), trial_rng(config.seed, 0)).matrix
+    grouping, precoder = build_noma_link(
+        to_beamspace(spatial, lens_transform_matrix(config.n_antennas)), config.variant)
+    budget = config.budget(0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alloc = power.allocate(grouping, precoder, budget, config.optimizer_config())
+        lg, p, xi = link_and_powers(grouping, precoder, alloc.powers, budget.noise_mw)
+        c, e = power._mmse_terms(lg, p[0], xi[0])
+        power.update_p(c, 1.0 / e, grouping, precoder, config.optimizer_config(), budget)
+    assert alloc.iterations_used == 2
 
 
 def test_root_leaves_the_masked_form_once_every_denominator_is_positive(monkeypatch):
@@ -782,7 +803,7 @@ def test_in_zone_double_above_the_pole_still_needs_its_upper_neighbour(monkeypat
 
 
 def test_zero_totals_and_rows_without_power_in_one_batch():
-    # a zero budget puts the pole bound at inf (n / sqrt(0)), and a row
+    # a zero budget has no pole bound (NaN, not n / sqrt(0)), and a row
     # without a positive numerator has no pole: both run the fallback,
     # beside rows that certify
     rows = [([1.0, 2.0], [1.0, 2.0], 0.0), ([1e-100, 0.0], [1.0, 1.0], 0.0),

@@ -313,3 +313,65 @@ def test_cli_exits_0_with_its_files_or_2_with_one_error_line(mode, flags, lines)
             assert [line for line in err.splitlines() if ": error: " in line] == \
                 [err.splitlines()[-1]], err
             assert _tree(root) == before
+
+
+# SINR depends only on ratios of received powers, and scaling by a power of
+# two is exact while nothing leaves the normal range. At rmin 0 the trial's
+# bits hold under (a) the channel scaled by 2**s with the noise by 4**s and
+# (b) the budget, and so the noise, scaled by 4**s. For these links (N <= 32,
+# K <= 8, the default variances) |s| <= 40 moves no quantity by more than
+# 4**40 = 2**80, far from either end of the normal doubles.
+@st.composite
+def _rmin0_configs(draw):
+    n = draw(st.integers(4, 32))
+    return SystemConfig(n_antennas=n, n_users=draw(st.integers(2, min(8, n))),
+                        seed=draw(st.integers(0, 2**32 - 1)),
+                        variant=draw(st.sampled_from(["strongest", "svd"])),
+                        snr_db=draw(st.lists(st.integers(-10, 40).map(float), min_size=1,
+                                             max_size=3, unique=True)))
+
+
+def _report_bits(report):
+    return (report.users.tobytes(), report.sinr.tobytes(), report.rates.tobytes(),
+            report.sum_rate, report.n_rf)
+
+
+def _stage_results(config, budgets):
+    """The trial's baseline reports and NOMA allocations (or its link build's
+    error) on `budgets`, called stage by stage."""
+    spatial, beamspace, link = runner.trial_link(config, 0)
+    results = [[_report_bits(r) for r in run(x, budgets)] for run, x in (
+        (baselines.beamspace_mimo_single_user_batch, beamspace),
+        (baselines.fully_digital_zf_batch, spatial))]
+    if isinstance(link, Exception):
+        return results + [str(link)]
+    return results + [
+        [_report_bits(r) for r in baselines.mimo_oma_batch(link, budgets)],
+        [(a.powers.tobytes(), a.trace, a.budget_trace, a.budget_multiplier,
+          a.rate_multipliers.tobytes(), a.feasible, a.iterations_used, _report_bits(a.report))
+         for a in allocate_batch(link, budgets, config.optimizer_config())]]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(config=_rmin0_configs(), s=st.integers(-40, 40).filter(bool))
+def test_a_channel_scaled_by_2_to_the_s_with_the_noise_by_4_to_the_s_keeps_every_bit(config, s):
+    budgets = [config.budget(snr_db) for snr_db in config.snr_db]
+    scaled = replace(config, los_variance=config.los_variance * 4.0 ** s,
+                     nlos_variance=config.nlos_variance * 4.0 ** s)
+    scaled_budgets = [LinkBudget(noise_mw=b.noise_mw * 4.0 ** s,
+                                 total_power_mw=b.total_power_mw) for b in budgets]
+    assert (runner.trial_link(scaled, 0)[0].tobytes()
+            == (runner.trial_link(config, 0)[0] * 2.0 ** s).tobytes())
+    assert _stage_results(scaled, scaled_budgets) == _stage_results(config, budgets)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(config=_rmin0_configs(), s=st.integers(-40, 40).filter(bool))
+def test_a_budget_scaled_by_4_to_the_s_keeps_every_record_but_the_energy_efficiency(config, s):
+    scaled = replace(config, total_power_mw=config.total_power_mw * 4.0 ** s)
+
+    def bits(records):
+        return [(r.snr_db, r.scheme, r.n_rf, r.sum_rate, r.trace, r.user_rates, r.dropped,
+                 r.drop_reason, r.feasible) for r in records]
+
+    assert bits(run_trial(scaled, 0)) == bits(run_trial(config, 0))
